@@ -1,0 +1,1264 @@
+"""Verification suites: each runs a batch of identity checks against a
+configured model and returns CheckRecords for the report.
+
+All randomness is drawn from per-suite Random instances seeded from the
+config seed, so identical configs reproduce identical reports (up to wall
+times).  Failing quantified checks report the failing basis element; failing
+random-element checks shrink the witness first (drop words, then drop
+generators) while the failure persists.
+"""
+
+from __future__ import annotations
+
+import random
+import time
+from fractions import Fraction
+
+from .abstractspace import abstract_space, random_element, random_pairing, random_word
+from .bvtheory import (
+    Section,
+    delta_basis,
+    homotopy_eta,
+    homotopy_zeta,
+    lambda_diff,
+    lambda_pm,
+    check_cutoff_in_region,
+    quasi_inverse_g,
+    tau_0,
+    tau_dirac,
+    tau_minus1,
+    window_points,
+)
+from .lattice import (
+    Lattice,
+    Point,
+    Region,
+    causal_hull,
+    causally_disjoint,
+    factorize_tuple,
+    is_time_ordered,
+    make_cutoff,
+    slab,
+    validate_ring_size,
+)
+from .models import build_model, klein_gordon
+from .quantize import (
+    MultiTensor,
+    SymModel,
+    dirac_nary,
+    eta_gen_map,
+    fa_product,
+    filtration_defects,
+    q_hbar_tensor,
+    quasi_inverse_gen_map,
+    sym_power_homotopy_defect,
+    tpfa_product,
+)
+from .reporting import CATALOG, CheckRecord, digest_inputs
+from .scalars import HBAR, HScalar, I, ONE
+from .symalg import (
+    PairingOracle,
+    SymElement,
+    TensorElement,
+    bider_apply,
+    bider_recursive,
+    bider_tensor,
+    binom,
+    boundary_pairing,
+    extend_derivation,
+    laplacian_apply,
+    laplacian_recursive,
+    laplacian_tensor,
+    mul,
+    normalize,
+    sym_map,
+    tensor_braiding,
+    tensor_mu,
+    word_degree,
+)
+
+IH = I * HBAR
+
+
+# -- config ------------------------------------------------------------------
+
+DEFAULT_CONFIG = {
+    "schema_version": 1,
+    "seed": 7,
+    "model": "kg",
+    "model_params": {"kappa": "1", "mass_sq": "0"},
+    "lattice": {"n_sites": 21, "slope": 1},
+    "suites": list(
+        ("algebra", "green", "structures", "theorems", "quantization", "comparison")
+    ),
+    "p_max": 3,
+    "cutoff_t0": 0,
+    "windows": {
+        "basis_t": [-2, 2],
+        "basis_x": [-2, 2],
+        "green_t": [-12, 12],
+        "homotopy_t": [-3, 3],
+        "homotopy_x": [0, 1],
+    },
+    "regions": {
+        "disjoint_pair": [
+            {"kind": "hull", "seeds": [[0, 0], [2, 0]]},
+            {"kind": "hull", "seeds": [[0, 10], [2, 10]]},
+        ],
+        "connected_pair": [
+            {"kind": "hull", "seeds": [[0, 0]]},
+            {"kind": "hull", "seeds": [[2, 1]]},
+        ],
+        "stacked_pair": [
+            {"kind": "hull", "seeds": [[4, 0]]},
+            {"kind": "hull", "seeds": [[0, 0]]},
+        ],
+        "stacked_tuple": [
+            {"kind": "hull", "seeds": [[12, 0]]},
+            {"kind": "hull", "seeds": [[8, 3]]},
+            {"kind": "hull", "seeds": [[4, 0]]},
+            {"kind": "hull", "seeds": [[0, 3]]},
+        ],
+        "nonordered_pair": [
+            {"kind": "hull", "seeds": [[0, 0], [3, 0]]},
+            {"kind": "hull", "seeds": [[1, 3], [4, 3]]},
+        ],
+        "slab": {"kind": "slab", "t": [-4, 4]},
+    },
+    "samples": {
+        "algebra_elements": 500,
+        "algebra_max_len": 6,
+        "algebra_binomial": 40,
+        "random_sections": 8,
+        "section_terms": 3,
+        "word_samples": 20,
+        "max_word_len": 6,
+        "comparison_words_per_length": 10,
+        "comparison_pairs": 12,
+        "tuple_reps": 4,
+        "timeslice_words": 4,
+    },
+}
+
+
+def merge_config(base: dict, override: dict) -> dict:
+    out = dict(base)
+    for key, val in override.items():
+        if isinstance(val, dict) and isinstance(out.get(key), dict):
+            out[key] = merge_config(out[key], val)
+        else:
+            out[key] = val
+    return out
+
+
+def parse_region(lattice: Lattice, literal: dict) -> Region:
+    kind = literal.get("kind")
+    if kind == "all":
+        return Region.all_of(lattice)
+    if kind == "hull":
+        return causal_hull(lattice, [tuple(s) for s in literal["seeds"]])
+    if kind == "slab":
+        t_lo, t_hi = literal["t"]
+        return slab(lattice, t_lo, t_hi)
+    raise ValueError(f"unknown region kind {kind!r}")
+
+
+class ModelBundle:
+    """Everything a suite needs, built once from a config."""
+
+    def __init__(self, config: dict):
+        self.config = config
+        lat = config["lattice"]
+        self.lattice = Lattice(lat["n_sites"], lat.get("slope", 1))
+        params = dict(config.get("model_params", {}))
+        kwargs = {}
+        if config["model"] == "kg":
+            kwargs["kappa"] = Fraction(str(params.get("kappa", "1")))
+            kwargs["mass_sq"] = Fraction(str(params.get("mass_sq", "0")))
+        if params.get("metric_flip"):
+            kwargs["metric_flip"] = True
+        self.model = build_model(config["model"], self.lattice, **kwargs)
+        self.sym = SymModel(self.model)
+        self.regions = {
+            name: [parse_region(self.lattice, lit) for lit in lits]
+            if isinstance(lits, list)
+            else parse_region(self.lattice, lits)
+            for name, lits in config["regions"].items()
+        }
+        # the no-wrap constraint applies where causal DISJOINTNESS is claimed;
+        # time-ordering of stacked regions cannot wrap (cones only move forward)
+        disjoint = [r for r in self.regions.get("disjoint_pair", []) if r.is_finite]
+        validate_ring_size(self.lattice, disjoint)
+
+    def rng(self, suite: str) -> random.Random:
+        return random.Random((self.config["seed"], suite).__repr__())
+
+    def basis_points(self):
+        t_lo, t_hi = self.config["windows"]["basis_t"]
+        x_lo, x_hi = self.config["windows"]["basis_x"]
+        return window_points(t_lo, t_hi, range(x_lo, x_hi + 1))
+
+    def green_window(self):
+        return tuple(self.config["windows"]["green_t"])
+
+    def gens_window(self):
+        return self.sym.generators_at(self.basis_points())
+
+
+# -- witnesses and shrinking ---------------------------------------------------
+
+
+def _fmt_section(s: Section) -> str:
+    items = sorted(s.items(), key=lambda kv: kv[0])
+    return "; ".join(f"deg {k[0]} @(t={k[1]},x={k[2]},f={k[3]}): {v}" for k, v in items)
+
+
+def _fmt_elem(e: SymElement) -> str:
+    parts = []
+    for w, c in sorted(e.items(), key=lambda kv: kv[0]):
+        label = "*".join(f"({g[0]},{g[1]},{g[2]},{g[3]})" for g in w) or "1"
+        parts.append(f"{label}: {c}")
+    return "; ".join(parts)
+
+
+def shrink_element(elem: SymElement, still_fails) -> SymElement:
+    """Greedy witness minimization: drop whole words, then single generators,
+    while the failure persists."""
+    cur = elem
+    changed = True
+    while changed:
+        changed = False
+        for w in sorted(cur.terms, key=len, reverse=True):
+            if len(cur.terms) > 1:
+                cand = SymElement({u: c for u, c in cur.items() if u != w})
+                if still_fails(cand):
+                    cur = cand
+                    changed = True
+                    break
+        if changed:
+            continue
+        for w in sorted(cur.terms, key=len, reverse=True):
+            for i in range(len(w)):
+                shorter = w[:i] + w[i + 1 :]
+                terms = {u: c for u, c in cur.items() if u != w}
+                cand = SymElement(terms) + SymElement({shorter: ONE})
+                if still_fails(cand):
+                    cur = cand
+                    changed = True
+                    break
+            if changed:
+                break
+    return cur
+
+
+class SuiteRunner:
+    def __init__(self, bundle: ModelBundle, suite: str):
+        self.bundle = bundle
+        self.suite = suite
+        self.records: list = []
+        self.digest = digest_inputs(
+            {
+                "suite": suite,
+                "model": bundle.config["model"],
+                "model_params": bundle.config.get("model_params", {}),
+                "lattice": bundle.config["lattice"],
+                "seed": bundle.config["seed"],
+                "samples": bundle.config["samples"],
+                "windows": bundle.config["windows"],
+                "regions": bundle.config["regions"],
+                "p_max": bundle.config["p_max"],
+            }
+        )
+
+    def check(self, identity: str, fn) -> None:
+        if identity not in CATALOG:
+            raise KeyError(f"unknown identity {identity!r}")
+        start = time.perf_counter()
+        try:
+            result = fn()
+        except Exception as exc:  # a crash is a failure with the error as witness
+            result = (False, f"error: {exc!r}")
+        wall = (time.perf_counter() - start) * 1000.0
+        passed, witness = result if isinstance(result, tuple) else (result, None)
+        self.records.append(
+            CheckRecord(identity, bool(passed), self.digest, witness, wall)
+        )
+
+
+# -- algebra suite ---------------------------------------------------------------
+
+
+def suite_algebra(bundle: ModelBundle) -> list:
+    run = SuiteRunner(bundle, "algebra")
+    cfg = bundle.config["samples"]
+    gens, dmap = abstract_space()
+    tau_even = random_pairing(gens, 0, 1, seed=10)
+    tau_odd = random_pairing(gens, 1, 1, seed=11)
+    tau_odd2 = random_pairing(gens, 1, 1, seed=13)
+    tau_anti = random_pairing(gens, 0, -1, seed=12)
+    n_elems = cfg["algebra_elements"]
+    max_len = cfg["algebra_max_len"]
+
+    def elements(rng, count, n_words=2):
+        return [random_element(rng, gens, max_len, n_words) for _ in range(count)]
+
+    def check_normalize():
+        rng = bundle.rng("algebra-normalize")
+        for _ in range(200):
+            w = random_word(rng, gens, max_len)
+            w2, s2 = normalize(w)
+            if w2 != w or s2 != 1:
+                return False, str(w)
+        return True, None
+
+    run.check("normalize-idempotent", check_normalize)
+
+    def check_commutativity():
+        rng = bundle.rng("algebra-comm")
+        for _ in range(200):
+            w1, w2 = random_word(rng, gens, 4), random_word(rng, gens, 4)
+            a, b = SymElement({w1: ONE}), SymElement({w2: ONE})
+            sign = -1 if (word_degree(w1) % 2) and (word_degree(w2) % 2) else 1
+            if mul(a, b) != mul(b, a).scale(sign):
+                return False, f"{w1} vs {w2}"
+        return True, None
+
+    run.check("algebra-graded-commutativity", check_commutativity)
+
+    def check_bider_routes():
+        rng = bundle.rng("algebra-bider")
+        for tau in (tau_even, tau_odd, tau_anti):
+            for _ in range(max(n_elems // 6, 40)):
+                a = random_element(rng, gens, 4, 2)
+                b = random_element(rng, gens, 4, 2)
+                if bider_apply(tau, a, b) != bider_recursive(tau, a, b):
+                    fails = lambda x: bider_apply(tau, x, b) != bider_recursive(tau, x, b)
+                    return False, _fmt_elem(shrink_element(a, fails))
+        return True, None
+
+    run.check("bider-closed-vs-recursive", check_bider_routes)
+
+    def check_bider_symmetry():
+        rng = bundle.rng("algebra-bidersym")
+        for tau in (tau_even, tau_odd, tau_anti):
+            for _ in range(150):
+                w1, w2 = random_word(rng, gens, 3), random_word(rng, gens, 3)
+                a, b = SymElement({w1: ONE}), SymElement({w2: ONE})
+                sign = -1 if (word_degree(w1) % 2) and (word_degree(w2) % 2) else 1
+                lhs = tensor_braiding(bider_apply(tau, b, a)).scale(sign)
+                if lhs != bider_apply(tau, a, b).scale(tau.symmetry):
+                    return False, f"{w1} vs {w2} (p={tau.degree}, s={tau.symmetry})"
+        return True, None
+
+    run.check("bider-symmetry", check_bider_symmetry)
+
+    def check_laplacian_routes():
+        rng = bundle.rng("algebra-laplacian")
+        count = 0
+        while count < n_elems:
+            for tau in (tau_even, tau_odd):
+                a = random_element(rng, gens, max_len, 2)
+                count += 1
+                if laplacian_apply(tau, a) != laplacian_recursive(tau, a):
+                    fails = lambda x: laplacian_apply(tau, x) != laplacian_recursive(tau, x)
+                    return False, _fmt_elem(shrink_element(a, fails))
+        return True, None
+
+    run.check("laplacian-closed-vs-recursive", check_laplacian_routes)
+
+    def check_laplacian_boundary():
+        rng = bundle.rng("algebra-boundary")
+        for tau in (tau_even, tau_odd):
+            dt = boundary_pairing(tau, dmap)
+            sign = -1 if tau.degree % 2 else 1
+            for _ in range(120):
+                a = random_element(rng, gens, max_len - 1, 2)
+                lhs = extend_derivation(dmap, 1, laplacian_apply(tau, a))
+                lhs = lhs - laplacian_apply(tau, extend_derivation(dmap, 1, a)).scale(sign)
+                if lhs != laplacian_apply(dt, a):
+                    return False, _fmt_elem(a)
+        return True, None
+
+    run.check("laplacian-boundary", check_laplacian_boundary)
+
+    def check_laplacian_commutation():
+        rng = bundle.rng("algebra-commutation")
+        combos = [(tau_even, tau_odd, 1), (tau_odd, tau_odd2, -1), (tau_even, tau_even, 1)]
+        for t1, t2, sign in combos:
+            for _ in range(100):
+                a = random_element(rng, gens, max_len, 2)
+                lhs = laplacian_apply(t1, laplacian_apply(t2, a))
+                rhs = laplacian_apply(t2, laplacian_apply(t1, a)).scale(sign)
+                if lhs != rhs:
+                    return False, _fmt_elem(a)
+        return True, None
+
+    run.check("laplacian-commutation", check_laplacian_commutation)
+
+    def check_binomial():
+        rng = bundle.rng("algebra-binomial")
+        for n in (1, 2, 3):
+            for _ in range(cfg["algebra_binomial"]):
+                a = random_element(rng, gens, 3, 2)
+                b = random_element(rng, gens, 3, 2)
+                lhs = mul(a, b)
+                for _ in range(n):
+                    lhs = laplacian_apply(tau_even, lhs)
+                rhs = SymElement()
+                for k in range(n + 1):
+                    te = TensorElement.of(a, b)
+                    for _ in range(k):
+                        te = laplacian_tensor(tau_even, te)
+                    for _ in range(n - k):
+                        te = bider_tensor(tau_even, te)
+                    rhs = rhs + tensor_mu(te).scale(HScalar.of(binom(n, k)))
+                if lhs != rhs:
+                    return False, f"n={n}: {_fmt_elem(a)} | {_fmt_elem(b)}"
+        return True, None
+
+    run.check("laplacian-binomial", check_binomial)
+
+    def check_naturality():
+        rng = bundle.rng("algebra-naturality")
+        scale = {g: Fraction(2) if g[1] % 2 == 0 else Fraction(1, 2) for g in gens}
+
+        def fmap(g):
+            return SymElement.of_gen(g, scale[g])
+
+        for tau in (tau_even, tau_odd):
+            omega = PairingOracle(
+                tau.degree, tau.symmetry, lambda g, h: tau(g, h) * scale[g] * scale[h]
+            )
+            for _ in range(100):
+                a = random_element(rng, gens, 4, 2)
+                if sym_map(fmap, laplacian_apply(omega, a)) != laplacian_apply(
+                    tau, sym_map(fmap, a)
+                ):
+                    return False, _fmt_elem(a)
+        return True, None
+
+    run.check("sym-map-naturality", check_naturality)
+    return run.records
+
+
+# -- green suite -------------------------------------------------------------------
+
+
+def _random_section(rng, model, points, n_terms):
+    out = Section()
+    for _ in range(n_terms):
+        p = rng.choice(points)
+        n = rng.choice(model.degrees())
+        f = rng.randrange(model.rank(n))
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        if c:
+            out = out + Section.delta(n, model.lattice.point(p.t, p.x), f, c)
+    return out
+
+
+def suite_green(bundle: ModelBundle) -> list:
+    run = SuiteRunner(bundle, "green")
+    model = bundle.model
+    lattice = bundle.lattice
+    t_lo, t_hi = bundle.green_window()
+    basis = delta_basis(model, bundle.basis_points())
+    rp = model.p_op.time_radius()
+
+    run.check("complex-squares", lambda: (model.q_op.compose(model.q_op).is_zero(), None))
+
+    def check_witness_comp():
+        ww = model.w_op.compose(model.w_op)
+        ok = model.q_op.compose(ww) == ww.compose(model.q_op)
+        return ok, None
+
+    run.check("witness-composition", check_witness_comp)
+
+    def check_p_commutes():
+        ok = model.p_op.compose(model.w_op) == model.w_op.compose(model.p_op)
+        ok = ok and model.p_op.compose(model.q_op) == model.q_op.compose(model.p_op)
+        return ok, None
+
+    run.check("witness-p-commutes", check_p_commutes)
+
+    def check_witness_selfadj():
+        pts = window_points(-2, 2, range(-2, 3))
+        b = delta_basis(model, pts)
+        for s1 in b:
+            n1 = next(iter(s1.degrees()))
+            w1 = model.w_op.apply(s1, lattice)
+            sign = -1 if n1 % 2 else 1
+            for s2 in b:
+                lhs = model.int_pairing(w1, s2)
+                rhs = model.int_pairing(s1, model.w_op.apply(s2, lattice))
+                if lhs != (rhs if sign > 0 else -rhs):
+                    return False, f"{_fmt_section(s1)} | {_fmt_section(s2)}"
+        return True, None
+
+    run.check("witness-self-adjoint", check_witness_selfadj)
+
+    def check_metric_compat():
+        pts = window_points(-2, 2, range(-2, 3))
+        b = delta_basis(model, pts)
+        for s1 in b:
+            n1 = next(iter(s1.degrees()))
+            q1 = model.q_op.apply(s1, lattice)
+            sign = -1 if n1 % 2 else 1
+            for s2 in b:
+                acc = model.int_pairing(q1, s2)
+                term = model.int_pairing(s1, model.q_op.apply(s2, lattice))
+                acc = acc + (term if sign > 0 else -term)
+                if acc:
+                    return False, f"{_fmt_section(s1)} | {_fmt_section(s2)}"
+        return True, None
+
+    run.check("metric-compatibility", check_metric_compat)
+
+    run.check(
+        "metric-antisymmetry",
+        lambda: (
+            model.metric.is_graded_antisymmetric() and model.metric.is_nondegenerate(),
+            None,
+        ),
+    )
+
+    def check_triangular():
+        for n in model.degrees():
+            model.solve_data(n)
+        return True, None
+
+    run.check("green-triangular", check_triangular)
+
+    def check_left_inverse():
+        for phi in basis:
+            for direction in (1, -1):
+                sol = model.green(direction).apply(phi, t_lo, t_hi)
+                lhs = model.p_op.apply(sol, lattice).restrict_times(t_lo + rp, t_hi - rp)
+                if lhs != phi.restrict_times(t_lo + rp, t_hi - rp):
+                    return False, _fmt_section(phi)
+        return True, None
+
+    run.check("green-left-inverse", check_left_inverse)
+
+    def check_right_inverse():
+        for phi in basis:
+            for direction in (1, -1):
+                back = model.green(direction).apply(
+                    model.p_op.apply(phi, lattice), t_lo, t_hi
+                )
+                if back != phi:
+                    return False, _fmt_section(phi)
+        return True, None
+
+    run.check("green-right-inverse", check_right_inverse)
+
+    def check_support():
+        for phi in basis:
+            seeds = sorted(phi.support_points())
+            for direction in (1, -1):
+                sol = model.green(direction).apply(phi, t_lo, t_hi)
+                for p in sol.support_points():
+                    if not any(lattice.in_cone(s, p, direction) for s in seeds):
+                        return False, f"{_fmt_section(phi)} leaks at {p}"
+        return True, None
+
+    run.check("green-support", check_support)
+
+    def check_differ():
+        for phi in basis:
+            if model.green(1).apply(phi, t_lo, t_hi) != model.green(-1).apply(phi, t_lo, t_hi):
+                return True, None
+        return False, "retarded and advanced solutions agree on the whole basis"
+
+    run.check("green-plus-minus-differ", check_differ)
+
+    def check_commutation():
+        rng = bundle.rng("green-commutation")
+        pts = window_points(-1, 1, range(-1, 2))
+        for _ in range(bundle.config["samples"]["random_sections"]):
+            phi = _random_section(rng, model, pts, bundle.config["samples"]["section_terms"])
+            if not phi:
+                continue
+            for direction in (1, -1):
+                for op in (model.w_op, model.q_op):
+                    r = op.time_radius()
+                    lhs = op.apply(
+                        model.green(direction).apply(phi, -10 - r, 10 + r), lattice
+                    ).restrict_times(-10, 10)
+                    rhs = model.green(direction).apply(op.apply(phi, lattice), -10, 10)
+                    if lhs != rhs:
+                        return False, _fmt_section(phi)
+        return True, None
+
+    run.check("green-commutation", check_commutation)
+
+    def check_adjoint():
+        rng = bundle.rng("green-adjoint")
+        pts = bundle.basis_points()
+        for _ in range(bundle.config["samples"]["random_sections"]):
+            psi1 = _random_section(rng, model, pts, 3)
+            psi2 = _random_section(rng, model, pts, 3)
+            if not psi1 or not psi2:
+                continue
+            lo1, hi1 = psi1.min_t(), psi1.max_t()
+            lo2, hi2 = psi2.min_t(), psi2.max_t()
+            gp2 = model.green(1).apply(psi2, lo1, hi1)
+            gm2 = model.green(-1).apply(psi2, lo1, hi1)
+            gp1 = model.green(1).apply(psi1, lo2, hi2)
+            gm1 = model.green(-1).apply(psi1, lo2, hi2)
+            if model.int_pairing(psi1, gp2) != model.int_pairing(gm1, psi2):
+                return False, f"{_fmt_section(psi1)} | {_fmt_section(psi2)}"
+            if model.int_pairing(psi1, gm2) != model.int_pairing(gp1, psi2):
+                return False, f"{_fmt_section(psi1)} | {_fmt_section(psi2)}"
+        return True, None
+
+    run.check("green-adjoint", check_adjoint)
+
+    def check_skew():
+        rng = bundle.rng("green-skew")
+        pts = bundle.basis_points()
+        for _ in range(bundle.config["samples"]["random_sections"]):
+            psi1 = _random_section(rng, model, pts, 3)
+            psi2 = _random_section(rng, model, pts, 3)
+            if not psi1 or not psi2:
+                continue
+            lo1, hi1 = psi1.min_t(), psi1.max_t()
+            lo2, hi2 = psi2.min_t(), psi2.max_t()
+            g12 = model.green(1).apply(psi2, lo1, hi1) - model.green(-1).apply(psi2, lo1, hi1)
+            g21 = model.green(1).apply(psi1, lo2, hi2) - model.green(-1).apply(psi1, lo2, hi2)
+            if model.int_pairing(psi1, g12) != -model.int_pairing(g21, psi2):
+                return False, f"{_fmt_section(psi1)} | {_fmt_section(psi2)}"
+            gd12 = (
+                model.green(1).apply(psi2, lo1, hi1) + model.green(-1).apply(psi2, lo1, hi1)
+            ).scale(Fraction(1, 2))
+            gd21 = (
+                model.green(1).apply(psi1, lo2, hi2) + model.green(-1).apply(psi1, lo2, hi2)
+            ).scale(Fraction(1, 2))
+            if model.int_pairing(psi1, gd12) != model.int_pairing(gd21, psi2):
+                return False, f"{_fmt_section(psi1)} | {_fmt_section(psi2)}"
+        return True, None
+
+    run.check("green-skew", check_skew)
+
+    def check_homotopy_trivializes():
+        rq = model.q_op.time_radius()
+        small = delta_basis(model, window_points(-1, 1, range(-1, 2)))
+        for psi in small:
+            for direction in (1, -1):
+                lam = lambda_pm(model, psi, direction, -8 - rq, 8 + rq)
+                term1 = model.q_op.apply(lam, lattice).restrict_times(-8, 8)
+                term2 = lambda_pm(model, model.q_op.apply(psi, lattice), direction, -8, 8)
+                if term1 + term2 != psi.restrict_times(-8, 8):
+                    return False, _fmt_section(psi)
+        return True, None
+
+    run.check("homotopy-trivializes", check_homotopy_trivializes)
+
+    def check_lambda_cochain():
+        rq = model.q_op.time_radius()
+        small = delta_basis(model, window_points(0, 0, range(0, 2)))
+        for psi in small:
+            lam = lambda_diff(model, psi, -8 - rq, 8 + rq)
+            term1 = model.q_op.apply(lam, lattice).restrict_times(-8, 8)
+            term2 = lambda_diff(model, model.q_op.apply(psi, lattice), -8, 8)
+            if term1 + term2:
+                return False, _fmt_section(psi)
+        return True, None
+
+    run.check("lambda-cochain", check_lambda_cochain)
+
+    def check_lambda_orders():
+        rng = bundle.rng("green-lambda-orders")
+        pts = window_points(-1, 1, range(-1, 2))
+        rw = model.w_op.time_radius()
+        for _ in range(bundle.config["samples"]["random_sections"]):
+            phi = _random_section(rng, model, pts, 3)
+            if not phi:
+                continue
+            for direction in (1, -1):
+                lhs = lambda_pm(model, phi, direction, -8, 8)
+                rhs = model.w_op.apply(
+                    model.green(direction).apply(phi, -8 - rw, 8 + rw), lattice
+                ).restrict_times(-8, 8)
+                if lhs != rhs:
+                    return False, _fmt_section(phi)
+        return True, None
+
+    run.check("lambda-orders", check_lambda_orders)
+
+    def check_lambda_translation():
+        rng = bundle.rng("green-translation")
+        pts = window_points(-1, 1, range(-1, 2))
+        for _ in range(4):
+            phi = _random_section(rng, model, pts, 3)
+            if not phi:
+                continue
+            for direction in (1, -1):
+                direct = lambda_pm(model, phi.translate_time(4), direction, -4, 12)
+                moved = lambda_pm(model, phi, direction, -8, 8).translate_time(4)
+                if direct != moved:
+                    return False, _fmt_section(phi)
+        return True, None
+
+    run.check("lambda-translation-natural", check_lambda_translation)
+    return run.records
+
+
+# -- structures suite -----------------------------------------------------------
+
+
+def suite_structures(bundle: ModelBundle) -> list:
+    run = SuiteRunner(bundle, "structures")
+    model = bundle.model
+    sm = bundle.sym
+    gens = bundle.gens_window()
+
+    def pair_sign(g1, g2):
+        return -1 if (g1[0] % 2) and (g2[0] % 2) else 1
+
+    def check_pair_symmetry(tau, expected_s):
+        # tau o gamma = s tau: koszul * tau(g2, g1) = s * tau(g1, g2)
+        for g1 in gens:
+            for g2 in gens:
+                base = tau(g1, g2)
+                rhs = base if expected_s > 0 else -base
+                lhs = tau(g2, g1)
+                if (lhs if pair_sign(g1, g2) > 0 else -lhs) != rhs:
+                    return False, f"{g1} | {g2}"
+        return True, None
+
+    run.check("pairing-shifted-symmetric", lambda: check_pair_symmetry(sm.tau_m1, 1))
+    run.check(
+        "pairing-unshifted-antisymmetric", lambda: check_pair_symmetry(sm.tau_0, -1)
+    )
+    run.check("pairing-dirac-symmetric", lambda: check_pair_symmetry(sm.tau_d, 1))
+
+    def d_tau_gen(tau, g1, g2):
+        # d(tau)(g1, g2) = tau(Q g1, g2) + (-1)^{|g1|} tau(g1, Q g2) with Q the
+        # plain model differential; qgen carries -Q, hence the negations
+        acc = HScalar()
+        for (h,), c in sm.qgen(g1).items():
+            acc = acc - tau(h, g2) * c
+        sign = -1 if g1[0] % 2 else 1
+        for (h,), c in sm.qgen(g2).items():
+            term = tau(g1, h) * c
+            acc = acc + (term if sign < 0 else -term)
+        return acc
+
+    def check_d_tau_d():
+        for g1 in gens:
+            for g2 in gens:
+                if d_tau_gen(sm.tau_d, g1, g2) != sm.tau_m1(g1, g2):
+                    return False, f"{g1} | {g2}"
+        return True, None
+
+    run.check("pairing-dirac-trivializes", check_d_tau_d)
+
+    def check_d_tau_0():
+        for g1 in gens:
+            for g2 in gens:
+                if d_tau_gen(sm.tau_0, g1, g2):
+                    return False, f"{g1} | {g2}"
+        return True, None
+
+    run.check("pairing-unshifted-cochain", check_d_tau_0)
+
+    def check_average():
+        rng = bundle.rng("structures-average")
+        pts = bundle.basis_points()
+        for _ in range(bundle.config["samples"]["random_sections"]):
+            psi1 = _random_section(rng, model, pts, 3)
+            psi2 = _random_section(rng, model, pts, 3)
+            if not psi1 or not psi2:
+                continue
+            lo, hi = psi1.min_t(), psi1.max_t()
+            via_plus = model.int_pairing(psi1, lambda_pm(model, psi2, 1, lo, hi))
+            via_minus = model.int_pairing(psi1, lambda_pm(model, psi2, -1, lo, hi))
+            if tau_dirac(model, psi1, psi2) != (via_plus + via_minus) * Fraction(1, 2):
+                return False, f"{_fmt_section(psi1)} | {_fmt_section(psi2)}"
+        return True, None
+
+    run.check("pairing-dirac-average", check_average)
+
+    def check_translation():
+        rng = bundle.rng("structures-translation")
+        pts = window_points(-1, 1, range(-1, 2))
+        for _ in range(6):
+            psi1 = _random_section(rng, model, pts, 3)
+            psi2 = _random_section(rng, model, pts, 3)
+            for fn in (tau_minus1, tau_0, tau_dirac):
+                if fn(model, psi1, psi2) != fn(
+                    model, psi1.translate_time(5), psi2.translate_time(5)
+                ):
+                    return False, f"{_fmt_section(psi1)} | {_fmt_section(psi2)}"
+        return True, None
+
+    run.check("pairing-translation-natural", check_translation)
+    return run.records
+
+
+# -- theorems suite -----------------------------------------------------------------
+
+
+def suite_theorems(bundle: ModelBundle) -> list:
+    run = SuiteRunner(bundle, "theorems")
+    model = bundle.model
+    lattice = bundle.lattice
+
+    def check_causality():
+        r1, r2 = bundle.regions["disjoint_pair"]
+        if not causally_disjoint(r1, r2):
+            return False, "configured pair is not causally disjoint"
+        for psi1 in delta_basis(model, sorted(r1.points)):
+            for psi2 in delta_basis(model, sorted(r2.points)):
+                if tau_0(model, psi1, psi2):
+                    return False, f"{_fmt_section(psi1)} | {_fmt_section(psi2)}"
+        return True, None
+
+    run.check("causality-vanishing", check_causality)
+
+    def check_causality_counter():
+        r1, r2 = bundle.regions["connected_pair"]
+        if causally_disjoint(r1, r2):
+            return False, "configured pair is causally disjoint"
+        for psi1 in delta_basis(model, sorted(r1.points)):
+            for psi2 in delta_basis(model, sorted(r2.points)):
+                if tau_0(model, psi1, psi2):
+                    return True, None
+        return False, "no nonzero pairing found across causally connected regions"
+
+    run.check("causality-counterexample", check_causality_counter)
+
+    region = bundle.regions["slab"]
+    cutoff = make_cutoff(bundle.config["cutoff_t0"])
+
+    def hom_pts(width_key="homotopy_t"):
+        t_lo, t_hi = bundle.config["windows"][width_key]
+        x_lo, x_hi = bundle.config["windows"]["homotopy_x"]
+        return window_points(t_lo, t_hi, range(x_lo, x_hi + 1))
+
+    def check_eta():
+        check_cutoff_in_region(model, cutoff, region)
+        for psi in delta_basis(model, hom_pts()):
+            term1 = model.q_op.apply(homotopy_eta(model, cutoff, psi), lattice)
+            term2 = homotopy_eta(model, cutoff, model.q_op.apply(psi, lattice))
+            lhs = (term1 + term2).scale(-1)
+            rhs = psi - quasi_inverse_g(model, cutoff, psi)
+            if lhs != rhs:
+                return False, _fmt_section(psi)
+        return True, None
+
+    run.check("cauchy-eta-homotopy", check_eta)
+
+    def check_zeta():
+        # the full delta basis of the Cauchy region
+        for psi in delta_basis(model, sorted(region.points)):
+            zeta_psi = homotopy_zeta(model, cutoff, region, psi)
+            term1 = model.q_op.apply(zeta_psi, lattice)
+            term2 = homotopy_eta(model, cutoff, model.q_op.apply(psi, lattice))
+            lhs = (term1 + term2).scale(-1)
+            rhs = psi - quasi_inverse_g(model, cutoff, psi)
+            if lhs != rhs:
+                return False, _fmt_section(psi)
+        return True, None
+
+    run.check("cauchy-zeta-homotopy", check_zeta)
+
+    def check_g_support():
+        t_lo, t_hi = region.time_range()
+        tall = window_points(t_lo - 3, t_hi + 3, range(0, 2))
+        for psi in delta_basis(model, tall):
+            out = quasi_inverse_g(model, cutoff, psi)
+            if not out.supported_in(region):
+                return False, _fmt_section(psi)
+        return True, None
+
+    run.check("cauchy-g-support", check_g_support)
+
+    def check_half():
+        later, earlier = bundle.regions["stacked_pair"]
+        if not is_time_ordered([later, earlier]):
+            return False, "configured stacked pair is not time-ordered"
+        for psi1 in delta_basis(model, sorted(later.points)):
+            for psi2 in delta_basis(model, sorted(earlier.points)):
+                if tau_dirac(model, psi1, psi2) != tau_0(model, psi1, psi2) * Fraction(1, 2):
+                    return False, f"{_fmt_section(psi1)} | {_fmt_section(psi2)}"
+        return True, None
+
+    run.check("time-ordered-half", check_half)
+
+    def check_half_counter():
+        # run on a fixed massive scalar model: unit-slope massless kernels are
+        # parity-supported and can miss small diamond pairs accidentally
+        aux = klein_gordon(lattice, mass_sq=Fraction(1))
+        a, b = (parse_region(lattice, lit) for lit in bundle.config["regions"]["nonordered_pair"])
+        if is_time_ordered([a, b]):
+            return False, "configured pair is time-ordered"
+        for psi1 in delta_basis(aux, sorted(a.points)):
+            for psi2 in delta_basis(aux, sorted(b.points)):
+                if tau_dirac(aux, psi1, psi2) != tau_0(aux, psi1, psi2) * Fraction(1, 2):
+                    return True, None
+        return False, "no violation found for the non-time-ordered pair"
+
+    run.check("time-ordered-half-counterexample", check_half_counter)
+    return run.records
+
+
+# -- quantization suite ----------------------------------------------------------------
+
+
+def suite_quantization(bundle: ModelBundle) -> list:
+    run = SuiteRunner(bundle, "quantization")
+    sm = bundle.sym
+    cfg = bundle.config["samples"]
+    gens = bundle.gens_window()
+
+    def rand_words(rng, pool, max_len, count, min_len=0):
+        return [random_word(rng, pool, max_len, min_len) for _ in range(count)]
+
+    def check_q_hbar_squares():
+        rng = bundle.rng("quant-qhbar")
+        for _ in range(cfg["word_samples"]):
+            a = random_element(rng, gens, cfg["max_word_len"], 2)
+            if sm.q_hbar(sm.q_hbar(a)):
+                fails = lambda x: bool(sm.q_hbar(sm.q_hbar(x)))
+                return False, _fmt_elem(shrink_element(a, fails))
+        return True, None
+
+    run.check("bv-differential-squares", check_q_hbar_squares)
+
+    run.check(
+        "tpfa-unit", lambda: (tpfa_product(sm, [], []) == SymElement.unit(), None)
+    )
+
+    def check_tpfa_chain():
+        rng = bundle.rng("quant-tpfa")
+        later, earlier = bundle.regions["stacked_pair"]
+        g1 = sm.generators_in_region(later)
+        g2 = sm.generators_in_region(earlier)
+        for _ in range(cfg["word_samples"]):
+            a = SymElement({random_word(rng, g1, 2): ONE})
+            b = SymElement({random_word(rng, g2, 2): ONE})
+            mt = MultiTensor.of([a, b])
+            if sm.q_hbar(mt.mu()) != q_hbar_tensor(sm, mt).mu():
+                return False, f"{_fmt_elem(a)} | {_fmt_elem(b)}"
+        return True, None
+
+    run.check("tpfa-chain-map", check_tpfa_chain)
+
+    def check_assoc():
+        rng = bundle.rng("quant-assoc")
+        for _ in range(cfg["comparison_pairs"] // 2 + 3):
+            a = random_element(rng, gens, 3, 2)
+            b = random_element(rng, gens, 3, 2)
+            c = random_element(rng, gens, 3, 2)
+            if sm.moyal_mul(sm.moyal_mul(a, b), c) != sm.moyal_mul(a, sm.moyal_mul(b, c)):
+                return False, f"{_fmt_elem(a)} | {_fmt_elem(b)} | {_fmt_elem(c)}"
+        return True, None
+
+    run.check("moyal-associative", check_assoc)
+
+    def check_unital():
+        rng = bundle.rng("quant-unital")
+        for _ in range(8):
+            a = random_element(rng, gens, 4, 2)
+            if sm.moyal_mul(SymElement.unit(), a) != a or sm.moyal_mul(a, SymElement.unit()) != a:
+                return False, _fmt_elem(a)
+        return True, None
+
+    run.check("moyal-unital", check_unital)
+
+    def check_chain():
+        rng = bundle.rng("quant-chain")
+        for _ in range(cfg["word_samples"]):
+            w1 = random_word(rng, gens, 3)
+            w2 = random_word(rng, gens, 3)
+            a, b = SymElement({w1: ONE}), SymElement({w2: ONE})
+            sign = -1 if word_degree(w1) % 2 else 1
+            lhs = sm.q_sym(sm.moyal_mul(a, b))
+            rhs = sm.moyal_mul(sm.q_sym(a), b) + sm.moyal_mul(a, sm.q_sym(b)).scale(sign)
+            if lhs != rhs:
+                return False, f"{w1} | {w2}"
+        return True, None
+
+    run.check("moyal-chain-map", check_chain)
+
+    def check_classical():
+        rng = bundle.rng("quant-classical")
+        for _ in range(cfg["comparison_pairs"]):
+            a = random_element(rng, gens, 3, 2)
+            b = random_element(rng, gens, 3, 2)
+            if sm.moyal_mul(a, b).coeff_at_order(0) != mul(a, b).coeff_at_order(0):
+                return False, f"{_fmt_elem(a)} | {_fmt_elem(b)}"
+        return True, None
+
+    run.check("moyal-classical-limit", check_classical)
+
+    def check_commutator_order():
+        rng = bundle.rng("quant-commutator")
+        for _ in range(cfg["comparison_pairs"]):
+            w1 = random_word(rng, gens, 3)
+            w2 = random_word(rng, gens, 3)
+            a, b = SymElement({w1: ONE}), SymElement({w2: ONE})
+            defect = sm.star_commutator(a, b) - sm.poisson_bracket(a, b).scale(IH)
+            if defect.coeff_at_order(0) or defect.coeff_at_order(1):
+                return False, f"{w1} | {w2}"
+        return True, None
+
+    run.check("moyal-commutator-order", check_commutator_order)
+
+    def check_einstein():
+        rng = bundle.rng("quant-einstein")
+        r1, r2 = bundle.regions["disjoint_pair"]
+        g1s, g2s = sm.generators_in_region(r1), sm.generators_in_region(r2)
+        for g1 in g1s:
+            for g2 in g2s:
+                if sm.star_commutator(SymElement.of_gen(g1), SymElement.of_gen(g2)):
+                    return False, f"{g1} | {g2}"
+        for _ in range(6):
+            a = SymElement({random_word(rng, g1s, 3): ONE})
+            b = SymElement({random_word(rng, g2s, 3): ONE})
+            if sm.star_commutator(a, b):
+                return False, f"{_fmt_elem(a)} | {_fmt_elem(b)}"
+        return True, None
+
+    run.check("einstein-causality", check_einstein)
+
+    def check_einstein_counter():
+        r1, r2 = bundle.regions["connected_pair"]
+        for g1 in sm.generators_in_region(r1):
+            for g2 in sm.generators_in_region(r2):
+                if sm.star_commutator(SymElement.of_gen(g1), SymElement.of_gen(g2)):
+                    return True, None
+        return False, "no nonzero commutator across causally connected regions"
+
+    run.check("einstein-causality-counterexample", check_einstein_counter)
+
+    def check_dirac_commutative():
+        rng = bundle.rng("quant-dirac")
+        for _ in range(cfg["comparison_pairs"]):
+            w1 = random_word(rng, gens, 3)
+            w2 = random_word(rng, gens, 3)
+            a, b = SymElement({w1: ONE}), SymElement({w2: ONE})
+            sign = -1 if (word_degree(w1) % 2) and (word_degree(w2) % 2) else 1
+            if sm.dirac_mul(a, b) != sm.dirac_mul(b, a).scale(sign):
+                return False, f"{w1} | {w2}"
+        rng2 = bundle.rng("quant-dirac-assoc")
+        for _ in range(5):
+            a = random_element(rng2, gens, 3, 2)
+            b = random_element(rng2, gens, 3, 2)
+            c = random_element(rng2, gens, 3, 2)
+            if sm.dirac_mul(sm.dirac_mul(a, b), c) != sm.dirac_mul(a, sm.dirac_mul(b, c)):
+                return False, "associativity failure"
+            if sm.dirac_mul(SymElement.unit(), a) != a:
+                return False, "unit failure"
+        return True, None
+
+    run.check("dirac-commutative", check_dirac_commutative)
+
+    def check_dirac_not_chain():
+        # a field/antifield pair at one point pairs nontrivially under tau_m1
+        pool = sm.generators_at([Point(0, 0)])
+        for g1 in pool:
+            for g2 in pool:
+                if not sm.tau_m1(g1, g2):
+                    continue
+                w, sign = normalize([g1, g2])
+                if w is None:
+                    continue
+                a, b = SymElement.of_gen(g1), SymElement.of_gen(g2)
+                s = -1 if g1[0] % 2 else 1
+                lhs = sm.q_sym(sm.dirac_mul(a, b))
+                rhs = sm.dirac_mul(sm.q_sym(a), b) + sm.dirac_mul(a, sm.q_sym(b)).scale(s)
+                if lhs != rhs:
+                    return True, None
+        return False, "no witness pair found"
+
+    run.check("dirac-not-chain-map", check_dirac_not_chain)
+
+    def check_filtration():
+        rng = bundle.rng("quant-filtration")
+        for p in range(bundle.config["p_max"] + 1):
+            for _ in range(6):
+                w = random_word(rng, gens, p, min_len=p)
+                res = filtration_defects(sm, w)
+                if not (res["graded_matches_classical"] and res["only_allowed_lengths"]):
+                    return False, str(w)
+        return True, None
+
+    run.check("filtration-preserved", check_filtration)
+
+    def check_time_slice():
+        rng = bundle.rng("quant-timeslice")
+        region = bundle.regions["slab"]
+        cutoff = make_cutoff(bundle.config["cutoff_t0"])
+        check_cutoff_in_region(bundle.model, cutoff, region)
+        eta_fn = eta_gen_map(sm, cutoff)
+        fg_fn = quasi_inverse_gen_map(sm, cutoff)
+        t_lo, t_hi = bundle.config["windows"]["homotopy_t"]
+        x_lo, x_hi = bundle.config["windows"]["homotopy_x"]
+        ambient = sm.generators_at(
+            window_points(t_lo, t_hi, range(x_lo, x_hi + 1))
+        )
+        slab_gens = [g for g in ambient if region.contains(Point(g[1], g[2]))]
+        for p in range(1, bundle.config["p_max"] + 1):
+            for pool in (ambient, slab_gens):
+                for _ in range(bundle.config["samples"]["timeslice_words"]):
+                    w = random_word(rng, pool, p, min_len=p)
+                    if sym_power_homotopy_defect(sm, eta_fn, fg_fn, w):
+                        return False, f"p={p}: {w}"
+        return True, None
+
+    run.check("time-slice-sym-powers", check_time_slice)
+    return run.records
+
+
+# -- comparison suite ---------------------------------------------------------------------
+
+
+def suite_comparison(bundle: ModelBundle) -> list:
+    run = SuiteRunner(bundle, "comparison")
+    sm = bundle.sym
+    cfg = bundle.config["samples"]
+    gens = bundle.gens_window()
+
+    def check_chain_map():
+        rng = bundle.rng("comp-chain")
+        for length in (1, 2, 3, 4):
+            for _ in range(cfg["comparison_words_per_length"]):
+                w = random_word(rng, gens, length, min_len=length)
+                elem = SymElement({w: ONE})
+                if sm.q_sym(sm.time_ordering(elem)) != sm.time_ordering(sm.q_hbar(elem)):
+                    return False, str(w)
+        return True, None
+
+    run.check("comparison-chain-map", check_chain_map)
+
+    def check_multiplicative():
+        rng = bundle.rng("comp-mult")
+        for _ in range(cfg["comparison_pairs"]):
+            a = random_element(rng, gens, 3, 2)
+            b = random_element(rng, gens, 3, 2)
+            lhs = sm.time_ordering(mul(a, b))
+            rhs = sm.dirac_mul(sm.time_ordering(a), sm.time_ordering(b))
+            if lhs != rhs:
+                return False, f"{_fmt_elem(a)} | {_fmt_elem(b)}"
+        return True, None
+
+    run.check("comparison-multiplicative", check_multiplicative)
+
+    def check_tuples():
+        rng = bundle.rng("comp-tuples")
+        regions_all = bundle.regions["stacked_tuple"]
+        pools = [sm.generators_in_region(r) for r in regions_all]
+        ambient = Region.all_of(bundle.lattice)
+        for n in range(0, 5):
+            regions = regions_all[:n]
+            reps = cfg["tuple_reps"] if n else 1
+            for _ in range(reps):
+                elems = [SymElement({random_word(rng, pools[i], 2): ONE}) for i in range(n)]
+                lhs = sm.time_ordering(tpfa_product(sm, regions, elems))
+                rhs = fa_product(sm, regions, [sm.time_ordering(e) for e in elems])
+                if lhs != rhs:
+                    return False, f"n={n}: " + " | ".join(_fmt_elem(e) for e in elems)
+                if n >= 3:
+                    hull, inner, outer = factorize_tuple(regions, ambient)
+                    inner_prod = tpfa_product(sm, inner, elems[:-1])
+                    via = tpfa_product(sm, [hull, regions[-1]], [inner_prod, elems[-1]])
+                    if via != tpfa_product(sm, regions, elems):
+                        return False, f"factorized route differs at n={n}"
+        return True, None
+
+    run.check("comparison-tuples", check_tuples)
+
+    def check_invertible():
+        rng = bundle.rng("comp-inverse")
+        for _ in range(cfg["comparison_pairs"]):
+            a = random_element(rng, gens, cfg["max_word_len"], 2)
+            if sm.time_ordering(sm.time_ordering(a), -1) != a:
+                return False, _fmt_elem(a)
+        return True, None
+
+    run.check("comparison-invertible", check_invertible)
+
+    def check_fa_ordering():
+        rng = bundle.rng("comp-ordering")
+        r1, r2 = bundle.regions["disjoint_pair"]
+        g1s, g2s = sm.generators_in_region(r1), sm.generators_in_region(r2)
+        for _ in range(6):
+            a = SymElement({random_word(rng, g1s, 2): ONE})
+            b = SymElement({random_word(rng, g2s, 2): ONE})
+            one = fa_product(sm, [r1, r2], [a, b], rho=(0, 1))
+            other = fa_product(sm, [r1, r2], [a, b], rho=(1, 0))
+            if one != other:
+                return False, f"{_fmt_elem(a)} | {_fmt_elem(b)}"
+        return True, None
+
+    run.check("fa-ordering-independent", check_fa_ordering)
+
+    def check_dirac_products():
+        rng = bundle.rng("comp-dirac-products")
+        regions_all = bundle.regions["stacked_tuple"][:3]
+        pools = [sm.generators_in_region(r) for r in regions_all]
+        for n in (2, 3):
+            for _ in range(cfg["tuple_reps"]):
+                elems = [SymElement({random_word(rng, pools[i], 2): ONE}) for i in range(n)]
+                if dirac_nary(sm, elems) != fa_product(sm, regions_all[:n], elems):
+                    return False, f"n={n}"
+        return True, None
+
+    run.check("dirac-products-match", check_dirac_products)
+
+    def check_pair_power():
+        rng = bundle.rng("comp-pair-power")
+        later, earlier = bundle.regions["stacked_pair"]
+        g1s, g2s = sm.generators_in_region(later), sm.generators_in_region(earlier)
+        for _ in range(6):
+            a = SymElement({random_word(rng, g1s, 3): ONE})
+            b = SymElement({random_word(rng, g2s, 3): ONE})
+            lhs = TensorElement.of(a, b)
+            rhs = TensorElement.of(a, b)
+            for k in range(1, 4):
+                lhs = bider_tensor(sm.tau_d, lhs)
+                rhs = bider_tensor(sm.tau_0, rhs).scale(Fraction(1, 2))
+                if lhs != rhs:
+                    return False, f"k={k}: {_fmt_elem(a)} | {_fmt_elem(b)}"
+        return True, None
+
+    run.check("pair-power-half", check_pair_power)
+    return run.records
+
+
+SUITES = {
+    "algebra": suite_algebra,
+    "green": suite_green,
+    "structures": suite_structures,
+    "theorems": suite_theorems,
+    "quantization": suite_quantization,
+    "comparison": suite_comparison,
+}
+
+
+def run_suites(config: dict, selected=None, workers: int = 1) -> list:
+    """Run the selected suites and return their records in catalog order.
+
+    Suites are independent; with workers > 1 they are dispatched to a thread
+    pool (model data is immutable), and records are still assembled in the
+    fixed suite order so reports stay deterministic.
+    """
+    names = list(selected if selected is not None else config["suites"])
+    for name in names:
+        if name not in SUITES:
+            raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    bundle = ModelBundle(config)
+    if workers > 1 and len(names) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = {name: pool.submit(SUITES[name], bundle) for name in names}
+            results = {name: futures[name].result() for name in names}
+    else:
+        results = {name: SUITES[name](bundle) for name in names}
+    records = []
+    for name in names:
+        records.extend(results[name])
+    return records
