@@ -1,7 +1,8 @@
 """Exact verification of BV and Moyal-Weyl quantizations of free field
 complexes on discrete Lorentzian lattices.
 
-The package machine-checks, in exact Q(i)[h] arithmetic, the algebraic
+The package machine-checks, in exact arithmetic (rationals for sections,
+Green solves and pairings; Q(i)[h] for the symmetric algebra), the algebraic
 identities relating the two quantizations of a free field complex on a
 lattice cylinder: the deformed differential Q_h = Q + i*h*Delta_BV with its
 time-ordered products, the Moyal-Weyl star product with Einstein causality

@@ -19,27 +19,31 @@ with <<phi, psi>> the pointwise fiber metric summed over the lattice
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import Lattice, Point, Region, CutoffData
-from .scalars import HScalar, ZERO
+from .scalars import rational
 
 SectionKey = tuple  # (degree, t, x, fiber)
 
 
 class Section:
-    """Finitely supported graded section: {(deg, t, x, fiber): HScalar}."""
+    """Finitely supported graded section: {(deg, t, x, fiber): rational}.
+
+    Values are exact rationals narrowed by :func:`rational`: a nonzero
+    ``int``, or a ``Fraction`` whose denominator is not 1.
+    """
 
     __slots__ = ("data",)
 
     def __init__(self, data=None):
-        self.data = {k: v for k, v in (data or {}).items() if v}
+        self.data = {k: rational(v) for k, v in (data or {}).items() if v}
 
     @staticmethod
     def delta(degree: int, point: Point, fiber: int = 0, coeff=1) -> "Section":
-        c = HScalar.of(coeff)
-        return Section({(degree, point.t, point.x, fiber): c})
+        return Section({(degree, point.t, point.x, fiber): coeff})
 
     def __bool__(self):
         return bool(self.data)
@@ -50,9 +54,9 @@ class Section:
     def __add__(self, other):
         out = dict(self.data)
         for k, v in other.data.items():
-            s = out.get(k, ZERO) + v
+            s = out.get(k, 0) + v
             if s:
-                out[k] = s
+                out[k] = s if type(s) is int else rational(s)
             else:
                 out.pop(k, None)
         res = Section()
@@ -63,10 +67,10 @@ class Section:
         return self + other.scale(-1)
 
     def scale(self, c) -> "Section":
-        c = HScalar.of(c)
+        c = rational(c)
         res = Section()
         if c:
-            res.data = {k: v * c for k, v in self.data.items()}
+            res.data = {k: rational(v * c) for k, v in self.data.items()}
         return res
 
     def items(self):
@@ -121,7 +125,7 @@ class StencilEntry:
     dx: int
     fin: int
     fout: int
-    coeff: Fraction
+    coeff: int | Fraction
 
 
 class Stencil:
@@ -130,6 +134,8 @@ class Stencil:
     Convention: (S phi)(n + shift, (t, x), fout) =
         sum over entries e at input degree n with e.fout == fout of
         e.coeff * phi(n, (t + e.dt, x + e.dx), e.fin).
+
+    Coefficients are merged per offset and narrowed by :func:`rational`.
     """
 
     def __init__(self, degree_shift: int, entries: dict):
@@ -139,9 +145,9 @@ class Stencil:
             merged: dict = {}
             for e in es:
                 key = (e.dt, e.dx, e.fin, e.fout)
-                merged[key] = merged.get(key, Fraction(0)) + Fraction(e.coeff)
+                merged[key] = merged.get(key, 0) + e.coeff
             cleaned = tuple(
-                StencilEntry(dt, dx, fin, fout, c)
+                StencilEntry(dt, dx, fin, fout, rational(c))
                 for (dt, dx, fin, fout), c in sorted(merged.items())
                 if c
             )
@@ -174,9 +180,9 @@ class Stencil:
                 if e.fin != fin:
                     continue
                 key = (n + shift, t - e.dt, (x - e.dx) % n_sites, e.fout)
-                s = out.get(key, ZERO) + val * e.coeff
+                s = out.get(key, 0) + val * e.coeff
                 if s:
-                    out[key] = s
+                    out[key] = s if type(s) is int else rational(s)
                 else:
                     out.pop(key, None)
         res = Section()
@@ -215,7 +221,7 @@ class Stencil:
             entries.setdefault(n, []).extend(es)
         return Stencil(self.degree_shift, entries)
 
-    def scale(self, c: Fraction) -> "Stencil":
+    def scale(self, c) -> "Stencil":
         return Stencil(
             self.degree_shift,
             {
@@ -225,7 +231,7 @@ class Stencil:
         )
 
     def sub(self, other: "Stencil") -> "Stencil":
-        return self.add(other.scale(Fraction(-1)))
+        return self.add(other.scale(-1))
 
 
 def apply_stencil(stencil: Stencil, section, lattice: Lattice):
@@ -260,18 +266,12 @@ class FiberMetric:
 
     def __init__(self, blocks: dict):
         self.blocks = {
-            n: tuple(tuple(Fraction(c) for c in row) for row in mat)
+            n: tuple(tuple(rational(c) for c in row) for row in mat)
             for n, mat in blocks.items()
         }
 
     def pair_degrees(self):
         return set(self.blocks)
-
-    def entry(self, n: int, i: int, j: int) -> Fraction:
-        mat = self.blocks.get(n)
-        if mat is None:
-            return Fraction(0)
-        return mat[i][j]
 
     def is_graded_antisymmetric(self) -> bool:
         for n, mat in self.blocks.items():
@@ -297,7 +297,7 @@ class FiberMetric:
 
 
 def _det(mat) -> Fraction:
-    m = [list(row) for row in mat]
+    m = [[Fraction(c) for c in row] for row in mat]
     n = len(m)
     det = Fraction(1)
     for col in range(n):
@@ -317,7 +317,10 @@ def _det(mat) -> Fraction:
 
 def _invert(mat):
     n = len(mat)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
+    aug = [
+        [Fraction(c) for c in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(mat)
+    ]
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col]), None)
         if pivot is None:
@@ -329,7 +332,7 @@ def _invert(mat):
             if r != col and aug[r][col]:
                 factor = aug[r][col]
                 aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    return tuple(tuple(rational(c) for c in row[n:]) for row in aug)
 
 
 class NotGreenHyperbolic(ValueError):
@@ -378,8 +381,7 @@ class FreeBVModel:
     def solve_data(self, degree: int) -> _DegreeSolveData:
         data = self._solve_data.get(degree)
         if data is None:
-            data = self._build_solve_data(degree)
-            self._solve_data[degree] = data
+            data = self._solve_data.setdefault(degree, self._build_solve_data(degree))
         return data
 
     def _build_solve_data(self, degree: int) -> _DegreeSolveData:
@@ -392,7 +394,7 @@ class FreeBVModel:
         slope = self.lattice.slope
 
         def block(dt_sel):
-            mat = [[Fraction(0)] * rank for _ in range(rank)]
+            mat = [[0] * rank for _ in range(rank)]
             for e in entries:
                 if e.dt == dt_sel:
                     if e.dx != 0:
@@ -420,15 +422,15 @@ class FreeBVModel:
     def green(self, direction: int) -> "GreenSolver":
         solver = self._solvers.get(direction)
         if solver is None:
-            solver = GreenSolver(self, direction)
-            self._solvers[direction] = solver
+            # setdefault: threads racing here all get the one stored solver
+            solver = self._solvers.setdefault(direction, GreenSolver(self, direction))
         return solver
 
     # -- integration pairing -------------------------------------------
 
-    def int_pairing(self, phi: Section, psi: Section) -> HScalar:
+    def int_pairing(self, phi: Section, psi: Section):
         """<<phi, psi>> = sum over points of the fiber metric pairing."""
-        acc = ZERO
+        acc = 0
         metric = self.metric
         for (n, t, x, i), v in phi.items():
             m = 1 - n
@@ -441,8 +443,8 @@ class FreeBVModel:
                     continue
                 w = psi.data.get((m, t, x, j))
                 if w is not None:
-                    acc = acc + v * w * coeff
-        return acc
+                    acc += v * w * coeff
+        return rational(acc)
 
 
 class ProcSection:
@@ -459,16 +461,17 @@ class ProcSection:
     def window(self, t_lo: int, t_hi: int) -> Section:
         return self._eval_window(t_lo, t_hi)
 
-    def value(self, degree: int, point: Point, fiber: int) -> HScalar:
+    def value(self, degree: int, point: Point, fiber: int):
         sec = self._eval_window(point.t, point.t)
-        return sec.data.get((degree, point.t, point.x, fiber), ZERO)
+        return sec.data.get((degree, point.t, point.x, fiber), 0)
 
 
 class GreenSolver:
     """Retarded (direction +1) or advanced (direction -1) solver for P.
 
     Sources are memoized: repeated window requests extend the previously
-    solved time slices instead of recomputing.
+    solved time slices instead of recomputing.  Solver and states may be
+    shared between threads: each state fills its slices under its own lock.
     """
 
     def __init__(self, model: FreeBVModel, direction: int):
@@ -495,16 +498,18 @@ class GreenSolver:
         key = (degree, tuple(sorted(source.items(), key=lambda kv: kv[0])))
         state = self._memo.get(key)
         if state is None:
-            state = _SolveState(self.model, self.direction, degree, source)
-            self._memo[key] = state
+            # setdefault: threads racing here all get the one stored state
+            state = self._memo.setdefault(
+                key, _SolveState(self.model, self.direction, degree, source)
+            )
         return state
 
-    def value_at(self, source: Section, degree: int, point: Point, fiber: int) -> HScalar:
+    def value_at(self, source: Section, degree: int, point: Point, fiber: int):
         """Single solved value; avoids materializing window sections."""
         part = Section()
         part.data = {k: v for k, v in source.items() if k[0] == degree}
         if not part:
-            return ZERO
+            return 0
         state = self._state(degree, part)
         state._ensure_time(point.t)
         return state._value(point.t, point.x, fiber)
@@ -522,6 +527,14 @@ class GreenSolver:
 
 
 class _SolveState:
+    """The time slices of one source's solution, filled on demand.
+
+    An equation at time eq_t determines the slice at eq_t + d_plus
+    (retarded) or eq_t - d_minus (advanced) from slices already solved.
+    Slices behind the frontier eq_t are final; the lock keeps the slice
+    write and the frontier step of one equation together.
+    """
+
     def __init__(self, model: FreeBVModel, direction: int, degree: int, source: Section):
         self.model = model
         self.direction = direction
@@ -530,68 +543,53 @@ class _SolveState:
         self.data = model.solve_data(degree)
         # first equation time to read; slices strictly behind the frontier are known
         self.eq_t = source.min_t() if direction > 0 else source.max_t()
-        self.start_eq_t = self.eq_t
         self.slices: dict = {}
+        self._lock = threading.Lock()
 
-    def _value(self, t: int, x: int, fiber: int) -> HScalar:
+    def _value(self, t: int, x: int, fiber: int):
         sl = self.slices.get(t)
         if sl is None:
-            return ZERO
-        return sl.get((x, fiber), ZERO)
+            return 0
+        return sl.get((x, fiber), 0)
 
     def _ensure_time(self, t: int) -> None:
         data = self.data
-        lattice = self.model.lattice
-        n_sites = lattice.n_sites
-        rank = self.model.rank(self.degree)
-        if self.direction > 0:
-            while self.eq_t + data.d_plus <= t:
+        step = self.direction
+        if step > 0:
+            reach, entries, inv = data.d_plus, data.lower_entries, data.top_inv
+        else:
+            reach, entries, inv = -data.d_minus, data.upper_entries, data.bot_inv
+        n_sites = self.model.lattice.n_sites
+        ranks = range(self.model.rank(self.degree))
+        degree = self.degree
+        source = self.source.data
+        slices = self.slices
+        with self._lock:
+            while (t - self.eq_t - reach) * step >= 0:
                 eq_t = self.eq_t
-                out_t = eq_t + data.d_plus
+                # the known slices each entry reads, fixed for this equation time
+                terms = [
+                    (known, e.dx, e.fin, e.fout, e.coeff)
+                    for e in entries
+                    if (known := slices.get(eq_t + e.dt))
+                ]
                 sl: dict = {}
                 for x in range(n_sites):
-                    rhs = [
-                        self.source.data.get((self.degree, eq_t, x, f), ZERO)
-                        for f in range(rank)
-                    ]
-                    for e in data.lower_entries:
-                        val = self._value(eq_t + e.dt, (x + e.dx) % n_sites, e.fin)
+                    rhs = [source.get((degree, eq_t, x, f), 0) for f in ranks]
+                    for known, dx, fin, fout, coeff in terms:
+                        val = known.get(((x + dx) % n_sites, fin))
                         if val:
-                            rhs[e.fout] = rhs[e.fout] - val * e.coeff
-                    for f in range(rank):
-                        acc = ZERO
-                        for g in range(rank):
-                            c = data.top_inv[f][g]
+                            rhs[fout] -= val * coeff
+                    for f in ranks:
+                        acc = 0
+                        for g in ranks:
+                            c = inv[f][g]
                             if c and rhs[g]:
-                                acc = acc + rhs[g] * c
+                                acc += rhs[g] * c
                         if acc:
-                            sl[(x, f)] = acc
-                self.slices[out_t] = sl
-                self.eq_t += 1
-        else:
-            while self.eq_t - data.d_minus >= t:
-                eq_t = self.eq_t
-                out_t = eq_t - data.d_minus
-                sl = {}
-                for x in range(n_sites):
-                    rhs = [
-                        self.source.data.get((self.degree, eq_t, x, f), ZERO)
-                        for f in range(rank)
-                    ]
-                    for e in data.upper_entries:
-                        val = self._value(eq_t + e.dt, (x + e.dx) % n_sites, e.fin)
-                        if val:
-                            rhs[e.fout] = rhs[e.fout] - val * e.coeff
-                    for f in range(rank):
-                        acc = ZERO
-                        for g in range(rank):
-                            c = data.bot_inv[f][g]
-                            if c and rhs[g]:
-                                acc = acc + rhs[g] * c
-                        if acc:
-                            sl[(x, f)] = acc
-                self.slices[out_t] = sl
-                self.eq_t -= 1
+                            sl[(x, f)] = acc if type(acc) is int else rational(acc)
+                slices[eq_t + reach] = sl
+                self.eq_t = eq_t + step
 
     def window(self, t_lo: int, t_hi: int) -> Section:
         if t_lo > t_hi:
@@ -641,9 +639,9 @@ def _shifted_sign(n: int) -> int:
     return -1 if (n - 1) % 2 else 1
 
 
-def tau_minus1(model: FreeBVModel, psi1: Section, psi2: Section) -> HScalar:
+def tau_minus1(model: FreeBVModel, psi1: Section, psi2: Section):
     """(-1)^{|psi1|} <<psi1, psi2>> per homogeneous part (shifted degrees)."""
-    acc = ZERO
+    acc = 0
     by_deg: dict = {}
     for k, v in psi1.items():
         by_deg.setdefault(k[0], {})[k] = v
@@ -652,27 +650,27 @@ def tau_minus1(model: FreeBVModel, psi1: Section, psi2: Section) -> HScalar:
         part.data = data
         val = model.int_pairing(part, psi2)
         if val:
-            acc = acc + (val if _shifted_sign(n) > 0 else -val)
-    return acc
+            acc += val if _shifted_sign(n) > 0 else -val
+    return rational(acc)
 
 
 def _pair_window(psi1: Section):
     return psi1.min_t(), psi1.max_t()
 
 
-def tau_0(model: FreeBVModel, psi1: Section, psi2: Section) -> HScalar:
+def tau_0(model: FreeBVModel, psi1: Section, psi2: Section):
     """<<psi1, L psi2>>; the metric is pointwise, so the window where L psi2
     is needed is exactly the time extent of supp psi1."""
     if not psi1 or not psi2:
-        return ZERO
+        return 0
     t_lo, t_hi = _pair_window(psi1)
     return model.int_pairing(psi1, lambda_diff(model, psi2, t_lo, t_hi))
 
 
-def tau_dirac(model: FreeBVModel, psi1: Section, psi2: Section) -> HScalar:
+def tau_dirac(model: FreeBVModel, psi1: Section, psi2: Section):
     """<<psi1, L_D psi2>>."""
     if not psi1 or not psi2:
-        return ZERO
+        return 0
     t_lo, t_hi = _pair_window(psi1)
     return model.int_pairing(psi1, lambda_dirac(model, psi2, t_lo, t_hi))
 

@@ -104,13 +104,28 @@ def load_config(args) -> dict:
     return config
 
 
+def worker_count(config: dict) -> int:
+    """The suite worker count: LATTICEBV_WORKERS if set, else the config's
+    "workers"; a positive integer, or ValueError."""
+    name, raw = "LATTICEBV_WORKERS", os.environ.get("LATTICEBV_WORKERS")
+    if raw is None:
+        name, raw = "workers", config.get("workers", 1)
+    try:
+        workers = int(raw)
+    except (TypeError, ValueError):
+        workers = 0
+    if workers < 1 or isinstance(raw, (bool, float)):
+        raise ValueError(f"{name} must be a positive integer, got {raw!r}")
+    return workers
+
+
 def cmd_run(args) -> int:
     try:
         config = load_config(args)
+        workers = worker_count(config)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    workers = int(os.environ.get("LATTICEBV_WORKERS", config.get("workers", 1)))
     try:
         records = run_suites(config, workers=workers)
     except (ValueError, KeyError) as exc:

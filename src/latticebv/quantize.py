@@ -51,7 +51,7 @@ def gen_to_section(g, coeff=1) -> Section:
 
 
 def section_to_combo(section: Section) -> dict:
-    """Section -> {generator: HScalar} in shifted-degree labels."""
+    """Section -> {generator: rational} in shifted-degree labels."""
     return {(n - 1, t, x, f): v for (n, t, x, f), v in section.items()}
 
 
@@ -76,9 +76,11 @@ class SymModel:
         self._w_delta_cache: dict = {}
 
     # -- pairing evaluators (delta pairs; Green solves memoized) ---------
+    # The pairings are rational; each evaluator lifts its value into Q(i)[h]
+    # only on the way out to the Sym algebra.
 
     def _ev_m1(self, g1, g2) -> HScalar:
-        return tau_minus1(self.model, gen_to_section(g1), gen_to_section(g2))
+        return HScalar.of(tau_minus1(self.model, gen_to_section(g1), gen_to_section(g2)))
 
     def _w_delta(self, g) -> Section:
         sec = self._w_delta_cache.get(g)
@@ -108,21 +110,16 @@ class SymModel:
         return vals
 
     def _ev_0(self, g1, g2) -> HScalar:
-        vals = self._lambda_values(g1, g2)
-        acc = HScalar()
-        if vals:
-            for coeff, plus, minus in vals:
-                acc = acc + (plus - minus) * coeff
-        return acc
+        acc = 0
+        for coeff, plus, minus in self._lambda_values(g1, g2) or ():
+            acc += (plus - minus) * coeff
+        return HScalar.of(acc)
 
     def _ev_d(self, g1, g2) -> HScalar:
-        vals = self._lambda_values(g1, g2)
-        acc = HScalar()
-        if vals:
-            half = Fraction(1, 2)
-            for coeff, plus, minus in vals:
-                acc = acc + (plus + minus) * (coeff * half)
-        return acc
+        acc = 0
+        for coeff, plus, minus in self._lambda_values(g1, g2) or ():
+            acc += (plus + minus) * coeff
+        return HScalar.of(acc * Fraction(1, 2))
 
     # -- differentials ----------------------------------------------------
 

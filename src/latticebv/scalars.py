@@ -1,9 +1,13 @@
 """Exact ground-ring arithmetic: Q, Q(i), and polynomials Q(i)[h].
 
-Every quantity in this package is computed in the ring Q(i)[h] of
-polynomials in a formal deformation parameter h with Gaussian-rational
-coefficients.  Keeping h formal makes order-by-order statements exact:
-any identity is checked with zero tolerance, coefficient by coefficient.
+Stencils, fiber metrics, sections, Green values and the three pairings are
+rational: they are plain Python numbers, an ``int`` or a ``Fraction`` whose
+denominator is not 1 (see :func:`rational`).  Only the coefficients of the
+Sym algebra live in the ring Q(i)[h] of polynomials in a formal deformation
+parameter h with Gaussian-rational coefficients (:class:`HScalar`); a
+rational value crosses into it through ``HScalar.of``.  Keeping h formal
+makes order-by-order statements exact: any identity is checked with zero
+tolerance, coefficient by coefficient.
 """
 
 from __future__ import annotations
@@ -15,6 +19,16 @@ from fractions import Fraction
 Rational = Fraction
 
 _FRACTION_LIKE = (int, Fraction)
+
+
+def rational(value):
+    """An exact rational as an ``int`` when it is integral, else as a
+    ``Fraction`` (whose denominator is then not 1)."""
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 def _frac_str(q: Fraction) -> str:

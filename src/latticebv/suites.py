@@ -209,8 +209,11 @@ class ModelBundle:
 
 
 def _fmt_section(s: Section) -> str:
+    # values are rational; " + 0*i" keeps the Q(i)[h] text of witness reports
     items = sorted(s.items(), key=lambda kv: kv[0])
-    return "; ".join(f"deg {k[0]} @(t={k[1]},x={k[2]},f={k[3]}): {v}" for k, v in items)
+    return "; ".join(
+        f"deg {k[0]} @(t={k[1]},x={k[2]},f={k[3]}): {v} + 0*i" for k, v in items
+    )
 
 
 def _fmt_elem(e: SymElement) -> str:

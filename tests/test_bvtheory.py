@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -727,3 +729,90 @@ def test_proc_section_value_accessor():
     proc = model.green(1).proc(Section.delta(0, Point(0, 0)))
     assert proc.value(0, Point(4, 0), 0) == HScalar.of(4)
     assert proc.value(0, Point(-3, 0), 0) == HScalar()
+
+
+# -- exact rationals and shared solvers ----------------------------------------
+
+
+def _is_narrow_rational(v):
+    return type(v) is int or (type(v) is Fraction and v.denominator > 1)
+
+
+def test_rational_solver_oracle_on_fractional_sources():
+    # P(G± s) = s exactly on the window for sources with non-integer
+    # coefficients; every stored Green value and every pairing is a narrowed
+    # rational (int, or Fraction with denominator > 1), never an HScalar
+    rng = random.Random(41)
+    pts = window_points(-2, 2, range(-2, 3))
+    for model in (kg21(kappa=Fraction(1, 2), mass_sq=Fraction(1)), mw21()):
+        r = model.p_op.time_radius()
+        for _ in range(4):
+            source = Section()
+            for _ in range(4):
+                p = rng.choice(pts)
+                n = rng.choice(model.degrees())
+                c = Fraction(rng.choice((-5, -4, -2, -1, 1, 2, 4, 5)), rng.choice((2, 3)))
+                point = model.lattice.point(p.t, p.x)
+                source = source + Section.delta(n, point, rng.randrange(model.rank(n)), c)
+            assert any(type(v) is Fraction for _, v in source.items())
+            for direction in (1, -1):
+                sol = model.green(direction).apply(source, -10, 10)
+                assert _restricted_p_apply(model, sol, -10, 10) == source.restrict_times(
+                    -10 + r, 10 - r
+                )
+            psi = random_section(rng, model, pts)
+            for value in (
+                tau_minus1(model, psi, source),
+                tau_0(model, psi, source),
+                tau_dirac(model, psi, source),
+                tau_0(model, source, source),
+            ):
+                assert _is_narrow_rational(value)
+        stored = [
+            v
+            for direction in (1, -1)
+            for state in model.green(direction)._memo.values()
+            for sl in state.slices.values()
+            for v in sl.values()
+        ]
+        assert stored and all(_is_narrow_rational(v) for v in stored)
+        assert any(type(v) is Fraction for v in stored)
+
+
+def test_green_solver_shared_between_threads_matches_serial_solve():
+    # four threads query one fresh solver pair, starting together at the far
+    # end of the window so that all of them solve the same slices at once; a
+    # wide ring makes each slice solve long and a 1 us switch interval makes
+    # the threads interleave inside it
+    source = Section.delta(0, Point(0, 0), 0) + Section.delta(0, Point(0, 1), 1, Fraction(1, 2))
+    lattice = Lattice(401)
+    queries = [
+        (direction, lattice.point(direction * t, x), f)
+        for direction in (1, -1)
+        for t in range(11, 0, -1)
+        for x in range(-3, 4)
+        for f in range(2)
+    ]
+    serial = maxwell2d(lattice)
+    expected = [serial.green(d).value_at(source, 0, p, f) for d, p, f in queries]
+    assert any(expected)
+    shared = maxwell2d(lattice)
+    results = [None] * 4
+    start = threading.Barrier(4, timeout=60)
+
+    def work(i):
+        start.wait()
+        results[i] = [shared.green(d).value_at(source, 0, p, f) for d, p, f in queries]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert results == [expected] * 4

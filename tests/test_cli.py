@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from latticebv.cli import main
 from latticebv.reporting import CATALOG, strip_timing
 from latticebv.suites import DEFAULT_CONFIG, merge_config, run_suites
@@ -166,6 +168,20 @@ def test_worker_env_var_honored(tmp_path, monkeypatch):
     )
     assert code == 0
     assert json.loads(out.read_text())["all_passed"] is True
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+def test_bad_worker_env_var_is_config_error(tmp_path, monkeypatch, capsys, value):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "report.json"
+    monkeypatch.setenv("LATTICEBV_WORKERS", value)
+    code = main(
+        ["run", "--config", str(cfg), "--suite", "algebra", "--quiet", "--report-out", str(out)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "LATTICEBV_WORKERS" in err
+    assert not out.exists()
 
 
 def test_run_all_suites_kg_seed7(tmp_path):
