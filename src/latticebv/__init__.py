@@ -14,15 +14,12 @@ from .scalars import GaussianRational, HScalar, Rational
 from .lattice import (
     CutoffData,
     Lattice,
-    OrderedTuple,
     Point,
     Region,
-    causal_future,
     causal_hull,
     causally_disjoint,
     factorize_tuple,
     find_time_ordering,
-    is_cauchy_region,
     is_time_ordered,
     make_cutoff,
     slab,
@@ -31,11 +28,9 @@ from .bvtheory import (
     FiberMetric,
     FreeBVModel,
     GreenSolver,
-    ProcSection,
     Section,
     Stencil,
     StencilEntry,
-    apply_stencil,
     delta_basis,
     homotopy_eta,
     homotopy_zeta,

@@ -93,12 +93,6 @@ class Section:
         res.data = {k: v for k, v in self.data.items() if t_lo <= k[1] <= t_hi}
         return res
 
-    def restrict(self, predicate) -> "Section":
-        """Keep entries whose lattice point satisfies the predicate."""
-        res = Section()
-        res.data = {k: v for k, v in self.data.items() if predicate(Point(k[1], k[2]))}
-        return res
-
     def multiply_indicator(self, chi_of_t) -> "Section":
         res = Section()
         res.data = {k: v for k, v in self.data.items() if chi_of_t(k[1])}
@@ -234,31 +228,6 @@ class Stencil:
         return self.add(other.scale(-1))
 
 
-def apply_stencil(stencil: Stencil, section, lattice: Lattice):
-    """Apply a stencil to a compact Section, or lazily to a ProcSection
-    (windows are evaluated with a stencil-radius margin; the support bound
-    grows by the stencil offsets)."""
-    if isinstance(section, ProcSection):
-        rt = stencil.time_radius()
-
-        def eval_window(t_lo: int, t_hi: int) -> Section:
-            inner = section.window(t_lo - rt, t_hi + rt)
-            return stencil.apply(inner, lattice).restrict_times(t_lo, t_hi)
-
-        offsets = {
-            (e.dt, e.dx) for entries in stencil.entries.values() for e in entries
-        }
-
-        def support(p: Point) -> bool:
-            return any(
-                section.support_predicate(lattice.point(p.t + dt, p.x + dx))
-                for dt, dx in offsets
-            )
-
-        return ProcSection(eval_window, support)
-    return stencil.apply(section, lattice)
-
-
 class FiberMetric:
     """Degree -1 fiber metric: blocks[n] pairs bundle degree n (first slot)
     with degree 1-n (second slot).  Graded anti-symmetry amounts to
@@ -269,9 +238,6 @@ class FiberMetric:
             n: tuple(tuple(rational(c) for c in row) for row in mat)
             for n, mat in blocks.items()
         }
-
-    def pair_degrees(self):
-        return set(self.blocks)
 
     def is_graded_antisymmetric(self) -> bool:
         for n, mat in self.blocks.items():
@@ -372,9 +338,6 @@ class FreeBVModel:
     def degrees(self):
         return sorted(self.ranks)
 
-    def shifted_degrees(self):
-        return [n - 1 for n in self.degrees()]
-
     def rank(self, degree: int) -> int:
         return self.ranks.get(degree, 0)
 
@@ -447,25 +410,6 @@ class FreeBVModel:
         return rational(acc)
 
 
-class ProcSection:
-    """Window-evaluable section: an evaluation rule plus a support bound.
-
-    The rule is deterministic, so overlapping window requests agree; solver-
-    backed instances additionally memoize their slices.
-    """
-
-    def __init__(self, eval_window, support_predicate):
-        self._eval_window = eval_window
-        self.support_predicate = support_predicate
-
-    def window(self, t_lo: int, t_hi: int) -> Section:
-        return self._eval_window(t_lo, t_hi)
-
-    def value(self, degree: int, point: Point, fiber: int):
-        sec = self._eval_window(point.t, point.t)
-        return sec.data.get((degree, point.t, point.x, fiber), 0)
-
-
 class GreenSolver:
     """Retarded (direction +1) or advanced (direction -1) solver for P.
 
@@ -513,17 +457,6 @@ class GreenSolver:
         state = self._state(degree, part)
         state._ensure_time(point.t)
         return state._value(point.t, point.x, fiber)
-
-    def proc(self, source: Section) -> ProcSection:
-        """The solution as a window-evaluable section with its cone bound."""
-        seeds = sorted(source.support_points())
-        lattice = self.model.lattice
-        direction = self.direction
-
-        def support(p: Point) -> bool:
-            return any(lattice.in_cone(s, p, direction) for s in seeds)
-
-        return ProcSection(lambda a, b: self.apply(source, a, b), support)
 
 
 class _SolveState:

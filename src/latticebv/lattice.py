@@ -67,43 +67,9 @@ class Lattice:
     def slice_points(self, t: int) -> list[Point]:
         return [Point(t, x) for x in range(self.n_sites)]
 
-    def cone_slice(self, base: Point, t: int, direction: int) -> list[Point]:
-        """Points of J^±(base) on the slice at time t."""
-        dt = (t - base.t) * direction
-        if dt < 0:
-            return []
-        reach = self.slope * dt
-        if 2 * reach + 1 >= self.n_sites:
-            return self.slice_points(t)
-        return [self.point(t, base.x + d) for d in range(-reach, reach + 1)]
-
-
-def causal_future(lattice: Lattice, seeds, horizon: int, direction: int = 1):
-    """J^±(S): (membership predicate, enumeration up to the horizon).
-
-    The enumeration covers slices t in [extreme t of S, extreme + horizon]
-    (moving with the cone direction); the predicate is valid everywhere.
-    """
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    seeds = [lattice.point(*p) for p in seeds]
-    if not seeds:
-        return (lambda q: False), []
-
-    def member(q: Point) -> bool:
-        return any(lattice.in_cone(s, q, direction) for s in seeds)
-
-    base_t = min(p.t for p in seeds) if direction > 0 else max(p.t for p in seeds)
-    pts = []
-    for k in range(horizon + 1):
-        t = base_t + k * direction
-        pts.extend(q for q in lattice.slice_points(t) if member(q))
-    return member, pts
-
-
 @dataclass(frozen=True)
 class Region:
-    """A subset of the ambient cylinder; 'all' or an explicit finite set.
+    """A subset of the ambient cylinder: 'all', or a finite causal hull.
 
     Causally convex hulls are constructed through :func:`causal_hull`, which
     tags the region so convexity is known by construction (and testable via
@@ -111,17 +77,13 @@ class Region:
     """
 
     lattice: Lattice
-    kind: str  # "all" | "finite" | "hull"
+    kind: str  # "all" | "hull"
     points: Optional[frozenset] = None
     seeds: tuple = field(default=())
 
     @staticmethod
     def all_of(lattice: Lattice) -> "Region":
         return Region(lattice, "all")
-
-    @staticmethod
-    def from_points(lattice: Lattice, pts) -> "Region":
-        return Region(lattice, "finite", frozenset(lattice.point(*p) for p in pts))
 
     @property
     def is_finite(self) -> bool:
@@ -149,12 +111,6 @@ class Region:
         if self.kind == "all":
             return True
         return causal_hull(self.lattice, self.points).points == self.points
-
-    def translate(self, dt: int) -> "Region":
-        if self.kind == "all":
-            return self
-        pts = frozenset(Point(p.t + dt, p.x) for p in self.points)
-        return Region(self.lattice, self.kind, pts, tuple(Point(s.t + dt, s.x) for s in self.seeds))
 
 
 def causal_hull(lattice: Lattice, seeds) -> Region:
@@ -210,34 +166,6 @@ def causally_disjoint(r1: Region, r2: Region) -> bool:
     return not (_meets_future(r1, r2) or _meets_future(r2, r1))
 
 
-@dataclass
-class OrderedTuple:
-    """Tuple of regions inside a common target, with optional time-ordering
-    permutation (positions -> original indices)."""
-
-    regions: list
-    target: Region
-    permutation: Optional[tuple] = None
-
-    def __post_init__(self):
-        for r in self.regions:
-            if not self.target.contains_region(r):
-                raise ValueError("region not contained in target")
-        if self.permutation is not None:
-            if sorted(self.permutation) != list(range(len(self.regions))):
-                raise ValueError("permutation is not a bijection on indices")
-            if not is_time_ordered(self.permuted()):
-                raise ValueError("permuted tuple is not time-ordered")
-
-    def __len__(self):
-        return len(self.regions)
-
-    def permuted(self):
-        if self.permutation is None:
-            return list(self.regions)
-        return [self.regions[i] for i in self.permutation]
-
-
 def is_time_ordered(regions) -> bool:
     """J^+(R_i) misses R_j for all i < j (first region is latest)."""
     rs = list(regions)
@@ -291,8 +219,6 @@ def factorize_tuple(regions, target: Region):
     lives inside the hull, (hull, last) is a time-ordered pair in the target,
     and the inclusions compose to the original ones.
     """
-    if isinstance(regions, OrderedTuple):
-        regions = regions.permuted()
     rs = list(regions)
     if len(rs) < 2:
         raise ValueError("factorization needs length >= 2")
@@ -306,23 +232,6 @@ def factorize_tuple(regions, target: Region):
     outer = [hull, rs[-1]]
     assert is_time_ordered(outer)
     return hull, rs[:-1], outer
-
-
-def is_cauchy_region(region: Region, target: Region) -> bool:
-    """Does the region contain a full constant-time slice of the target?"""
-    if target.kind != "all":
-        raise UnsupportedInput("only the ambient target is supported")
-    if region.kind == "all":
-        return True
-    if not region.points:
-        return False
-    lattice = region.lattice
-    t_lo, t_hi = region.time_range()
-    full = set(range(lattice.n_sites))
-    for t in range(t_lo, t_hi + 1):
-        if {p.x for p in region.points if p.t == t} == full:
-            return True
-    return False
 
 
 @dataclass(frozen=True)

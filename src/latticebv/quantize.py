@@ -24,7 +24,7 @@ from .bvtheory import (
     tau_minus1,
 )
 from .lattice import Point, Region, find_time_ordering
-from .scalars import HBAR, HScalar, I, ONE, ZERO
+from .scalars import HBAR, HScalar, I, ONE
 from .symalg import (
     PairingOracle,
     SymElement,
@@ -34,11 +34,9 @@ from .symalg import (
     exp_laplacian,
     laplacian_apply,
     mul,
-    normalize,
     sym_map,
     tensor_mu,
     extend_derivation,
-    word_degree,
 )
 
 IH = I * HBAR
@@ -139,9 +137,6 @@ class SymModel:
     def delta_bv(self, a: SymElement) -> SymElement:
         return laplacian_apply(self.tau_m1, a)
 
-    def delta_dirac(self, a: SymElement) -> SymElement:
-        return laplacian_apply(self.tau_d, a)
-
     def q_hbar(self, a: SymElement) -> SymElement:
         """Deformed differential Q_h = Q + i*h*Delta_BV."""
         return self.q_sym(a) + self.delta_bv(a).scale(IH)
@@ -193,135 +188,12 @@ class SymModel:
 # -- n-ary tensor machinery -------------------------------------------------
 
 
-class MultiTensor:
-    """Element of an n-fold tensor power of Sym: {(word_1..word_n): coeff}."""
-
-    __slots__ = ("arity", "terms")
-
-    def __init__(self, arity: int, terms=None):
-        self.arity = arity
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
-
-    @staticmethod
-    def of(elems) -> "MultiTensor":
-        elems = list(elems)
-        if not elems:
-            return MultiTensor(0, {(): ONE})
-        acc = {(): ONE}
-        for e in elems:
-            nxt: dict = {}
-            for key, c in acc.items():
-                for w, cw in e.items():
-                    nxt[key + (w,)] = nxt.get(key + (w,), ZERO) + c * cw
-            acc = {k: v for k, v in nxt.items() if v}
-        return MultiTensor(len(elems), acc)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MultiTensor)
-            and self.arity == other.arity
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, ZERO) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return MultiTensor(self.arity, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "MultiTensor":
-        c = HScalar.of(c)
-        return MultiTensor(self.arity, {k: v * c for k, v in self.terms.items()} if c else {})
-
-    def items(self):
-        return self.terms.items()
-
-    def permute(self, rho) -> "MultiTensor":
-        """Koszul action of the permutation: slot i of the output is slot
-        rho[i] of the input."""
-        out: dict = {}
-        for words, c in self.terms.items():
-            degs = [word_degree(w) for w in words]
-            sign = 1
-            for i in range(len(rho)):
-                for j in range(i + 1, len(rho)):
-                    if rho[i] > rho[j] and degs[rho[i]] % 2 and degs[rho[j]] % 2:
-                        sign = -sign
-            key = tuple(words[r] for r in rho)
-            cc = c if sign > 0 else -c
-            s = out.get(key, ZERO) + cc
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return MultiTensor(self.arity, out)
-
-    def map_factor(self, index: int, fn, fdeg: int) -> "MultiTensor":
-        """Apply a linear map to one slot, with the Koszul sign for carrying
-        it past the earlier slots."""
-        out = MultiTensor(self.arity)
-        for words, c in self.terms.items():
-            prefix = sum(word_degree(w) for w in words[:index])
-            sign = -1 if (fdeg % 2) and (prefix % 2) else 1
-            img = fn(SymElement({words[index]: ONE}))
-            for w, cw in img.items():
-                key = words[:index] + (w,) + words[index + 1 :]
-                cc = c * cw
-                if sign < 0:
-                    cc = -cc
-                s = out.terms.get(key, ZERO) + cc
-                if s:
-                    out.terms[key] = s
-                else:
-                    out.terms.pop(key, None)
-        return out
-
-    def map_all(self, fn) -> "MultiTensor":
-        """Apply a degree-0 map to every slot (no signs)."""
-        out = self
-        for i in range(self.arity):
-            out = out.map_factor(i, fn, 0)
-        return out
-
-    def mu(self) -> SymElement:
-        """Multiply all slots together."""
-        out = SymElement()
-        for words, c in self.terms.items():
-            flat = tuple(g for w in words for g in w)
-            word, sign = normalize(flat)
-            if word is None:
-                continue
-            cc = c if sign > 0 else -c
-            s = out.terms.get(word, ZERO) + cc
-            if s:
-                out.terms[word] = s
-            else:
-                out.terms.pop(word, None)
-        return out
-
-
-def q_hbar_tensor(sm: SymModel, mt: MultiTensor) -> MultiTensor:
+def q_hbar_tensor(sm: SymModel, te: TensorElement) -> TensorElement:
     """Q_h extended to the tensor power by the Leibniz rule."""
-    out = MultiTensor(mt.arity)
-    for i in range(mt.arity):
-        out = out + mt.map_factor(i, sm.q_hbar, 1)
-    return out
-
-
-def q_sym_tensor(sm: SymModel, mt: MultiTensor) -> MultiTensor:
-    out = MultiTensor(mt.arity)
-    for i in range(mt.arity):
-        out = out + mt.map_factor(i, sm.q_sym, 1)
+    out = TensorElement()
+    arity = len(next(iter(te.terms), ()))
+    for i in range(arity):
+        out = out + te.map_factor(i, sm.q_hbar, 1)
     return out
 
 
@@ -337,12 +209,7 @@ def tpfa_product(sm: SymModel, regions, elems, check: bool = True) -> SymElement
     """Time-ordered product of the BV quantization: push forward and multiply.
 
     The empty tuple yields the unit.  Raises for non-time-orderable tuples.
-    Accepts a plain region list or an OrderedTuple.
     """
-    from .lattice import OrderedTuple
-
-    if isinstance(regions, OrderedTuple):
-        regions = regions.regions
     regions = list(regions)
     elems = list(elems)
     if len(regions) != len(elems):
@@ -353,19 +220,12 @@ def tpfa_product(sm: SymModel, regions, elems, check: bool = True) -> SymElement
             raise ValueError("tuple is not time-orderable")
     if not elems:
         return SymElement.unit()
-    return MultiTensor.of(elems).mu()
+    return tensor_mu(TensorElement.of(*elems))
 
 
 def fa_product(sm: SymModel, regions, elems, rho=None, check: bool = True) -> SymElement:
     """Time-ordered product of the AQFT: permute into a time-ordered order
-    and multiply with the Moyal-Weyl product.  Accepts a plain region list
-    or an OrderedTuple (whose stored permutation is used when present)."""
-    from .lattice import OrderedTuple
-
-    if isinstance(regions, OrderedTuple):
-        if rho is None:
-            rho = regions.permutation
-        regions = regions.regions
+    and multiply with the Moyal-Weyl product."""
     regions = list(regions)
     elems = list(elems)
     if len(regions) != len(elems):
@@ -378,9 +238,9 @@ def fa_product(sm: SymModel, regions, elems, rho=None, check: bool = True) -> Sy
             raise ValueError("tuple is not time-orderable")
     if not elems:
         return SymElement.unit()
-    mt = MultiTensor.of(elems).permute(tuple(rho))
+    te = TensorElement.of(*elems).permute(tuple(rho))
     result = SymElement()
-    for words, c in mt.items():
+    for words, c in te.items():
         prod = SymElement({words[0]: ONE})
         for w in words[1:]:
             prod = sm.moyal_mul(prod, SymElement({w: ONE}))
@@ -393,9 +253,8 @@ def dirac_nary(sm: SymModel, elems) -> SymElement:
     elems = list(elems)
     if not elems:
         return SymElement.unit()
-    mt = MultiTensor.of(elems)
     result = SymElement()
-    for words, c in mt.items():
+    for words, c in TensorElement.of(*elems).items():
         prod = SymElement({words[0]: ONE})
         for w in words[1:]:
             prod = sm.dirac_mul(prod, SymElement({w: ONE}))

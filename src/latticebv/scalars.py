@@ -280,15 +280,3 @@ ONE = HScalar.of(1)
 I = HScalar.of(GAUSS_I)
 HBAR = HScalar.hbar()
 
-
-def scalar_arith(a: HScalar, b: HScalar, op: str) -> HScalar:
-    """Ring arithmetic dispatcher: op in {add, sub, mul, neg}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "neg":
-        return -a
-    raise ValueError(f"unknown op {op!r}")

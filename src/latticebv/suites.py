@@ -43,7 +43,6 @@ from .lattice import (
 )
 from .models import build_model, klein_gordon
 from .quantize import (
-    MultiTensor,
     SymModel,
     dirac_nary,
     eta_gen_map,
@@ -151,6 +150,72 @@ def merge_config(base: dict, override: dict) -> dict:
     return out
 
 
+def _integer(path: str, value, minimum=None) -> int:
+    if type(value) is not int or (minimum is not None and value < minimum):
+        need = "an integer" if minimum is None else f"an integer >= {minimum}"
+        raise ValueError(f"{path} must be {need}, got {value!r}")
+    return value
+
+
+def _window(path: str, value) -> None:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"{path} must be a [lo, hi] pair, got {value!r}")
+    lo, hi = (_integer(path, v) for v in value)
+    if lo > hi:
+        raise ValueError(f"{path} is empty: lo {lo} > hi {hi}")
+
+
+def _region_literal(path: str, literal) -> None:
+    kind = literal.get("kind") if isinstance(literal, dict) else None
+    if kind == "hull":
+        seeds = literal.get("seeds")
+        if not isinstance(seeds, list) or not seeds:
+            raise ValueError(f"{path}.seeds must be a nonempty list of [t, x] points")
+        for seed in seeds:
+            if not isinstance(seed, list) or len(seed) != 2:
+                raise ValueError(f"{path}.seeds must hold [t, x] points, got {seed!r}")
+            for v in seed:
+                _integer(f"{path}.seeds", v)
+    elif kind == "slab":
+        _window(f"{path}.t", literal.get("t"))
+    elif kind != "all":
+        raise ValueError(f"{path} must be a region of kind all, hull or slab, got {literal!r}")
+
+
+def validate_config(config: dict) -> None:
+    """Reject a config that would crash a suite or let a check pass on no
+    cases; the ValueError names the offending field."""
+    for key in ("lattice", "model_params", "windows", "samples", "regions"):
+        if not isinstance(config[key], dict):
+            raise ValueError(f"{key} must be an object, got {config[key]!r}")
+    if not isinstance(config["model"], str):
+        raise ValueError(f"model must be a string, got {config['model']!r}")
+    flip = config["model_params"].get("metric_flip", False)
+    if type(flip) is not bool:
+        raise ValueError(f"model_params.metric_flip must be true or false, got {flip!r}")
+    _integer("seed", config["seed"])
+    _integer("p_max", config["p_max"], 1)
+    _integer("cutoff_t0", config["cutoff_t0"])
+    _integer("lattice.n_sites", config["lattice"]["n_sites"], 1)
+    _integer("lattice.slope", config["lattice"].get("slope", 1), 1)
+    for key, window in config["windows"].items():
+        _window(f"windows.{key}", window)
+    for key, count in config["samples"].items():
+        _integer(f"samples.{key}", count, 1)
+    for name, lits in config["regions"].items():
+        default = DEFAULT_CONFIG["regions"].get(name)
+        if isinstance(default, list) and not (
+            isinstance(lits, list) and len(lits) == len(default)
+        ):
+            raise ValueError(f"regions.{name} must be a list of {len(default)} regions")
+        if isinstance(default, dict) and not isinstance(lits, dict):
+            raise ValueError(f"regions.{name} must be a single region, got {lits!r}")
+        for lit in lits if isinstance(lits, list) else [lits]:
+            _region_literal(f"regions.{name}", lit)
+    if any(lit["kind"] == "all" for lit in config["regions"].get("disjoint_pair", [])):
+        raise ValueError("regions.disjoint_pair must be finite regions (hull or slab)")
+
+
 def parse_region(lattice: Lattice, literal: dict) -> Region:
     kind = literal.get("kind")
     if kind == "all":
@@ -189,6 +254,8 @@ class ModelBundle:
         # time-ordering of stacked regions cannot wrap (cones only move forward)
         disjoint = [r for r in self.regions.get("disjoint_pair", []) if r.is_finite]
         validate_ring_size(self.lattice, disjoint)
+        # the Cauchy-slab checks need the cut band inside the slab
+        check_cutoff_in_region(self.model, make_cutoff(config["cutoff_t0"]), self.regions["slab"])
 
     def rng(self, suite: str) -> random.Random:
         return random.Random((self.config["seed"], suite).__repr__())
@@ -941,8 +1008,8 @@ def suite_quantization(bundle: ModelBundle) -> list:
         for _ in range(cfg["word_samples"]):
             a = SymElement({random_word(rng, g1, 2): ONE})
             b = SymElement({random_word(rng, g2, 2): ONE})
-            mt = MultiTensor.of([a, b])
-            if sm.q_hbar(mt.mu()) != q_hbar_tensor(sm, mt).mu():
+            te = TensorElement.of(a, b)
+            if sm.q_hbar(tensor_mu(te)) != tensor_mu(q_hbar_tensor(sm, te)):
                 return False, f"{_fmt_elem(a)} | {_fmt_elem(b)}"
         return True, None
 
@@ -1246,8 +1313,10 @@ def run_suites(config: dict, selected=None, workers: int = 1) -> list:
 
     Suites are independent; with workers > 1 they are dispatched to a thread
     pool (model data is immutable), and records are still assembled in the
-    fixed suite order so reports stay deterministic.
+    fixed suite order so reports stay deterministic.  An invalid config
+    raises ValueError (see :func:`validate_config`) before any suite runs.
     """
+    validate_config(config)
     names = list(selected if selected is not None else config["suites"])
     for name in names:
         if name not in SUITES:

@@ -37,10 +37,6 @@ Word = tuple  # sorted tuple of generators
 EMPTY_WORD: Word = ()
 
 
-def gen_degree(g) -> int:
-    return g[0]
-
-
 def word_degree(w: Word) -> int:
     return sum(g[0] for g in w)
 
@@ -64,13 +60,62 @@ def normalize(gens) -> tuple:
     return tuple(gens), sign
 
 
-class SymElement:
-    """Finite linear combination of normalized words over Q(i)[h]."""
+class Combination:
+    """Finite linear combination {key: nonzero coefficient in Q(i)[h]}.
+
+    The subclasses fix the keys: a normalized word (SymElement) or a tuple of
+    words, one per tensor slot (TensorElement).
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {w: c for w, c in (terms or {}).items() if c}
+        self.terms = {k: c for k, c in (terms or {}).items() if c}
+
+    def _with_terms(self, terms: dict):
+        """A fresh element of the same class that takes ownership of terms."""
+        res = type(self)()
+        res.terms = terms
+        return res
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
+
+    def add_term(self, key, c: HScalar) -> None:
+        """Accumulate c onto key in place, dropping the key when it cancels."""
+        s = self.terms.get(key, ZERO) + c
+        if s:
+            self.terms[key] = s
+        else:
+            self.terms.pop(key, None)
+
+    def __add__(self, other):
+        res = self._with_terms(dict(self.terms))
+        for k, c in other.terms.items():
+            res.add_term(k, c)
+        return res
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        c = HScalar.of(c)
+        return self._with_terms({k: v * c for k, v in self.terms.items()} if c else {})
+
+    def items(self):
+        return self.terms.items()
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.terms!r})"
+
+
+class SymElement(Combination):
+    """Finite linear combination of normalized words over Q(i)[h]."""
+
+    __slots__ = ()
 
     @staticmethod
     def zero() -> "SymElement":
@@ -94,52 +139,11 @@ class SymElement:
         c = HScalar.of(coeff) * sign
         return SymElement({w: c} if c else {})
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, SymElement) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, ZERO) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        res = SymElement()
-        res.terms = out
-        return res
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "SymElement":
-        c = HScalar.of(c)
-        res = SymElement()
-        if c:
-            res.terms = {w: v * c for w, v in self.terms.items()}
-        return res
-
-    def items(self):
-        return self.terms.items()
-
-    def coeff(self, gens) -> HScalar:
-        w, sign = normalize(gens)
-        if w is None:
-            return ZERO
-        c = self.terms.get(w, ZERO)
-        return c if sign > 0 else -c
-
     def homogeneous_parts(self) -> dict:
         parts: dict = {}
         for w, c in self.terms.items():
             parts.setdefault(word_degree(w), {})[w] = c
         return {d: SymElement(t) for d, t in parts.items()}
-
-    def max_length(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
 
     def coeff_at_order(self, k: int) -> "SymElement":
         out = {}
@@ -148,9 +152,6 @@ class SymElement:
             if g:
                 out[w] = HScalar.of(g)
         return SymElement(out)
-
-    def __repr__(self):
-        return f"SymElement({self.terms!r})"
 
 
 def mul(a: SymElement, b: SymElement) -> SymElement:
@@ -162,14 +163,7 @@ def mul(a: SymElement, b: SymElement) -> SymElement:
             if w is None:
                 continue
             c = c1 * c2
-            if sign < 0:
-                c = -c
-            prev = out.terms.get(w, ZERO)
-            s = prev + c
-            if s:
-                out.terms[w] = s
-            else:
-                out.terms.pop(w, None)
+            out.add_term(w, c if sign > 0 else -c)
     return out
 
 
@@ -254,77 +248,57 @@ def boundary_pairing(tau: PairingOracle, dmap: Callable, name: str = "") -> Pair
     return PairingOracle(tau.degree + 1, tau.symmetry, ev, name=name or f"d({tau.name})")
 
 
-class TensorElement:
-    """Finite combination of word pairs: element of Sym V (x) Sym V."""
+class TensorElement(Combination):
+    """Element of a tensor power of Sym V: {(word_1, ..., word_n): coeff}."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
+    __slots__ = ()
 
     @staticmethod
-    def of(a: SymElement, b: SymElement) -> "TensorElement":
+    def of(*elems: SymElement) -> "TensorElement":
+        """elems[0] (x) elems[1] (x) ... (at least one factor)."""
+        first, *rest = elems
+        terms = {(w,): c for w, c in first.items()}
+        for e in rest:
+            terms = {k + (w,): c * cw for k, c in terms.items() for w, cw in e.items()}
+        return TensorElement(terms)
+
+    def permute(self, rho) -> "TensorElement":
+        """Koszul action of the permutation: slot i of the output is slot
+        rho[i] of the input."""
         out = TensorElement()
-        for w1, c1 in a.items():
-            for w2, c2 in b.items():
-                out.terms[(w1, w2)] = c1 * c2
+        for words, c in self.terms.items():
+            degs = [word_degree(w) for w in words]
+            sign = 1
+            for i in range(len(rho)):
+                for j in range(i + 1, len(rho)):
+                    if rho[i] > rho[j] and degs[rho[i]] % 2 and degs[rho[j]] % 2:
+                        sign = -sign
+            out.add_term(tuple(words[r] for r in rho), c if sign > 0 else -c)
         return out
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, TensorElement) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, ZERO) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        res = TensorElement()
-        res.terms = out
-        return res
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "TensorElement":
-        c = HScalar.of(c)
-        res = TensorElement()
-        if c:
-            res.terms = {k: v * c for k, v in self.terms.items()}
-        return res
-
-    def items(self):
-        return self.terms.items()
-
-    def add_term(self, w1: Word, w2: Word, c: HScalar) -> None:
-        key = (w1, w2)
-        s = self.terms.get(key, ZERO) + c
-        if s:
-            self.terms[key] = s
-        else:
-            self.terms.pop(key, None)
-
-    def __repr__(self):
-        return f"TensorElement({self.terms!r})"
+    def map_factor(self, index: int, fn, fdeg: int) -> "TensorElement":
+        """Apply a linear map of degree fdeg to one slot, with the Koszul sign
+        for carrying it past the earlier slots."""
+        out = TensorElement()
+        for words, c in self.terms.items():
+            prefix = sum(word_degree(w) for w in words[:index])
+            sign = -1 if (fdeg % 2) and (prefix % 2) else 1
+            img = fn(SymElement({words[index]: ONE}))
+            for w, cw in img.items():
+                key = words[:index] + (w,) + words[index + 1 :]
+                cc = c * cw
+                out.add_term(key, cc if sign > 0 else -cc)
+        return out
 
 
 def tensor_mu(te: TensorElement) -> SymElement:
-    """Multiply the two tensor slots together."""
+    """Multiply all tensor slots together."""
     out = SymElement()
-    for (w1, w2), c in te.items():
-        w, sign = normalize(w1 + w2)
+    for words, c in te.items():
+        w, sign = normalize(sum(words, ()))
         if w is None:
             continue
-        s = out.terms.get(w, ZERO) + (c if sign > 0 else -c)
-        if s:
-            out.terms[w] = s
-        else:
-            out.terms.pop(w, None)
+        out.add_term(w, c if sign > 0 else -c)
     return out
 
 
@@ -333,21 +307,7 @@ def tensor_braiding(te: TensorElement) -> TensorElement:
     out = TensorElement()
     for (w1, w2), c in te.items():
         sign = -1 if (word_degree(w1) % 2) and (word_degree(w2) % 2) else 1
-        out.add_term(w2, w1, c if sign > 0 else -c)
-    return out
-
-
-def tensor_differential(dmap: Callable, te: TensorElement) -> TensorElement:
-    """Leibniz differential on Sym V (x) Sym V from the generator map."""
-    out = TensorElement()
-    for (w1, w2), c in te.items():
-        d1 = extend_derivation(dmap, 1, SymElement({w1: ONE}))
-        for u1, c1 in d1.items():
-            out.add_term(u1, w2, c * c1)
-        sign = -1 if word_degree(w1) % 2 else 1
-        d2 = extend_derivation(dmap, 1, SymElement({w2: ONE}))
-        for u2, c2 in d2.items():
-            out.add_term(w1, u2, c * c2 if sign > 0 else -(c * c2))
+        out.add_term((w2, w1), c if sign > 0 else -c)
     return out
 
 
@@ -376,7 +336,7 @@ def _bider_words(tau: PairingOracle, w1: Word, w2: Word) -> TensorElement:
                 continue
             exp = (deg1[i] + p) * prefix2[j] + deg2[j] * v_after + p * v_before
             c = val if exp % 2 == 0 else -val
-            out.add_term(w1[:i] + w1[i + 1 :], w2[:j] + w2[j + 1 :], c)
+            out.add_term((w1[:i] + w1[i + 1 :], w2[:j] + w2[j + 1 :]), c)
     return out
 
 
@@ -421,7 +381,7 @@ def _module_left(b_word: Word, te: TensorElement) -> TensorElement:
         cc = c if sign > 0 else -c
         if s2 < 0:
             cc = -cc
-        out.add_term(u1, w, cc)
+        out.add_term((u1, w), cc)
     return out
 
 
@@ -432,7 +392,7 @@ def _module_right(te: TensorElement, c_word: Word) -> TensorElement:
         w, s2 = normalize(u2 + c_word)
         if w is None:
             continue
-        out.add_term(u1, w, c if s2 > 0 else -c)
+        out.add_term((u1, w), c if s2 > 0 else -c)
     return out
 
 
@@ -445,7 +405,7 @@ def _bider_rec_words(tau: PairingOracle, w1: Word, w2: Word) -> TensorElement:
         out = TensorElement()
         val = tau(w1[0], w2[0])
         if val:
-            out.add_term(EMPTY_WORD, EMPTY_WORD, val)
+            out.add_term((EMPTY_WORD, EMPTY_WORD), val)
         return out
     if len(w2) >= 2:
         # <a, b c> = <a,b>(1 (x) c) + (-1)^{(|a|+p)|b|} (1 (x) b) <a,c>
@@ -487,12 +447,7 @@ def laplacian_apply(tau: PairingOracle, a: SymElement) -> SymElement:
                 cc = c * val
                 if exp % 2:
                     cc = -cc
-                rest = w[:i] + w[i + 1 : j] + w[j + 1 :]
-                s = out.terms.get(rest, ZERO) + cc
-                if s:
-                    out.terms[rest] = s
-                else:
-                    out.terms.pop(rest, None)
+                out.add_term(w[:i] + w[i + 1 : j] + w[j + 1 :], cc)
     return out
 
 
@@ -554,12 +509,12 @@ def laplacian_tensor(tau: PairingOracle, te: TensorElement) -> TensorElement:
     for (w1, w2), c in te.items():
         left = laplacian_apply(tau, SymElement({w1: ONE}))
         for u1, c1 in left.items():
-            out.add_term(u1, w2, c * c1)
+            out.add_term((u1, w2), c * c1)
         sign = -1 if (p % 2) and (word_degree(w1) % 2) else 1
         right = laplacian_apply(tau, SymElement({w2: ONE}))
         for u2, c2 in right.items():
             cc = c * c2
-            out.add_term(w1, u2, cc if sign > 0 else -cc)
+            out.add_term((w1, u2), cc if sign > 0 else -cc)
     return out
 
 

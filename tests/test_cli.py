@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from latticebv.cli import main
-from latticebv.reporting import CATALOG, strip_timing
+from latticebv.reporting import CATALOG, make_report, render_report, strip_timing
 from latticebv.suites import DEFAULT_CONFIG, merge_config, run_suites
-from latticebv.reporting import make_report
+
+GOLDEN = Path(__file__).parent / "golden"
 
 SMALL = {
     "seed": 11,
@@ -30,6 +35,13 @@ SMALL = {
         "timeslice_words": 2,
     },
 }
+
+
+def assert_matches_golden(report, name):
+    """The timing-stripped report, rendered with a final newline, equals
+    tests/golden/<name> byte for byte."""
+    text = render_report(strip_timing(report)) + "\n"
+    assert text == (GOLDEN / name).read_text()
 
 
 def write_config(tmp_path, extra=None, name="config.json"):
@@ -65,6 +77,7 @@ def test_run_exit_code_and_witness_on_flipped_metric(tmp_path, capsys):
     assert "metric-compatibility" in failing
     assert failing["metric-compatibility"].get("witness")
     assert "metric-antisymmetry" in failing
+    assert_matches_golden(report, "kg-small-green-flipped-metric.json")
 
 
 def test_run_rejects_bad_config(tmp_path, capsys):
@@ -73,6 +86,31 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     code = main(["run", "--config", str(bad)])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra, field",
+    [
+        ({"lattice": {"n_sites": "21"}}, "lattice.n_sites"),
+        ({"windows": {"green_t": [12, -12]}}, "windows.green_t"),
+        ({"samples": {"word_samples": -1}}, "samples.word_samples"),
+        (
+            {"regions": {"disjoint_pair": [{"kind": "all"}, {"kind": "hull", "seeds": [[0, 10]]}]}},
+            "regions.disjoint_pair",
+        ),
+        ({"model_params": {"metric_flip": "no"}}, "model_params.metric_flip"),
+        ({"cutoff_t0": 100}, "cutoff slices"),
+    ],
+)
+def test_run_rejects_invalid_config_values(tmp_path, capsys, extra, field):
+    # unvalidated, these give a traceback, a vacuous PASS or error witnesses
+    cfg = write_config(tmp_path, extra)
+    out = tmp_path / "report.json"
+    code = main(["run", "--config", str(cfg), "--quiet", "--report-out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
+    assert not out.exists()
 
 
 def test_run_rejects_wrapping_ring(tmp_path, capsys):
@@ -132,6 +170,7 @@ def test_every_catalog_id_has_suite_coverage():
     records = run_suites(config)
     produced = {r.identity for r in records}
     assert produced == set(CATALOG)
+    assert_matches_golden(make_report(config, records), "kg-small-all.json")
 
 
 def test_run_with_model_flag(tmp_path):
@@ -152,7 +191,9 @@ def test_run_with_model_flag(tmp_path):
         ]
     )
     assert code == 0
-    assert json.loads(out.read_text())["model"] == "maxwell2d"
+    report = json.loads(out.read_text())
+    assert report["model"] == "maxwell2d"
+    assert_matches_golden(report, "maxwell2d-small-structures.json")
 
 
 def test_worker_env_var_honored(tmp_path, monkeypatch):
@@ -224,3 +265,19 @@ def test_suite_runner_records_crashes_as_failures():
     (rec,) = run.records
     assert rec.passed is False
     assert "solver exploded" in rec.witness
+
+
+def test_cli_import_loads_every_module():
+    # a module that `import latticebv.cli` leaves unloaded is reached by no
+    # suite and no CLI command
+    import latticebv
+
+    pkg = Path(latticebv.__file__).parent
+    probe = "import sys, latticebv.cli; print(*sorted(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(pkg.parent))
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], cwd=pkg.parent, env=env,
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    modules = {f"latticebv.{path.stem}" for path in pkg.glob("*.py") if path.stem != "__init__"}
+    assert modules - set(loaded) == set()

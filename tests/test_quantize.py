@@ -6,7 +6,6 @@ import pytest
 from latticebv.lattice import Lattice, Point, Region, causal_hull, causally_disjoint, make_cutoff, slab
 from latticebv.models import klein_gordon, maxwell2d
 from latticebv.quantize import (
-    MultiTensor,
     SymModel,
     dirac_nary,
     eta_gen_map,
@@ -24,6 +23,7 @@ from latticebv.symalg import (
     bider_tensor,
     mul,
     normalize,
+    tensor_mu,
     word_degree,
 )
 
@@ -159,9 +159,9 @@ def test_tpfa_cochain_map_on_stacked_diamonds():
         for _ in range(12):
             a = SymElement({random_word_of(rng, g_later, 2): ONE})
             b = SymElement({random_word_of(rng, g_earlier, 2): ONE})
-            mt = MultiTensor.of([a, b])
-            lhs = sm.q_hbar(mt.mu())
-            rhs = q_hbar_tensor(sm, mt).mu()
+            te = TensorElement.of(a, b)
+            lhs = sm.q_hbar(tensor_mu(te))
+            rhs = tensor_mu(q_hbar_tensor(sm, te))
             assert lhs == rhs
 
 
@@ -562,20 +562,6 @@ def test_green_window_outside_support_is_zero():
     delta = Section.delta(0, Point(0, 0))
     assert not sm.model.green(1).apply(delta, -6, -1)
     assert not sm.model.green(-1).apply(delta, 1, 6)
-
-
-def test_products_accept_ordered_tuples():
-    from latticebv.lattice import OrderedTuple
-    sm = sym_kg()
-    lattice = sm.model.lattice
-    later = causal_hull(lattice, [(4, 0)])
-    earlier = causal_hull(lattice, [(0, 0)])
-    ambient = Region.all_of(lattice)
-    a = SymElement.of_gen(sm.generators_in_region(earlier)[0])
-    b = SymElement.of_gen(sm.generators_in_region(later)[0])
-    tup = OrderedTuple([earlier, later], ambient, permutation=(1, 0))
-    assert tpfa_product(sm, tup, [a, b]) == tpfa_product(sm, [earlier, later], [a, b])
-    assert fa_product(sm, tup, [a, b]) == fa_product(sm, [earlier, later], [a, b], rho=(1, 0))
 
 
 def test_gen_oracles_match_section_level_pairings():

@@ -10,7 +10,6 @@ from latticebv.scalars import (
     I,
     ONE,
     ZERO,
-    scalar_arith,
 )
 
 
@@ -71,17 +70,6 @@ def test_canonical_form_unique():
         a = _random_hscalar(rng)
         assert not (a - a).coeffs
         assert a - a == ZERO
-
-
-def test_scalar_arith_dispatch():
-    a = ONE + HBAR
-    b = I
-    assert scalar_arith(a, b, "add") == a + b
-    assert scalar_arith(a, b, "sub") == a - b
-    assert scalar_arith(a, b, "mul") == a * b
-    assert scalar_arith(a, b, "neg") == -a
-    with pytest.raises(ValueError):
-        scalar_arith(a, b, "div")
 
 
 def test_negative_exponent_rejected():

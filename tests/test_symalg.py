@@ -169,11 +169,11 @@ def test_bider_second_slot_derivation_expansion():
                     expected = TensorElement()
                     val1 = t(v, w1)
                     if val1:
-                        expected.add_term((), (w2,), val1)
+                        expected.add_term(((), (w2,)), val1)
                     val2 = t(v, w2)
                     if val2:
                         sign = -1 if ((v[0] + t.degree) % 2) and (w1[0] % 2) else 1
-                        expected.add_term((), (w1,), val2 if sign > 0 else -val2)
+                        expected.add_term(((), (w1,)), val2 if sign > 0 else -val2)
                     assert lhs == expected
 
 
@@ -395,5 +395,5 @@ def test_bider_naturality_under_degree_zero_isomorphism():
         for (w1, w2), c in raw.items():
             u1 = tuple(relabel[g] for g in w1)
             u2 = tuple(relabel[g] for g in w2)
-            mapped.add_term(u1, u2, c)
+            mapped.add_term((u1, u2), c)
         assert pushed == mapped
