@@ -16,10 +16,12 @@ from .lattice import (
     Lattice,
     Point,
     Region,
+    causal_future,
     causal_hull,
     causally_disjoint,
     factorize_tuple,
     find_time_ordering,
+    is_cauchy_region,
     is_time_ordered,
     make_cutoff,
     slab,

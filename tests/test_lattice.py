@@ -6,15 +6,63 @@ from latticebv.lattice import (
     Point,
     Region,
     UnsupportedInput,
+    causal_future,
     causal_hull,
     causally_disjoint,
     factorize_tuple,
     find_time_ordering,
+    is_cauchy_region,
     is_time_ordered,
     make_cutoff,
     slab,
     validate_ring_size,
 )
+
+
+def brute_future(lattice, seeds, t_lo, t_hi):
+    """Brute-force cone membership by stepwise breadth-first growth."""
+    seeds = {lattice.point(*p) for p in seeds}
+    out = set()
+    frontier = {p for p in seeds}
+    for t in range(t_lo, t_hi + 1):
+        frontier |= {p for p in seeds if p.t == t}
+        out |= {p for p in frontier if p.t == t}
+        nxt = set()
+        for p in frontier:
+            if p.t <= t:
+                for d in range(-lattice.slope, lattice.slope + 1):
+                    nxt.add(lattice.point(t + 1, p.x + d))
+        frontier = {p for p in nxt}
+    return out
+
+
+def test_future_cone_slice():
+    lattice = Lattice(9)
+    member, pts = causal_future(lattice, [(0, 0)], horizon=2)
+    slice2 = {p for p in pts if p.t == 2}
+    assert slice2 == {Point(2, x % 9) for x in range(-2, 3)}
+
+
+def test_future_contains_seeds():
+    lattice = Lattice(9)
+    member, pts = causal_future(lattice, [(0, 0), (1, 3)], horizon=0)
+    assert member(Point(0, 0)) and member(Point(1, 3))
+
+
+def test_future_wraps_small_ring():
+    lattice = Lattice(5)
+    member, pts = causal_future(lattice, [(0, 0)], horizon=3)
+    assert {p for p in pts if p.t == 3} == set(lattice.slice_points(3))
+    # cross-check the full enumeration against stepwise growth
+    assert set(pts) == brute_future(lattice, [(0, 0)], 0, 3)
+
+
+def test_future_transitive():
+    lattice = Lattice(9, slope=2)
+    member, pts = causal_future(lattice, [(0, 2)], horizon=3)
+    again = causal_future(lattice, pts, horizon=0)[0]
+    for p in pts:
+        assert member(p) == again(p)
 
 
 def test_hull_of_point():
@@ -153,6 +201,16 @@ def test_factorize_inside_common_diamond():
     assert len(hull.points) < len(big.points)
 
 
+def test_cauchy_region():
+    lattice = Lattice(7)
+    ambient = Region.all_of(lattice)
+    assert is_cauchy_region(ambient, ambient)
+    s = slab(lattice, -1, 2)
+    assert is_cauchy_region(s, ambient)
+    small = causal_hull(lattice, [(0, 0), (2, 0)])
+    assert not is_cauchy_region(small, ambient)
+
+
 def test_slab_is_full_block():
     lattice = Lattice(5)
     s = slab(lattice, 0, 2)
@@ -176,3 +234,10 @@ def test_validate_ring_size():
     with pytest.raises(ValueError):
         validate_ring_size(lattice, [r])
     validate_ring_size(Lattice(21), [causal_hull(Lattice(21), [(0, 0), (3, 0)])])
+
+
+def test_region_translate():
+    lattice = Lattice(9)
+    r = causal_hull(lattice, [(0, 0), (2, 0)])
+    r2 = r.translate(5)
+    assert r2.points == {Point(p.t + 5, p.x) for p in r.points}
