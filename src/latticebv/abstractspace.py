@@ -28,7 +28,7 @@ def abstract_space(n_pairs: int = 20, seed: int = 3):
         gens.extend([a, b])
         c = Fraction(rng.randint(1, 4), rng.randint(1, 3))
         dmap_data[a] = SymElement.of_gen(b, c)
-        dmap_data[b] = SymElement.zero()
+        dmap_data[b] = SymElement()
 
     def dmap(g):
         return dmap_data[g]

@@ -19,7 +19,6 @@ with <<phi, psi>> the pointwise fiber metric summed over the lattice
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -215,18 +214,6 @@ class Stencil:
             entries.setdefault(n, []).extend(es)
         return Stencil(self.degree_shift, entries)
 
-    def scale(self, c) -> "Stencil":
-        return Stencil(
-            self.degree_shift,
-            {
-                n: [StencilEntry(e.dt, e.dx, e.fin, e.fout, e.coeff * c) for e in es]
-                for n, es in self.entries.items()
-            },
-        )
-
-    def sub(self, other: "Stencil") -> "Stencil":
-        return self.add(other.scale(-1))
-
 
 class FiberMetric:
     """Degree -1 fiber metric: blocks[n] pairs bundle degree n (first slot)
@@ -344,7 +331,7 @@ class FreeBVModel:
     def solve_data(self, degree: int) -> _DegreeSolveData:
         data = self._solve_data.get(degree)
         if data is None:
-            data = self._solve_data.setdefault(degree, self._build_solve_data(degree))
+            data = self._solve_data[degree] = self._build_solve_data(degree)
         return data
 
     def _build_solve_data(self, degree: int) -> _DegreeSolveData:
@@ -385,8 +372,7 @@ class FreeBVModel:
     def green(self, direction: int) -> "GreenSolver":
         solver = self._solvers.get(direction)
         if solver is None:
-            # setdefault: threads racing here all get the one stored solver
-            solver = self._solvers.setdefault(direction, GreenSolver(self, direction))
+            solver = self._solvers[direction] = GreenSolver(self, direction)
         return solver
 
     # -- integration pairing -------------------------------------------
@@ -414,8 +400,7 @@ class GreenSolver:
     """Retarded (direction +1) or advanced (direction -1) solver for P.
 
     Sources are memoized: repeated window requests extend the previously
-    solved time slices instead of recomputing.  Solver and states may be
-    shared between threads: each state fills its slices under its own lock.
+    solved time slices instead of recomputing.
     """
 
     def __init__(self, model: FreeBVModel, direction: int):
@@ -442,10 +427,7 @@ class GreenSolver:
         key = (degree, tuple(sorted(source.items(), key=lambda kv: kv[0])))
         state = self._memo.get(key)
         if state is None:
-            # setdefault: threads racing here all get the one stored state
-            state = self._memo.setdefault(
-                key, _SolveState(self.model, self.direction, degree, source)
-            )
+            state = self._memo[key] = _SolveState(self.model, self.direction, degree, source)
         return state
 
     def value_at(self, source: Section, degree: int, point: Point, fiber: int):
@@ -464,8 +446,7 @@ class _SolveState:
 
     An equation at time eq_t determines the slice at eq_t + d_plus
     (retarded) or eq_t - d_minus (advanced) from slices already solved.
-    Slices behind the frontier eq_t are final; the lock keeps the slice
-    write and the frontier step of one equation together.
+    Slices behind the frontier eq_t are final.
     """
 
     def __init__(self, model: FreeBVModel, direction: int, degree: int, source: Section):
@@ -477,7 +458,6 @@ class _SolveState:
         # first equation time to read; slices strictly behind the frontier are known
         self.eq_t = source.min_t() if direction > 0 else source.max_t()
         self.slices: dict = {}
-        self._lock = threading.Lock()
 
     def _value(self, t: int, x: int, fiber: int):
         sl = self.slices.get(t)
@@ -497,32 +477,31 @@ class _SolveState:
         degree = self.degree
         source = self.source.data
         slices = self.slices
-        with self._lock:
-            while (t - self.eq_t - reach) * step >= 0:
-                eq_t = self.eq_t
-                # the known slices each entry reads, fixed for this equation time
-                terms = [
-                    (known, e.dx, e.fin, e.fout, e.coeff)
-                    for e in entries
-                    if (known := slices.get(eq_t + e.dt))
-                ]
-                sl: dict = {}
-                for x in range(n_sites):
-                    rhs = [source.get((degree, eq_t, x, f), 0) for f in ranks]
-                    for known, dx, fin, fout, coeff in terms:
-                        val = known.get(((x + dx) % n_sites, fin))
-                        if val:
-                            rhs[fout] -= val * coeff
-                    for f in ranks:
-                        acc = 0
-                        for g in ranks:
-                            c = inv[f][g]
-                            if c and rhs[g]:
-                                acc += rhs[g] * c
-                        if acc:
-                            sl[(x, f)] = acc if type(acc) is int else rational(acc)
-                slices[eq_t + reach] = sl
-                self.eq_t = eq_t + step
+        while (t - self.eq_t - reach) * step >= 0:
+            eq_t = self.eq_t
+            # the known slices each entry reads, fixed for this equation time
+            terms = [
+                (known, e.dx, e.fin, e.fout, e.coeff)
+                for e in entries
+                if (known := slices.get(eq_t + e.dt))
+            ]
+            sl: dict = {}
+            for x in range(n_sites):
+                rhs = [source.get((degree, eq_t, x, f), 0) for f in ranks]
+                for known, dx, fin, fout, coeff in terms:
+                    val = known.get(((x + dx) % n_sites, fin))
+                    if val:
+                        rhs[fout] -= val * coeff
+                for f in ranks:
+                    acc = 0
+                    for g in ranks:
+                        c = inv[f][g]
+                        if c and rhs[g]:
+                            acc += rhs[g] * c
+                    if acc:
+                        sl[(x, f)] = acc if type(acc) is int else rational(acc)
+            slices[eq_t + reach] = sl
+            self.eq_t = eq_t + step
 
     def window(self, t_lo: int, t_hi: int) -> Section:
         if t_lo > t_hi:

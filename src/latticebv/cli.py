@@ -5,16 +5,12 @@ Subcommands:
   run          execute suites; exit 0 iff every identity check passed
   explain      show the statement and test strategy behind an identity id
   list-suites  list suite names and their registered identities
-
-The worker count for suite dispatch can be overridden with the
-LATTICEBV_WORKERS environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .reporting import CATALOG, SUITE_NAMES, catalog_for_suite, make_report, render_report
@@ -101,30 +97,14 @@ def load_config(args) -> dict:
     return config
 
 
-def worker_count(config: dict) -> int:
-    """The suite worker count: LATTICEBV_WORKERS if set, else the config's
-    "workers"; a positive integer, or ValueError."""
-    name, raw = "LATTICEBV_WORKERS", os.environ.get("LATTICEBV_WORKERS")
-    if raw is None:
-        name, raw = "workers", config.get("workers", 1)
-    try:
-        workers = int(raw)
-    except (TypeError, ValueError):
-        workers = 0
-    if workers < 1 or isinstance(raw, (bool, float)):
-        raise ValueError(f"{name} must be a positive integer, got {raw!r}")
-    return workers
-
-
 def cmd_run(args) -> int:
     try:
         config = load_config(args)
-        workers = worker_count(config)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        records = run_suites(config, workers=workers)
+        records = run_suites(config)
     except (ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

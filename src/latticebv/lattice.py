@@ -68,29 +68,6 @@ class Lattice:
         return [Point(t, x) for x in range(self.n_sites)]
 
 
-def causal_future(lattice: Lattice, seeds, horizon: int, direction: int = 1):
-    """J^±(S): (membership predicate, enumeration up to the horizon).
-
-    The enumeration covers slices t in [extreme t of S, extreme + horizon]
-    (moving with the cone direction); the predicate is valid everywhere.
-    """
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    seeds = [lattice.point(*p) for p in seeds]
-    if not seeds:
-        return (lambda q: False), []
-
-    def member(q: Point) -> bool:
-        return any(lattice.in_cone(s, q, direction) for s in seeds)
-
-    base_t = min(p.t for p in seeds) if direction > 0 else max(p.t for p in seeds)
-    pts = []
-    for k in range(horizon + 1):
-        t = base_t + k * direction
-        pts.extend(q for q in lattice.slice_points(t) if member(q))
-    return member, pts
-
-
 @dataclass(frozen=True)
 class Region:
     """A subset of the ambient cylinder: 'all', or a finite causal hull.
@@ -135,12 +112,6 @@ class Region:
         if self.kind == "all":
             return True
         return causal_hull(self.lattice, self.points).points == self.points
-
-    def translate(self, dt: int) -> "Region":
-        if self.kind == "all":
-            return self
-        pts = frozenset(Point(p.t + dt, p.x) for p in self.points)
-        return Region(self.lattice, self.kind, pts, tuple(Point(s.t + dt, s.x) for s in self.seeds))
 
 
 def causal_hull(lattice: Lattice, seeds) -> Region:
@@ -262,23 +233,6 @@ def factorize_tuple(regions, target: Region):
     outer = [hull, rs[-1]]
     assert is_time_ordered(outer)
     return hull, rs[:-1], outer
-
-
-def is_cauchy_region(region: Region, target: Region) -> bool:
-    """Does the region contain a full constant-time slice of the target?"""
-    if target.kind != "all":
-        raise UnsupportedInput("only the ambient target is supported")
-    if region.kind == "all":
-        return True
-    if not region.points:
-        return False
-    lattice = region.lattice
-    t_lo, t_hi = region.time_range()
-    full = set(range(lattice.n_sites))
-    for t in range(t_lo, t_hi + 1):
-        if {p.x for p in region.points if p.t == t} == full:
-            return True
-    return False
 
 
 @dataclass(frozen=True)

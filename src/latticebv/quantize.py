@@ -205,7 +205,7 @@ def _check_supports(regions, elems):
                     raise ValueError("input not supported in its region")
 
 
-def tpfa_product(sm: SymModel, regions, elems, check: bool = True) -> SymElement:
+def tpfa_product(sm: SymModel, regions, elems) -> SymElement:
     """Time-ordered product of the BV quantization: push forward and multiply.
 
     The empty tuple yields the unit.  Raises for non-time-orderable tuples.
@@ -214,24 +214,22 @@ def tpfa_product(sm: SymModel, regions, elems, check: bool = True) -> SymElement
     elems = list(elems)
     if len(regions) != len(elems):
         raise ValueError("regions/inputs length mismatch")
-    if check:
-        _check_supports(regions, elems)
-        if find_time_ordering(regions) is None:
-            raise ValueError("tuple is not time-orderable")
+    _check_supports(regions, elems)
+    if find_time_ordering(regions) is None:
+        raise ValueError("tuple is not time-orderable")
     if not elems:
         return SymElement.unit()
     return tensor_mu(TensorElement.of(*elems))
 
 
-def fa_product(sm: SymModel, regions, elems, rho=None, check: bool = True) -> SymElement:
+def fa_product(sm: SymModel, regions, elems, rho=None) -> SymElement:
     """Time-ordered product of the AQFT: permute into a time-ordered order
     and multiply with the Moyal-Weyl product."""
     regions = list(regions)
     elems = list(elems)
     if len(regions) != len(elems):
         raise ValueError("regions/inputs length mismatch")
-    if check:
-        _check_supports(regions, elems)
+    _check_supports(regions, elems)
     if rho is None:
         rho = find_time_ordering(regions)
         if rho is None:

@@ -103,9 +103,6 @@ class GaussianRational:
             (self.im * other.re - self.re * other.im) / norm,
         )
 
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
     def __str__(self):
         return f"{_frac_str(self.re)} + {_frac_str(self.im)}*i"
 
@@ -130,8 +127,7 @@ class HScalar:
     """Polynomial in the formal parameter h over Q(i).
 
     Stored as a map {exponent: nonzero GaussianRational}.  Instances are
-    treated as immutable; all arithmetic returns fresh objects, so values
-    are safe to share between concurrent workers.
+    treated as immutable; all arithmetic returns fresh objects.
     """
 
     __slots__ = ("coeffs",)
@@ -170,10 +166,6 @@ class HScalar:
 
     def coeff_at_order(self, k: int) -> GaussianRational:
         return self.coeffs.get(k, GAUSS_ZERO)
-
-    def degree(self) -> int:
-        """Largest h-exponent present; -1 for the zero polynomial."""
-        return max(self.coeffs) if self.coeffs else -1
 
     def __bool__(self):
         return bool(self.coeffs)

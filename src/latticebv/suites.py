@@ -185,6 +185,9 @@ def _region_literal(path: str, literal) -> None:
 def validate_config(config: dict) -> None:
     """Reject a config that would crash a suite or let a check pass on no
     cases; the ValueError names the offending field."""
+    for key in config:
+        if key not in DEFAULT_CONFIG:
+            raise ValueError(f"unknown config key {key!r}; valid keys: {sorted(DEFAULT_CONFIG)}")
     for key in ("lattice", "model_params", "windows", "samples", "regions"):
         if not isinstance(config[key], dict):
             raise ValueError(f"{key} must be an object, got {config[key]!r}")
@@ -802,31 +805,21 @@ def suite_structures(bundle: ModelBundle) -> list:
     )
     run.check("pairing-dirac-symmetric", lambda: check_pair_symmetry(sm.tau_d, 1))
 
-    def d_tau_gen(tau, g1, g2):
-        # d(tau)(g1, g2) = tau(Q g1, g2) + (-1)^{|g1|} tau(g1, Q g2) with Q the
-        # plain model differential; qgen carries -Q, hence the negations
-        acc = HScalar()
-        for (h,), c in sm.qgen(g1).items():
-            acc = acc - tau(h, g2) * c
-        sign = -1 if g1[0] % 2 else 1
-        for (h,), c in sm.qgen(g2).items():
-            term = tau(g1, h) * c
-            acc = acc + (term if sign < 0 else -term)
-        return acc
-
     def check_d_tau_d():
+        d_tau = boundary_pairing(sm.tau_d, sm.qgen).evaluate
         for g1 in gens:
             for g2 in gens:
-                if d_tau_gen(sm.tau_d, g1, g2) != sm.tau_m1(g1, g2):
+                if d_tau(g1, g2) != sm.tau_m1(g1, g2):
                     return False, f"{g1} | {g2}"
         return True, None
 
     run.check("pairing-dirac-trivializes", check_d_tau_d)
 
     def check_d_tau_0():
+        d_tau = boundary_pairing(sm.tau_0, sm.qgen).evaluate
         for g1 in gens:
             for g2 in gens:
-                if d_tau_gen(sm.tau_0, g1, g2):
+                if d_tau(g1, g2):
                     return False, f"{g1} | {g2}"
         return True, None
 
@@ -981,9 +974,6 @@ def suite_quantization(bundle: ModelBundle) -> list:
     sm = bundle.sym
     cfg = bundle.config["samples"]
     gens = bundle.gens_window()
-
-    def rand_words(rng, pool, max_len, count, min_len=0):
-        return [random_word(rng, pool, max_len, min_len) for _ in range(count)]
 
     def check_q_hbar_squares():
         rng = bundle.rng("quant-qhbar")
@@ -1308,29 +1298,24 @@ SUITES = {
 }
 
 
-def run_suites(config: dict, selected=None, workers: int = 1) -> list:
-    """Run the selected suites and return their records in catalog order.
+def run_suites(config: dict, workers: int = 1) -> list:
+    """Run the config's suites in order and return their records in that
+    order.  An invalid config raises ValueError (see :func:`validate_config`)
+    before any suite runs.
 
-    Suites are independent; with workers > 1 they are dispatched to a thread
-    pool (model data is immutable), and records are still assembled in the
-    fixed suite order so reports stay deterministic.  An invalid config
-    raises ValueError (see :func:`validate_config`) before any suite runs.
+    Suites run one after another in the calling thread.  The ``workers``
+    keyword is kept only because the benchmark child (perfbench/child.py)
+    passes ``workers=1``; any other value raises ValueError.
     """
+    if type(workers) is not int or workers != 1:
+        raise ValueError(f"workers must be 1 (suites run serially), got {workers!r}")
     validate_config(config)
-    names = list(selected if selected is not None else config["suites"])
+    names = list(config["suites"])
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     bundle = ModelBundle(config)
-    if workers > 1 and len(names) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {name: pool.submit(SUITES[name], bundle) for name in names}
-            results = {name: futures[name].result() for name in names}
-    else:
-        results = {name: SUITES[name](bundle) for name in names}
     records = []
     for name in names:
-        records.extend(results[name])
+        records.extend(SUITES[name](bundle))
     return records

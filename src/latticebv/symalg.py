@@ -118,10 +118,6 @@ class SymElement(Combination):
     __slots__ = ()
 
     @staticmethod
-    def zero() -> "SymElement":
-        return SymElement()
-
-    @staticmethod
     def unit(coeff=1) -> "SymElement":
         c = HScalar.of(coeff)
         return SymElement({EMPTY_WORD: c} if c else {})

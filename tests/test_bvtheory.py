@@ -1,6 +1,4 @@
 import random
-import sys
-import threading
 from fractions import Fraction
 
 import pytest
@@ -724,42 +722,3 @@ def test_rational_solver_oracle_on_fractional_sources():
         ]
         assert stored and all(_is_narrow_rational(v) for v in stored)
         assert any(type(v) is Fraction for v in stored)
-
-
-def test_green_solver_shared_between_threads_matches_serial_solve():
-    # four threads query one fresh solver pair, starting together at the far
-    # end of the window so that all of them solve the same slices at once; a
-    # wide ring makes each slice solve long and a 1 us switch interval makes
-    # the threads interleave inside it
-    source = Section.delta(0, Point(0, 0), 0) + Section.delta(0, Point(0, 1), 1, Fraction(1, 2))
-    lattice = Lattice(401)
-    queries = [
-        (direction, lattice.point(direction * t, x), f)
-        for direction in (1, -1)
-        for t in range(11, 0, -1)
-        for x in range(-3, 4)
-        for f in range(2)
-    ]
-    serial = maxwell2d(lattice)
-    expected = [serial.green(d).value_at(source, 0, p, f) for d, p, f in queries]
-    assert any(expected)
-    shared = maxwell2d(lattice)
-    results = [None] * 4
-    start = threading.Barrier(4, timeout=60)
-
-    def work(i):
-        start.wait()
-        results[i] = [shared.green(d).value_at(source, 0, p, f) for d, p, f in queries]
-
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
-    assert results == [expected] * 4

@@ -100,6 +100,7 @@ def test_run_rejects_bad_config(tmp_path, capsys):
         ),
         ({"model_params": {"metric_flip": "no"}}, "model_params.metric_flip"),
         ({"cutoff_t0": 100}, "cutoff slices"),
+        ({"workers": 2}, "workers"),
     ],
 )
 def test_run_rejects_invalid_config_values(tmp_path, capsys, extra, field):
@@ -137,9 +138,9 @@ def test_report_deterministic_modulo_timing(tmp_path):
     r1 = make_report(config, run_suites(config))
     r2 = make_report(config, run_suites(config))
     assert strip_timing(r1) == strip_timing(r2)
-    # and through the worker-pool path
-    r3 = make_report(config, run_suites(config, workers=2))
-    assert strip_timing(r1) == strip_timing(r3)
+    # suites run serially: any worker count but 1 is rejected
+    with pytest.raises(ValueError):
+        run_suites(config, workers=2)
 
 
 def test_explain_known_and_unknown(capsys):
@@ -194,35 +195,6 @@ def test_run_with_model_flag(tmp_path):
     report = json.loads(out.read_text())
     assert report["model"] == "maxwell2d"
     assert_matches_golden(report, "maxwell2d-small-structures.json")
-
-
-def test_worker_env_var_honored(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path)
-    out = tmp_path / "report.json"
-    monkeypatch.setenv("LATTICEBV_WORKERS", "2")
-    code = main(
-        [
-            "run", "--config", str(cfg),
-            "--suite", "structures", "--suite", "comparison",
-            "--quiet", "--report-out", str(out),
-        ]
-    )
-    assert code == 0
-    assert json.loads(out.read_text())["all_passed"] is True
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-1"])
-def test_bad_worker_env_var_is_config_error(tmp_path, monkeypatch, capsys, value):
-    cfg = write_config(tmp_path)
-    out = tmp_path / "report.json"
-    monkeypatch.setenv("LATTICEBV_WORKERS", value)
-    code = main(
-        ["run", "--config", str(cfg), "--suite", "algebra", "--quiet", "--report-out", str(out)]
-    )
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "LATTICEBV_WORKERS" in err
-    assert not out.exists()
 
 
 def test_run_all_suites_kg_seed7(tmp_path):
