@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .scalars import HScalar
+from .scalars import HScalar, ZERO
 from .symalg import PairingOracle, SymElement, normalize
 
 
@@ -57,7 +57,7 @@ def random_pairing(gens, degree: int, symmetry: int, seed: int = 0, density: flo
             table[(h, g)] = HScalar.of(val if symmetry * koszul == 1 else -val)
 
     def ev(g, h):
-        return table.get((g, h), HScalar())
+        return table.get((g, h), ZERO)
 
     return PairingOracle(degree, symmetry, ev, name=f"abstract(p={degree},s={symmetry})")
 

@@ -24,7 +24,7 @@ from .bvtheory import (
     tau_minus1,
 )
 from .lattice import Point, Region, find_time_ordering
-from .scalars import HBAR, HScalar, I, ONE
+from .scalars import IH, HScalar, ONE
 from .symalg import (
     PairingOracle,
     SymElement,
@@ -39,7 +39,6 @@ from .symalg import (
     extend_derivation,
 )
 
-IH = I * HBAR
 IH_HALF = IH * Fraction(1, 2)
 
 
@@ -74,7 +73,7 @@ class SymModel:
         self._w_delta_cache: dict = {}
 
     # -- pairing evaluators (delta pairs; Green solves memoized) ---------
-    # The pairings are rational; each evaluator lifts its value into Q(i)[h]
+    # The pairings are rational; each evaluator lifts its value into Q[u]
     # only on the way out to the Sym algebra.
 
     def _ev_m1(self, g1, g2) -> HScalar:

@@ -1,22 +1,22 @@
-"""Exact ground-ring arithmetic: Q, Q(i), and polynomials Q(i)[h].
+"""Exact ground-ring arithmetic: Q for sections, Q[u] with u = i*h for Sym.
 
 Stencils, fiber metrics, sections, Green values and the three pairings are
 rational: they are plain Python numbers, an ``int`` or a ``Fraction`` whose
-denominator is not 1 (see :func:`rational`).  Only the coefficients of the
-Sym algebra live in the ring Q(i)[h] of polynomials in a formal deformation
-parameter h with Gaussian-rational coefficients (:class:`HScalar`); a
-rational value crosses into it through ``HScalar.of``.  Keeping h formal
-makes order-by-order statements exact: any identity is checked with zero
-tolerance, coefficient by coefficient.
+denominator is not 1 (see :func:`rational`).  The formal deformation
+parameter h enters the Sym algebra only through i*h (Q_h = Q + i*h*Delta_BV,
+the exponents (i*h/2)<-,-> and i*h*Delta_D), so every Sym coefficient is a
+polynomial in u = i*h over Q (:class:`HScalar`); a rational value crosses
+into it through ``HScalar.of``.  The map u -> i*h into Q(i)[h] is an
+injective ring map, so an identity checked in Q[u] holds in Q(i)[h]; text
+and ``coeff_at_order`` report the h-coefficients, which lie in Q(i)
+(:class:`GaussianRational`).  Keeping h formal makes order-by-order
+statements exact: any identity is checked with zero tolerance, coefficient by
+coefficient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-# Rationals are stdlib Fractions: canonical form (positive denominator,
-# reduced) and arbitrary precision come for free.
-Rational = Fraction
 
 _FRACTION_LIKE = (int, Fraction)
 
@@ -36,7 +36,7 @@ def _frac_str(q: Fraction) -> str:
 
 
 class GaussianRational:
-    """Element a + b*i of Q(i), with i^2 = -1 exact."""
+    """Element a + b*i of Q(i): the value of one h-coefficient of an HScalar."""
 
     __slots__ = ("re", "im")
 
@@ -57,52 +57,6 @@ class GaussianRational:
     def __hash__(self):
         return hash((self.re, self.im))
 
-    def __add__(self, other):
-        other = _as_gauss(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        other = _as_gauss(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        other = _as_gauss(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = _as_gauss(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_gauss(other)
-        if other is None:
-            return NotImplemented
-        norm = other.re * other.re + other.im * other.im
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
-
     def __str__(self):
         return f"{_frac_str(self.re)} + {_frac_str(self.im)}*i"
 
@@ -110,140 +64,118 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
-def _as_gauss(value):
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, _FRACTION_LIKE):
-        return GaussianRational(value)
-    return None
-
-
-GAUSS_ZERO = GaussianRational(0)
-GAUSS_ONE = GaussianRational(1)
-GAUSS_I = GaussianRational(0, 1)
-
-
 class HScalar:
-    """Polynomial in the formal parameter h over Q(i).
+    """Polynomial in u = i*h over Q.
 
-    Stored as a map {exponent: nonzero GaussianRational}.  Instances are
-    treated as immutable; all arithmetic returns fresh objects.
+    ``coeffs`` is a tuple of rationals (see :func:`rational`) indexed by the
+    power of u, with no trailing zero; ``()`` is zero.  Instances are
+    immutable; all arithmetic returns fresh objects or shares an operand.
+    Sums and products of two constants skip the polynomial loops.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=None):
-        if coeffs is None:
-            coeffs = {}
-        clean = {}
-        for k, c in coeffs.items():
-            if k < 0:
-                raise ValueError("negative h-exponent")
-            g = _as_gauss(c)
-            if g is None:
-                raise TypeError(f"bad coefficient {c!r}")
-            if g:
-                clean[k] = g
-        self.coeffs = clean
-
-    # -- constructors -------------------------------------------------
+    def __init__(self, coeffs=()):
+        self.coeffs = _canonical(coeffs)
 
     @staticmethod
     def of(value) -> "HScalar":
-        """Constant polynomial from int/Fraction/GaussianRational/HScalar."""
-        if isinstance(value, HScalar):
+        """Constant polynomial from an int/Fraction, or an HScalar as is."""
+        if type(value) is HScalar:
             return value
-        g = _as_gauss(value)
-        if g is None:
+        if not isinstance(value, _FRACTION_LIKE):
             raise TypeError(f"cannot coerce {value!r} to HScalar")
-        return HScalar({0: g})
-
-    @staticmethod
-    def hbar(k: int = 1, coeff=1) -> "HScalar":
-        return HScalar({k: coeff})
+        q = rational(value)
+        return _raw((q,) if q else ())
 
     # -- queries ------------------------------------------------------
 
     def coeff_at_order(self, k: int) -> GaussianRational:
-        return self.coeffs.get(k, GAUSS_ZERO)
+        """The coefficient of h^k: i^k times the coefficient of u^k."""
+        a = self.coeffs[k] if k < len(self.coeffs) else 0
+        if k % 2:
+            return GaussianRational(0, a if k % 4 == 1 else -a)
+        return GaussianRational(a if k % 4 == 0 else -a)
 
     def __bool__(self):
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, HScalar):
+        if type(other) is HScalar:
             return self.coeffs == other.coeffs
-        g = _as_gauss(other)
-        if g is not None:
-            return self == HScalar.of(g)
+        if isinstance(other, _FRACTION_LIKE):
+            return self.coeffs == HScalar.of(other).coeffs
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        return hash(self.coeffs)
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
-        other = _as_hscalar(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k, GAUSS_ZERO) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return _raw(out)
+        if type(other) is not HScalar:
+            other = HScalar.of(other)
+        a, b = self.coeffs, other.coeffs
+        if not b:
+            return self
+        if not a:
+            return other
+        if len(a) == 1 == len(b):
+            s = a[0] + b[0]
+            if type(s) is not int and s.denominator == 1:
+                s = s.numerator
+            return _raw((s,) if s else ())
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for k, c in enumerate(b):
+            out[k] += c
+        return _raw(_canonical(out))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _raw({k: -c for k, c in self.coeffs.items()})
+        return _raw(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        other = _as_hscalar(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not HScalar:
+            other = HScalar.of(other)
         return self + (-other)
 
     def __rsub__(self, other):
-        other = _as_hscalar(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+        return HScalar.of(other) - self
 
     def __mul__(self, other):
-        other = _as_hscalar(other)
-        if other is None:
-            return NotImplemented
-        out: dict = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                k = k1 + k2
-                s = out.get(k, GAUSS_ZERO) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return _raw(out)
+        if type(other) is not HScalar:
+            other = HScalar.of(other)
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return ZERO
+        if len(a) == 1 == len(b):
+            p = a[0] * b[0]
+            if type(p) is not int and p.denominator == 1:
+                p = p.numerator
+            return _raw((p,))
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return _raw(_canonical(out))
 
     __rmul__ = __mul__
 
     # -- serialization -------------------------------------------------
 
     def to_text(self) -> str:
-        """Render as "a/b + c/d*i" terms per h-order, lowest order first."""
-        if not self.coeffs:
-            return "0"
+        """Render the h-coefficients as "a/b + c/d*i" terms per h-order,
+        lowest order first."""
         parts = []
-        for k in sorted(self.coeffs):
-            body = str(self.coeffs[k])
-            if k == 0:
-                parts.append(body)
-            else:
-                parts.append(f"({body})*h^{k}")
-        return " + ".join(parts)
+        for k, a in enumerate(self.coeffs):
+            if a:
+                body = str(self.coeff_at_order(k))
+                parts.append(body if k == 0 else f"({body})*h^{k}")
+        return " + ".join(parts) or "0"
 
     def __str__(self):
         return self.to_text()
@@ -252,23 +184,20 @@ class HScalar:
         return f"HScalar({self.coeffs!r})"
 
 
-def _raw(coeffs: dict) -> HScalar:
+def _raw(coeffs: tuple) -> HScalar:
     out = HScalar.__new__(HScalar)
     out.coeffs = coeffs
     return out
 
 
-def _as_hscalar(value):
-    if isinstance(value, HScalar):
-        return value
-    g = _as_gauss(value)
-    if g is None:
-        return None
-    return HScalar({0: g}) if g else _raw({})
+def _canonical(coeffs) -> tuple:
+    """The coefficients as narrowed rationals, trailing zeros dropped."""
+    out = [rational(c) for c in coeffs]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 ZERO = HScalar()
 ONE = HScalar.of(1)
-I = HScalar.of(GAUSS_I)
-HBAR = HScalar.hbar()
-
+IH = HScalar((0, 1))  # u = i*h

@@ -54,7 +54,7 @@ from .quantize import (
     tpfa_product,
 )
 from .reporting import CATALOG, CheckRecord, digest_inputs
-from .scalars import HBAR, HScalar, I, ONE
+from .scalars import IH, HScalar, ONE
 from .symalg import (
     PairingOracle,
     SymElement,
@@ -75,8 +75,6 @@ from .symalg import (
     tensor_mu,
     word_degree,
 )
-
-IH = I * HBAR
 
 
 # -- config ------------------------------------------------------------------

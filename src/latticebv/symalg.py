@@ -61,7 +61,7 @@ def normalize(gens) -> tuple:
 
 
 class Combination:
-    """Finite linear combination {key: nonzero coefficient in Q(i)[h]}.
+    """Finite linear combination {key: nonzero coefficient in Q[u]}, u = i*h.
 
     The subclasses fix the keys: a normalized word (SymElement) or a tuple of
     words, one per tensor slot (TensorElement).
@@ -113,7 +113,7 @@ class Combination:
 
 
 class SymElement(Combination):
-    """Finite linear combination of normalized words over Q(i)[h]."""
+    """Finite linear combination of normalized words over Q[u], u = i*h."""
 
     __slots__ = ()
 
@@ -142,11 +142,13 @@ class SymElement(Combination):
         return {d: SymElement(t) for d, t in parts.items()}
 
     def coeff_at_order(self, k: int) -> "SymElement":
+        """The u^k coefficient of each word, as a constant.  The coefficient
+        of h^k is i^k times it; i^k is a unit, so the two agree at k = 0 and
+        vanish together at every k."""
         out = {}
         for w, c in self.terms.items():
-            g = c.coeff_at_order(k)
-            if g:
-                out[w] = HScalar.of(g)
+            if k < len(c.coeffs) and c.coeffs[k]:
+                out[w] = HScalar.of(c.coeffs[k])
         return SymElement(out)
 
 

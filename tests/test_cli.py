@@ -253,3 +253,33 @@ def test_cli_import_loads_every_module():
     ).stdout.split()
     modules = {f"latticebv.{path.stem}" for path in pkg.glob("*.py") if path.stem != "__init__"}
     assert modules - set(loaded) == set()
+
+
+def test_witness_text_of_sym_coefficients():
+    # witnesses print Sym coefficients as h-polynomials over Q(i), lowest
+    # order first; the element covers u^0..u^3 (u = i*h), so all four powers
+    # of i, with non-integer rationals
+    from fractions import Fraction
+
+    from latticebv.quantize import IH
+    from latticebv.scalars import HScalar
+    from latticebv.suites import _fmt_elem
+    from latticebv.symalg import SymElement
+
+    u2 = IH * IH
+    u3 = u2 * IH
+    a = HScalar.of(Fraction(1, 2)) + IH * Fraction(-3, 4) + u2 * Fraction(5, 3) + u3 * Fraction(7, 2)
+    b = IH * Fraction(2, 5) - u3 * Fraction(1, 6)
+    c = u2 * -3 + HScalar.of(Fraction(-9, 4))
+    e = SymElement({((-1, 0, 1, 0),): a, ((0, 1, 2, 0), (0, 1, 2, 1)): b, (): c})
+    assert _fmt_elem(e) == (
+        "1: -9/4 + 0*i + (3 + 0*i)*h^2; "
+        "(-1,0,1,0): 1/2 + 0*i + (0 + -3/4*i)*h^1 + (-5/3 + 0*i)*h^2 + (0 + -7/2*i)*h^3; "
+        "(0,1,2,0)*(0,1,2,1): (0 + 2/5*i)*h^1 + (0 + 1/6*i)*h^3"
+    )
+    assert _fmt_elem(e.scale(u3)) == (
+        "1: (0 + 9/4*i)*h^3 + (0 + -3*i)*h^5; "
+        "(-1,0,1,0): (0 + -1/2*i)*h^3 + (-3/4 + 0*i)*h^4 + (0 + 5/3*i)*h^5 + (-7/2 + 0*i)*h^6; "
+        "(0,1,2,0)*(0,1,2,1): (2/5 + 0*i)*h^4 + (1/6 + 0*i)*h^6"
+    )
+    assert _fmt_elem(SymElement.unit(IH)) == "1: (0 + 1*i)*h^1"

@@ -16,7 +16,7 @@ from latticebv.quantize import (
     sym_power_homotopy_defect,
     tpfa_product,
 )
-from latticebv.scalars import HBAR, HScalar, I, ONE
+from latticebv.scalars import IH, HScalar, ONE
 from latticebv.symalg import (
     SymElement,
     TensorElement,
@@ -26,8 +26,6 @@ from latticebv.symalg import (
     tensor_mu,
     word_degree,
 )
-
-IH = I * HBAR
 
 
 def sym_kg(**kw):

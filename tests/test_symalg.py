@@ -359,9 +359,9 @@ def test_naturality_under_pairing_preserving_map():
 def test_exp_laplacian_truncates_and_inverts():
     rng = random.Random(16)
     gens, _, tau, _, _ = _pairings()
-    from latticebv.scalars import HBAR, I
+    from latticebv.scalars import IH
 
-    pref = I * HBAR
+    pref = IH
     for _ in range(30):
         a = random_element(rng, gens, 6)
         image = exp_laplacian(tau, a, pref)
