@@ -399,8 +399,10 @@ class FreeBVModel:
 class GreenSolver:
     """Retarded (direction +1) or advanced (direction -1) solver for P.
 
-    Sources are memoized: repeated window requests extend the previously
-    solved time slices instead of recomputing.
+    P is translation invariant and its retarded and advanced Green operators
+    are unique, so G± of any source is a translate-and-sum of one kernel per
+    (degree, fiber): the solution for a unit delta at (t, x) = (0, 0), kept
+    as slices {t: {(x, fout): value}} and time-marched on demand.
     """
 
     def __init__(self, model: FreeBVModel, direction: int):
@@ -408,118 +410,93 @@ class GreenSolver:
             raise ValueError("direction must be +1 or -1")
         self.model = model
         self.direction = direction
-        self._memo: dict = {}
+        self._kernels: dict = {}
 
-    def apply(self, source: Section, t_lo: int, t_hi: int) -> Section:
-        """The solution of P psi = source with supp(psi) in J^±(supp source),
-        evaluated on the time window [t_lo, t_hi]."""
-        if not source:
-            return Section()
-        out = Section()
-        for degree in sorted(source.degrees()):
-            part = Section()
-            part.data = {k: v for k, v in source.items() if k[0] == degree}
-            state = self._state(degree, part)
-            out = out + state.window(t_lo, t_hi)
-        return out
+    def kernel(self, degree: int, fiber: int, t: int) -> dict:
+        """The slices of the (degree, fiber) kernel, solved through time
+        offset t; a slice that is absent is zero.
 
-    def _state(self, degree: int, source: Section) -> "_SolveState":
-        key = (degree, tuple(sorted(source.items(), key=lambda kv: kv[0])))
-        state = self._memo.get(key)
-        if state is None:
-            state = self._memo[key] = _SolveState(self.model, self.direction, degree, source)
-        return state
-
-    def value_at(self, source: Section, degree: int, point: Point, fiber: int):
-        """Single solved value; avoids materializing window sections."""
-        part = Section()
-        part.data = {k: v for k, v in source.items() if k[0] == degree}
-        if not part:
-            return 0
-        state = self._state(degree, part)
-        state._ensure_time(point.t)
-        return state._value(point.t, point.x, fiber)
-
-
-class _SolveState:
-    """The time slices of one source's solution, filled on demand.
-
-    An equation at time eq_t determines the slice at eq_t + d_plus
-    (retarded) or eq_t - d_minus (advanced) from slices already solved.
-    Slices behind the frontier eq_t are final.
-    """
-
-    def __init__(self, model: FreeBVModel, direction: int, degree: int, source: Section):
-        self.model = model
-        self.direction = direction
-        self.degree = degree
-        self.source = source
-        self.data = model.solve_data(degree)
-        # first equation time to read; slices strictly behind the frontier are known
-        self.eq_t = source.min_t() if direction > 0 else source.max_t()
-        self.slices: dict = {}
-
-    def _value(self, t: int, x: int, fiber: int):
-        sl = self.slices.get(t)
-        if sl is None:
-            return 0
-        return sl.get((x, fiber), 0)
-
-    def _ensure_time(self, t: int) -> None:
-        data = self.data
+        The equation at time eq_t determines the slice at eq_t + d_plus
+        (retarded) or eq_t - d_minus (advanced) from the slices before it.
+        Every slice is stored, so the next equation time is step * len.  A
+        new slice is solved only on the sites that the nonzero sites of the
+        known slices reach, plus the source site: inside the cone until it
+        wraps the ring.
+        """
+        slices = self._kernels.get((degree, fiber))
+        if slices is None:
+            slices = self._kernels[(degree, fiber)] = {}
+        data = self.model.solve_data(degree)
         step = self.direction
         if step > 0:
             reach, entries, inv = data.d_plus, data.lower_entries, data.top_inv
         else:
             reach, entries, inv = -data.d_minus, data.upper_entries, data.bot_inv
+        eq_t = step * len(slices)
         n_sites = self.model.lattice.n_sites
-        ranks = range(self.model.rank(self.degree))
-        degree = self.degree
-        source = self.source.data
-        slices = self.slices
-        while (t - self.eq_t - reach) * step >= 0:
-            eq_t = self.eq_t
-            # the known slices each entry reads, fixed for this equation time
-            terms = [
-                (known, e.dx, e.fin, e.fout, e.coeff)
-                for e in entries
-                if (known := slices.get(eq_t + e.dt))
-            ]
+        rank = self.model.rank(degree)
+        ranks = range(rank)
+        while (t - eq_t - reach) * step >= 0:
+            rhs = {0: [int(f == fiber) for f in ranks]} if eq_t == 0 else {}
+            for e in entries:
+                known = slices.get(eq_t + e.dt)
+                if not known:
+                    continue
+                dx, fin, fout, coeff = e.dx, e.fin, e.fout, e.coeff
+                for (y, g), val in known.items():
+                    if g == fin:
+                        row = rhs.get(x := (y - dx) % n_sites)
+                        if row is None:
+                            row = rhs[x] = [0] * rank
+                        row[fout] -= val * coeff
             sl: dict = {}
-            for x in range(n_sites):
-                rhs = [source.get((degree, eq_t, x, f), 0) for f in ranks]
-                for known, dx, fin, fout, coeff in terms:
-                    val = known.get(((x + dx) % n_sites, fin))
-                    if val:
-                        rhs[fout] -= val * coeff
+            for x, row in rhs.items():
                 for f in ranks:
                     acc = 0
                     for g in ranks:
                         c = inv[f][g]
-                        if c and rhs[g]:
-                            acc += rhs[g] * c
+                        if c and row[g]:
+                            acc += row[g] * c
                     if acc:
                         sl[(x, f)] = acc if type(acc) is int else rational(acc)
             slices[eq_t + reach] = sl
-            self.eq_t = eq_t + step
+            eq_t += step
+        return slices
 
-    def window(self, t_lo: int, t_hi: int) -> Section:
-        if t_lo > t_hi:
-            return Section()
-        if self.direction > 0:
-            self._ensure_time(t_hi)
-        else:
-            self._ensure_time(t_lo)
+    def apply(self, source: Section, t_lo: int, t_hi: int) -> Section:
+        """The solution of P psi = source with supp(psi) in J^±(supp source),
+        evaluated on the time window [t_lo, t_hi]."""
+        n_sites = self.model.lattice.n_sites
         out: dict = {}
-        for t in range(t_lo, t_hi + 1):
-            sl = self.slices.get(t)
-            if not sl:
-                continue
-            for (x, f), v in sl.items():
-                out[(self.degree, t, x, f)] = v
+        for (n, ts, xs, f), v in source.items():
+            lo, hi = t_lo - ts, t_hi - ts
+            slices = self.kernel(n, f, hi if self.direction > 0 else lo)
+            for off in range(lo, hi + 1):
+                sl = slices.get(off)
+                if not sl:
+                    continue
+                t = ts + off
+                for (x, fout), kv in sl.items():
+                    key = (n, t, (x + xs) % n_sites, fout)
+                    out[key] = out.get(key, 0) + v * kv
         res = Section()
-        res.data = out
+        res.data = {k: s if type(s) is int else rational(s) for k, s in out.items() if s}
         return res
+
+    def value_at(self, source: Section, degree: int, point: Point, fiber: int):
+        """Single solved value; avoids materializing window sections."""
+        n_sites = self.model.lattice.n_sites
+        acc = 0
+        for (n, ts, xs, f), v in source.items():
+            if n != degree:
+                continue
+            off = point.t - ts
+            sl = self.kernel(n, f, off).get(off)
+            if sl:
+                kv = sl.get(((point.x - xs) % n_sites, fiber))
+                if kv:
+                    acc += v * kv
+        return rational(acc)
 
 
 # -- Green homotopies and pairings --------------------------------------

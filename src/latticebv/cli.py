@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .reporting import CATALOG, SUITE_NAMES, catalog_for_suite, make_report, render_report
@@ -97,9 +98,17 @@ def load_config(args) -> dict:
     return config
 
 
+def check_report_path(path: str) -> None:
+    """Reject a report path that cannot be written, before any suite runs."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+        raise ValueError(f"--report-out {path!r} cannot be written")
+
+
 def cmd_run(args) -> int:
     try:
         config = load_config(args)
+        check_report_path(args.report_out)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

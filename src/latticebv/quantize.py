@@ -72,7 +72,7 @@ class SymModel:
         self._qgen_cache: dict = {}
         self._w_delta_cache: dict = {}
 
-    # -- pairing evaluators (delta pairs; Green solves memoized) ---------
+    # -- pairing evaluators (delta pairs; Green kernels translated) ------
     # The pairings are rational; each evaluator lifts its value into Q[u]
     # only on the way out to the Sym algebra.
 

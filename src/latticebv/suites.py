@@ -189,6 +189,13 @@ def validate_config(config: dict) -> None:
     for key in ("lattice", "model_params", "windows", "samples", "regions"):
         if not isinstance(config[key], dict):
             raise ValueError(f"{key} must be an object, got {config[key]!r}")
+    # model_params is left open: its keys differ by model
+    for section in ("lattice", "windows", "samples", "regions"):
+        known = DEFAULT_CONFIG[section]
+        for key in config[section]:
+            if key not in known:
+                name = f"{section}.{key}"
+                raise ValueError(f"unknown key {name!r}; valid keys: {sorted(known)}")
     if not isinstance(config["model"], str):
         raise ValueError(f"model must be a string, got {config['model']!r}")
     flip = config["model_params"].get("metric_flip", False)

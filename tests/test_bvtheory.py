@@ -1,10 +1,12 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from latticebv.bvtheory import (
     FreeBVModel,
+    GreenSolver,
     NotGreenHyperbolic,
     Section,
     Stencil,
@@ -311,7 +313,139 @@ def test_green_memo_extends_consistently():
     first = model.green(1).apply(phi, 0, 3)
     second = model.green(1).apply(phi, 0, 8)
     assert first == second.restrict_times(0, 3)
-    assert len(model.green(1)._memo) == 1
+    assert list(model.green(1)._kernels) == [(0, 0)]
+
+
+def reference_green(model, direction, source, t_lo, t_hi):
+    """G± source on [t_lo, t_hi] by marching the whole source directly, every
+    site of the ring in every slice: the independent route for the kernel
+    tables, which translate and sum one delta solve per (degree, fiber)."""
+    n_sites = model.lattice.n_sites
+    out = Section()
+    for degree in sorted(source.degrees()):
+        src = {k: v for k, v in source.items() if k[0] == degree}
+        data = model.solve_data(degree)
+        if direction > 0:
+            reach, entries, inv = data.d_plus, data.lower_entries, data.top_inv
+            eq_t, last = min(k[1] for k in src), t_hi - reach
+        else:
+            reach, entries, inv = -data.d_minus, data.upper_entries, data.bot_inv
+            eq_t, last = max(k[1] for k in src), t_lo - reach
+        ranks = range(model.rank(degree))
+        slices = {}
+        while (last - eq_t) * direction >= 0:
+            sl = {}
+            for x in range(n_sites):
+                rhs = [src.get((degree, eq_t, x, f), 0) for f in ranks]
+                for e in entries:
+                    val = slices.get(eq_t + e.dt, {}).get(((x + e.dx) % n_sites, e.fin))
+                    if val:
+                        rhs[e.fout] -= val * e.coeff
+                for f in ranks:
+                    acc = sum(rhs[g] * inv[f][g] for g in ranks)
+                    if acc:
+                        sl[(x, f)] = acc
+            slices[eq_t + reach] = sl
+            eq_t += direction
+        out = out + Section(
+            {
+                (degree, t, x, f): v
+                for t, sl in slices.items()
+                if t_lo <= t <= t_hi
+                for (x, f), v in sl.items()
+            }
+        )
+    return out
+
+
+@pytest.mark.parametrize("slope", [1, 2])
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 5, 9])
+def test_green_kernel_route_matches_full_ring_solve(n_sites, slope):
+    # apply and value_at (translate-and-sum of kernels) against the direct
+    # solve of 4-point sources with mixed degrees, fibers and non-integer
+    # rationals; the cones wrap these rings within the window
+    rng = random.Random(100 * n_sites + slope)
+    lattice = Lattice(n_sites, slope)
+    for model in (
+        klein_gordon(lattice, kappa=Fraction(1, 2), mass_sq=Fraction(1)),
+        maxwell2d(lattice),
+    ):
+        degrees = model.degrees()
+        for _ in range(3):
+            source = Section()
+            while len(source.data) < 4:
+                n = degrees[len(source.data) % len(degrees)]
+                point = lattice.point(rng.randint(-2, 2), rng.randrange(n_sites))
+                c = Fraction(rng.choice((-5, -3, -1, 1, 3, 5)), rng.choice((2, 3)))
+                source = source + Section.delta(n, point, rng.randrange(model.rank(n)), c)
+            assert len(source.degrees()) > 1
+            for direction in (1, -1):
+                expected = reference_green(model, direction, source, -7, 7)
+                assert expected
+                solver = model.green(direction)
+                assert solver.apply(source, -7, 7) == expected
+                for t in range(-7, 8):
+                    for x in range(n_sites):
+                        for n in model.degrees():
+                            for f in range(model.rank(n)):
+                                value = solver.value_at(source, n, Point(t, x), f)
+                                assert value == expected.data.get((n, t, x, f), 0)
+
+
+def test_green_kernel_sweep_stays_in_cone():
+    # Deterministic, no timing: on a 1001-site ring every kernel slice lies
+    # within ring distance slope*|t| of the origin, and before the cone wraps
+    # it equals the 21-site kernel site by site; marching through |t| <= 9
+    # executes exactly as many lines of GreenSolver.kernel on both rings, so
+    # the work does not grow with the ring
+    code = GreenSolver.kernel.__code__
+
+    def march(model, direction, steps):
+        lines = [0]
+
+        def tracer(frame, event, arg):
+            if frame.f_code is not code:
+                return None
+
+            def count(frame, event, arg):
+                if event == "line":
+                    lines[0] += 1
+                return count
+
+            return count
+
+        solver = model.green(direction)
+        outer = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            for n in model.degrees():
+                for f in range(model.rank(n)):
+                    solver.kernel(n, f, direction * steps)
+        finally:
+            sys.settrace(outer)
+        return solver._kernels, lines[0]
+
+    for build in (
+        lambda lat: klein_gordon(lat, kappa=Fraction(1, 2), mass_sq=Fraction(1)),
+        maxwell2d,
+    ):
+        for direction in (1, -1):
+            for slope in (1, 2):
+                big = Lattice(1001, slope)
+                kernels, _ = march(build(big), direction, 12)
+                for slices in kernels.values():
+                    for t, sl in slices.items():
+                        assert all(big.ring_dist(x, 0) <= slope * abs(t) for x, _ in sl)
+            big_kernels, big_lines = march(build(Lattice(1001)), direction, 9)
+            small_kernels, small_lines = march(build(Lattice(21)), direction, 9)
+            assert big_lines == small_lines
+            assert big_kernels.keys() == small_kernels.keys()
+            for key, slices in big_kernels.items():
+                assert slices.keys() == small_kernels[key].keys()
+                for t, sl in slices.items():
+                    assert sl
+                    signed = {(((x + 500) % 1001 - 500) % 21, f): v for (x, f), v in sl.items()}
+                    assert signed == small_kernels[key][t]
 
 
 def test_green_commutes_with_w_and_q():
@@ -685,12 +819,15 @@ def _is_narrow_rational(v):
 
 def test_rational_solver_oracle_on_fractional_sources():
     # P(G± s) = s exactly on the window for sources with non-integer
-    # coefficients; every stored Green value and every pairing is a narrowed
-    # rational (int, or Fraction with denominator > 1), never an HScalar
+    # coefficients; every stored kernel value, every solved value and every
+    # pairing is a narrowed rational (int, or Fraction with denominator > 1),
+    # never an HScalar.  The maxwell2d kernels are integral (integer P, unit
+    # top block), so its Fractions come from the solved values.
     rng = random.Random(41)
     pts = window_points(-2, 2, range(-2, 3))
     for model in (kg21(kappa=Fraction(1, 2), mass_sq=Fraction(1)), mw21()):
         r = model.p_op.time_radius()
+        solved = []
         for _ in range(4):
             source = Section()
             for _ in range(4):
@@ -705,6 +842,7 @@ def test_rational_solver_oracle_on_fractional_sources():
                 assert _restricted_p_apply(model, sol, -10, 10) == source.restrict_times(
                     -10 + r, 10 - r
                 )
+                solved.extend(v for _, v in sol.items())
             psi = random_section(rng, model, pts)
             for value in (
                 tau_minus1(model, psi, source),
@@ -716,9 +854,9 @@ def test_rational_solver_oracle_on_fractional_sources():
         stored = [
             v
             for direction in (1, -1)
-            for state in model.green(direction)._memo.values()
-            for sl in state.slices.values()
+            for slices in model.green(direction)._kernels.values()
+            for sl in slices.values()
             for v in sl.values()
         ]
-        assert stored and all(_is_narrow_rational(v) for v in stored)
-        assert any(type(v) is Fraction for v in stored)
+        assert stored and all(_is_narrow_rational(v) for v in stored + solved)
+        assert any(type(v) is Fraction for v in stored + solved)

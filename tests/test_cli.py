@@ -101,6 +101,9 @@ def test_run_rejects_bad_config(tmp_path, capsys):
         ({"model_params": {"metric_flip": "no"}}, "model_params.metric_flip"),
         ({"cutoff_t0": 100}, "cutoff slices"),
         ({"workers": 2}, "workers"),
+        ({"samples": {"nope": 3}}, "unknown key 'samples.nope'"),
+        ({"windows": {"bogus_w": [0, 1]}}, "unknown key 'windows.bogus_w'"),
+        ({"lattice": {"n_sites": 21, "foo": 3}}, "unknown key 'lattice.foo'"),
     ],
 )
 def test_run_rejects_invalid_config_values(tmp_path, capsys, extra, field):
@@ -112,6 +115,23 @@ def test_run_rejects_invalid_config_values(tmp_path, capsys, extra, field):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err
     assert not out.exists()
+
+
+def test_run_rejects_unwritable_report_path(tmp_path, capsys, monkeypatch):
+    # checked before any suite runs: a bad path costs no run and no traceback
+    def no_run(config):
+        raise AssertionError("suites ran before the report path was checked")
+
+    monkeypatch.setattr("latticebv.cli.run_suites", no_run)
+    for path in (tmp_path / "no" / "such" / "r.json", tmp_path):
+        code = main(["run", "--suite", "comparison", "--report-out", str(path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:")
+        assert "--report-out" in lines[0]
+        assert not captured.out
+    assert not (tmp_path / "no").exists()
 
 
 def test_run_rejects_wrapping_ring(tmp_path, capsys):
