@@ -321,6 +321,9 @@ class FreeBVModel:
         self.p_op = q_op.compose(w_op).add(w_op.compose(q_op))
         self._solve_data: dict = {}
         self._solvers: dict = {}
+        # eta and g of a delta at x = 0, by (degree, t - t0, fiber)
+        self._eta_deltas: dict = {}
+        self._g_deltas: dict = {}
 
     def degrees(self):
         return sorted(self.ranks)
@@ -589,19 +592,35 @@ def window_points(t_lo: int, t_hi: int, xs) -> list:
 # -- Cauchy quasi-inverse (slab regions) ----------------------------------
 
 
-def quasi_inverse_g(model: FreeBVModel, cutoff: CutoffData, psi: Section) -> Section:
-    """g(psi) = [Q, chi_+] (L psi): compactly supported near the cut, equal to
-    the identity in cohomology for the inclusion of the surrounding slab.
+def _cut_translate_sum(model: FreeBVModel, cutoff: CutoffData, psi: Section, table: dict, solve) -> Section:
+    """A linear map of psi that commutes with x-translation and depends on
+    time only through t - t0: the translate-and-sum of its values on deltas
+    at x = 0, solved by solve(model, cutoff, delta) once per (degree,
+    t - t0, fiber) and kept in table with times relative to the cut."""
+    n_sites = model.lattice.n_sites
+    t0 = cutoff.t0
+    out: dict = {}
+    for (n, t, xs, f), v in psi.items():
+        sol = table.get((n, t - t0, f))
+        if sol is None:
+            delta = Section.delta(n, Point(t, 0), f)
+            sol = table[(n, t - t0, f)] = tuple(
+                (m, s - t0, x, g, w) for (m, s, x, g), w in solve(model, cutoff, delta).items()
+            )
+        for m, s, x, g, w in sol:
+            key = (m, s + t0, (x + xs) % n_sites, g)
+            out[key] = out.get(key, 0) + v * w
+    res = Section()
+    res.data = {k: c if type(c) is int else rational(c) for k, c in out.items() if c}
+    return res
 
-    [Q, chi_+] vanishes wherever chi_+ is constant across the stencil depth,
-    so the result is confined to the band of width 2*radius around the cut.
-    """
-    if not psi:
-        return Section()
+
+def _g_of_delta(model: FreeBVModel, cutoff: CutoffData, delta: Section) -> Section:
+    """[Q, chi_+] (L delta), restricted to the band where it can be nonzero."""
     rt = max(model.q_op.time_radius(), 1)
     t0 = cutoff.t0
     band_lo, band_hi = t0 + 1 - rt, t0 + rt
-    lam = lambda_diff(model, psi, band_lo - rt, band_hi + rt)
+    lam = lambda_diff(model, delta, band_lo - rt, band_hi + rt)
     clipped = lam.multiply_indicator(cutoff.chi_plus)
     out = model.q_op.apply(clipped, model.lattice) - model.q_op.apply(
         lam, model.lattice
@@ -609,20 +628,32 @@ def quasi_inverse_g(model: FreeBVModel, cutoff: CutoffData, psi: Section) -> Sec
     return out.restrict_times(band_lo, band_hi)
 
 
+def _eta_of_delta(model: FreeBVModel, cutoff: CutoffData, delta: Section) -> Section:
+    """-chi_- L+ delta - chi_+ L- delta on the windows where each is nonzero."""
+    rt = model.w_op.time_radius()
+    t, t0 = delta.min_t(), cutoff.t0
+    plus_part = lambda_pm(model, delta, 1, t - rt, t0).multiply_indicator(cutoff.chi_minus)
+    minus_part = lambda_pm(model, delta, -1, t0 + 1, t + rt).multiply_indicator(cutoff.chi_plus)
+    return (plus_part + minus_part).scale(-1)
+
+
+def quasi_inverse_g(model: FreeBVModel, cutoff: CutoffData, psi: Section) -> Section:
+    """g(psi) = [Q, chi_+] (L psi): compactly supported near the cut, equal to
+    the identity in cohomology for the inclusion of the surrounding slab.
+
+    [Q, chi_+] vanishes wherever chi_+ is constant across the stencil depth,
+    so the result is confined to the band of width 2*radius around the cut.
+    g is linear and commutes with x-translation, so it is a translate-and-sum
+    of one delta solution per (degree, t - t0, fiber).
+    """
+    return _cut_translate_sum(model, cutoff, psi, model._g_deltas, _g_of_delta)
+
+
 def homotopy_eta(model: FreeBVModel, cutoff: CutoffData, psi: Section) -> Section:
     """eta(psi) = -chi_- L+ psi - chi_+ L- psi (compact: the cutoffs clip the
-    retarded/advanced tails)."""
-    if not psi:
-        return Section()
-    rt = model.w_op.time_radius()
-    t0 = cutoff.t0
-    plus_part = lambda_pm(model, psi, 1, psi.min_t() - rt, t0).multiply_indicator(
-        cutoff.chi_minus
-    )
-    minus_part = lambda_pm(model, psi, -1, t0 + 1, psi.max_t() + rt).multiply_indicator(
-        cutoff.chi_plus
-    )
-    return (plus_part + minus_part).scale(-1)
+    retarded/advanced tails); a translate-and-sum of one delta solution per
+    (degree, t - t0, fiber), as for g."""
+    return _cut_translate_sum(model, cutoff, psi, model._eta_deltas, _eta_of_delta)
 
 
 def homotopy_zeta(model: FreeBVModel, cutoff: CutoffData, region: Region, psi: Section) -> Section:

@@ -66,15 +66,27 @@ class SymModel:
 
     def __init__(self, model: FreeBVModel):
         self.model = model
-        self.tau_m1 = PairingOracle(1, 1, self._ev_m1, name="tau_m1")
-        self.tau_0 = PairingOracle(0, -1, self._ev_0, name="tau_0")
-        self.tau_d = PairingOracle(0, 1, self._ev_d, name="tau_D")
+        key = self._translation_class
+        self.tau_m1 = PairingOracle(1, 1, self._ev_m1, name="tau_m1", key=key)
+        self.tau_0 = PairingOracle(0, -1, self._ev_0, name="tau_0", key=key)
+        self.tau_d = PairingOracle(0, 1, self._ev_d, name="tau_D", key=key)
+        self._lambda_cache: dict = {}
         self._qgen_cache: dict = {}
         self._w_delta_cache: dict = {}
 
     # -- pairing evaluators (delta pairs; Green kernels translated) ------
     # The pairings are rational; each evaluator lifts its value into Q[u]
     # only on the way out to the Sym algebra.
+
+    def _translation_class(self, g1, g2) -> tuple:
+        """Cache key of a generator pair.  Q, W and the fiber metric do not
+        depend on the site and G± are unique, so every pairing of two deltas
+        depends only on their degrees, fibers and the offset of g2 from g1 on
+        the cylinder."""
+        return (
+            g1[0], g1[3], g2[0], g2[3], g2[1] - g1[1],
+            (g2[2] - g1[2]) % self.model.lattice.n_sites,
+        )
 
     def _ev_m1(self, g1, g2) -> HScalar:
         return HScalar.of(tau_minus1(self.model, gen_to_section(g1), gen_to_section(g2)))
@@ -86,37 +98,39 @@ class SymModel:
             self._w_delta_cache[g] = sec
         return sec
 
-    def _lambda_values(self, g1, g2):
-        """(L+ psi2, L- psi2) fiber values at the point of g1, paired degree."""
+    def _lambda_values(self, g1, g2) -> tuple:
+        """(<<g1, L+ g2>>, <<g1, L- g2>>) of two generator deltas."""
         model = self.model
         n1 = g1[0] + 1
         m = 1 - n1
         mat = model.metric.blocks.get(n1)
         if mat is None or m not in model.ranks:
-            return None
+            return 0, 0
         point = Point(g1[1], g1[2])
         w_psi = self._w_delta(g2)
-        row = mat[g1[3]]
-        vals = []
-        for j, coeff in enumerate(row):
-            if not coeff:
-                continue
-            plus = model.green(1).value_at(w_psi, m, point, j)
-            minus = model.green(-1).value_at(w_psi, m, point, j)
-            vals.append((coeff, plus, minus))
-        return vals
+        plus = minus = 0
+        for j, coeff in enumerate(mat[g1[3]]):
+            if coeff:
+                plus += model.green(1).value_at(w_psi, m, point, j) * coeff
+                minus += model.green(-1).value_at(w_psi, m, point, j) * coeff
+        return plus, minus
+
+    def _lambda_sums(self, g1, g2) -> tuple:
+        """_lambda_values once per translation class, shared by tau_0 and
+        tau_D."""
+        key = self._translation_class(g1, g2)
+        sums = self._lambda_cache.get(key)
+        if sums is None:
+            sums = self._lambda_cache[key] = self._lambda_values(g1, g2)
+        return sums
 
     def _ev_0(self, g1, g2) -> HScalar:
-        acc = 0
-        for coeff, plus, minus in self._lambda_values(g1, g2) or ():
-            acc += (plus - minus) * coeff
-        return HScalar.of(acc)
+        plus, minus = self._lambda_sums(g1, g2)
+        return HScalar.of(plus - minus)
 
     def _ev_d(self, g1, g2) -> HScalar:
-        acc = 0
-        for coeff, plus, minus in self._lambda_values(g1, g2) or ():
-            acc += (plus + minus) * coeff
-        return HScalar.of(acc * Fraction(1, 2))
+        plus, minus = self._lambda_sums(g1, g2)
+        return HScalar.of((plus + minus) * Fraction(1, 2))
 
     # -- differentials ----------------------------------------------------
 

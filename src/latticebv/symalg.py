@@ -210,16 +210,22 @@ class PairingOracle:
 
     evaluate(g1, g2) must satisfy tau(g2, g1) = s * (-1)^{|g1||g2|} tau(g1, g2)
     and vanish unless |g1| + |g2| + p = 0; both are spot-tested by the suites.
+
+    Values are cached under key(g1, g2), or under the pair itself when key is
+    None.  A key may merge pairs that the pairing cannot tell apart, such as
+    the translates of a lattice pair; evaluate runs on the first pair of each
+    key, and every later pair with that key reads its value.
     """
 
     degree: int
     symmetry: int  # +1 symmetric, -1 anti-symmetric
     evaluate: Callable
     name: str = ""
+    key: Callable | None = None
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __call__(self, g1, g2) -> HScalar:
-        key = (g1, g2)
+        key = (g1, g2) if self.key is None else self.key(g1, g2)
         val = self._cache.get(key)
         if val is None:
             val = self.evaluate(g1, g2)

@@ -786,6 +786,72 @@ def test_zeta_requires_slab_support():
         homotopy_zeta(model, cutoff, region, outside)
 
 
+def reference_g(model, cutoff, psi):
+    """g(psi) = [Q, chi_+] (L psi) of a whole source in one Green solve: the
+    independent route for the translate-and-sum of delta solutions."""
+    if not psi:
+        return Section()
+    rt = max(model.q_op.time_radius(), 1)
+    t0 = cutoff.t0
+    band_lo, band_hi = t0 + 1 - rt, t0 + rt
+    lam = lambda_diff(model, psi, band_lo - rt, band_hi + rt)
+    clipped = lam.multiply_indicator(cutoff.chi_plus)
+    out = model.q_op.apply(clipped, model.lattice) - model.q_op.apply(
+        lam, model.lattice
+    ).multiply_indicator(cutoff.chi_plus)
+    return out.restrict_times(band_lo, band_hi)
+
+
+def reference_eta(model, cutoff, psi):
+    """eta(psi) = -chi_- L+ psi - chi_+ L- psi of a whole source in one Green
+    solve per direction."""
+    if not psi:
+        return Section()
+    rt = model.w_op.time_radius()
+    t0 = cutoff.t0
+    plus_part = lambda_pm(model, psi, 1, psi.min_t() - rt, t0).multiply_indicator(
+        cutoff.chi_minus
+    )
+    minus_part = lambda_pm(model, psi, -1, t0 + 1, psi.max_t() + rt).multiply_indicator(
+        cutoff.chi_plus
+    )
+    return (plus_part + minus_part).scale(-1)
+
+
+@pytest.mark.parametrize("n_sites", [5, 9, 21])
+def test_cut_maps_match_direct_solve(n_sites):
+    # eta and g (translate-and-sum of one delta solution per (degree, t - t0,
+    # fiber)) against the direct solve of 4-point sources with mixed degrees,
+    # fibers and non-integer rationals at times t0 - 3 .. t0 + 3; two cuts
+    # share each model's delta solutions, which are stored relative to the cut
+    rng = random.Random(300 + n_sites)
+    lattice = Lattice(n_sites)
+    for model in (
+        klein_gordon(lattice, kappa=Fraction(1, 2), mass_sq=Fraction(1)),
+        maxwell2d(lattice),
+    ):
+        degrees = model.degrees()
+        nonzero = set()
+        for t0 in (0, 2, -1):
+            cutoff = make_cutoff(t0)
+            for _ in range(4):
+                source = Section()
+                while len(source.data) < 4:
+                    n = degrees[len(source.data) % len(degrees)]
+                    point = lattice.point(t0 + rng.randint(-3, 3), rng.randrange(n_sites))
+                    c = Fraction(rng.choice((-5, -3, -1, 1, 3, 5)), rng.choice((2, 3)))
+                    source = source + Section.delta(n, point, rng.randrange(model.rank(n)), c)
+                assert len(source.degrees()) > 1
+                eta = reference_eta(model, cutoff, source)
+                g = reference_g(model, cutoff, source)
+                nonzero.update(name for name, v in (("eta", eta), ("g", g)) if v)
+                assert homotopy_eta(model, cutoff, source) == eta
+                assert quasi_inverse_g(model, cutoff, source) == g
+        assert nonzero == {"eta", "g"}
+        assert not homotopy_eta(model, cutoff, Section())
+        assert not quasi_inverse_g(model, cutoff, Section())
+
+
 def test_cutoff_outside_region_rejected():
     model = kg21()
     region = slab(model.lattice, -1, 1)

@@ -1,8 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from latticebv import bvtheory
+from latticebv.bvtheory import tau_0, tau_dirac, tau_minus1
 from latticebv.lattice import Lattice, Point, Region, causal_hull, causally_disjoint, make_cutoff, slab
 from latticebv.models import klein_gordon, maxwell2d
 from latticebv.quantize import (
@@ -11,12 +14,14 @@ from latticebv.quantize import (
     eta_gen_map,
     fa_product,
     filtration_defects,
+    gen_to_section,
     q_hbar_tensor,
     quasi_inverse_gen_map,
     sym_power_homotopy_defect,
     tpfa_product,
 )
 from latticebv.scalars import IH, HScalar, ONE
+from latticebv.suites import DEFAULT_CONFIG, merge_config, run_suites
 from latticebv.symalg import (
     SymElement,
     TensorElement,
@@ -562,18 +567,109 @@ def test_green_window_outside_support_is_zero():
     assert not sm.model.green(-1).apply(delta, 1, 6)
 
 
+def _translation_class(lattice, g1, g2):
+    # degrees, fibers and the offset of g2 from g1 as a point of the cylinder
+    return (g1[0], g1[3], g2[0], g2[3], lattice.point(g2[1] - g1[1], g2[2] - g1[2]))
+
+
+def _count_evaluations(oracle, counts, key_of):
+    """Wrap oracle.evaluate so that each run adds one to counts[key_of(g1, g2)]."""
+    evaluate = oracle.evaluate
+
+    def counted(g1, g2):
+        counts[key_of(g1, g2)] += 1
+        return evaluate(g1, g2)
+
+    oracle.evaluate = counted
+
+
 def test_gen_oracles_match_section_level_pairings():
-    from latticebv.bvtheory import tau_0 as tau0_sec, tau_dirac as taud_sec, tau_minus1 as taum1_sec
-    from latticebv.quantize import gen_to_section
-    for sm in (sym_kg(mass_sq=Fraction(1, 2)), sym_mw()):
-        gens = window_gens(sm, -1, 1, range(-1, 2))
-        rng = random.Random(23)
-        for _ in range(60):
-            g1, g2 = rng.choice(gens), rng.choice(gens)
-            s1, s2 = gen_to_section(g1), gen_to_section(g2)
-            assert sm.tau_m1(g1, g2) == taum1_sec(sm.model, s1, s2)
-            assert sm.tau_0(g1, g2) == tau0_sec(sm.model, s1, s2)
-            assert sm.tau_d(g1, g2) == taud_sec(sm.model, s1, s2)
+    # Every generator pair of a window that straddles the ring seam
+    # (x in [N-2, N+1], t in [-1, 1]): the oracles, cached by translation
+    # class, against the section-level pairings; each evaluator runs exactly
+    # once per class
+    n_sites = 21
+    lattice = Lattice(n_sites)
+    for model in (
+        klein_gordon(lattice, kappa=Fraction(1, 2), mass_sq=Fraction(1)),
+        klein_gordon(lattice, mass_sq=Fraction(1, 2)),
+        maxwell2d(lattice),
+        klein_gordon(lattice, metric_flip=True),
+    ):
+        sm = SymModel(model)
+        oracles = ((sm.tau_m1, tau_minus1), (sm.tau_0, tau_0), (sm.tau_d, tau_dirac))
+        runs = [Counter() for _ in oracles]
+        for (oracle, _), counts in zip(oracles, runs):
+            _count_evaluations(oracle, counts, lambda g1, g2: _translation_class(lattice, g1, g2))
+        gens = window_gens(sm, -1, 1, range(n_sites - 2, n_sites + 2))
+        classes = {_translation_class(lattice, g1, g2) for g1 in gens for g2 in gens}
+        assert len(classes) < len(gens) ** 2
+        for g1 in gens:
+            s1 = gen_to_section(g1)
+            for g2 in gens:
+                s2 = gen_to_section(g2)
+                for oracle, section_level in oracles:
+                    assert oracle(g1, g2) == section_level(model, s1, s2)
+        for counts in runs:
+            assert counts.keys() == classes
+            assert set(counts.values()) == {1}
+
+
+def test_pairing_and_cut_solves_once_per_translation_class(monkeypatch):
+    # Deterministic, no timing: maxwell2d structures and theorems suites on
+    # the benchmark's causal windows (3x3 basis window, 3-slice slab).  Each
+    # oracle evaluates at most once per translation class, tau_0 and tau_D
+    # share one pair of Green values per class, and eta and g solve a delta
+    # directly at most once per (degree, t - t0, fiber); the number of each is
+    # the same on 21 and on 201 sites
+    runs: Counter = Counter()
+    sym_init = SymModel.__init__
+    lambda_values = SymModel._lambda_values
+
+    def counted_lambda_values(sm, g1, g2):
+        runs[("L", _translation_class(sm.model.lattice, g1, g2))] += 1
+        return lambda_values(sm, g1, g2)
+
+    def init(sm, model):
+        sym_init(sm, model)
+        for oracle in (sm.tau_m1, sm.tau_0, sm.tau_d):
+            _count_evaluations(
+                oracle,
+                runs,
+                lambda g1, g2, name=oracle.name: (name, _translation_class(model.lattice, g1, g2)),
+            )
+
+    def counted_solve(name, solve):
+        def counted(model, cutoff, delta):
+            ((n, t, _, f),) = delta.data
+            runs[(name, n, t - cutoff.t0, f)] += 1
+            return solve(model, cutoff, delta)
+
+        return counted
+
+    monkeypatch.setattr(SymModel, "__init__", init)
+    monkeypatch.setattr(SymModel, "_lambda_values", counted_lambda_values)
+    monkeypatch.setattr(bvtheory, "_eta_of_delta", counted_solve("eta", bvtheory._eta_of_delta))
+    monkeypatch.setattr(bvtheory, "_g_of_delta", counted_solve("g", bvtheory._g_of_delta))
+    totals = []
+    for n_sites in (21, 201):
+        runs.clear()
+        config = merge_config(
+            DEFAULT_CONFIG,
+            {
+                "model": "maxwell2d",
+                "lattice": {"n_sites": n_sites},
+                "suites": ["structures", "theorems"],
+                "windows": {"basis_t": [-1, 1], "basis_x": [-1, 1], "homotopy_t": [-1, 1]},
+                "regions": {"slab": {"kind": "slab", "t": [-1, 1]}},
+            },
+        )
+        records = run_suites(config)
+        assert records and all(rec.passed for rec in records)
+        assert set(runs.values()) == {1}
+        totals.append(Counter(key[0] for key in runs))
+    assert totals[0] == totals[1]
+    assert totals[0].keys() == {"tau_m1", "tau_0", "tau_D", "L", "eta", "g"}
 
 
 def test_comparison_tuples_with_scrambled_listing():
