@@ -80,6 +80,42 @@ def test_run_exit_code_and_witness_on_flipped_metric(tmp_path, capsys):
     assert_matches_golden(report, "kg-small-green-flipped-metric.json")
 
 
+def test_flipped_metric_fails_across_all_suites():
+    # the injected fault shows in six checks of four suites; metric-antisymmetry
+    # fails with no witness
+    config = merge_config(merge_config(DEFAULT_CONFIG, SMALL), {"model_params": {"metric_flip": True}})
+    records = run_suites(config)
+    failing = {r.identity: r for r in records if not r.passed}
+    assert len(failing) == 6
+    assert failing["metric-antisymmetry"].witness is None
+    assert_matches_golden(make_report(config, records), "kg-small-all-flipped-metric.json")
+
+
+def test_misconfigured_regions_fail_their_preconditions():
+    # swapped stacked and non-ordered pairs, and a connected pair that is in
+    # fact causally disjoint: each check names the broken precondition or the
+    # missing counterexample instead of passing
+    regions = {
+        "connected_pair": [
+            {"kind": "hull", "seeds": [[0, 0]]},
+            {"kind": "hull", "seeds": [[0, 10]]},
+        ],
+        "nonordered_pair": DEFAULT_CONFIG["regions"]["stacked_pair"],
+        "stacked_pair": DEFAULT_CONFIG["regions"]["nonordered_pair"],
+    }
+    config = merge_config(DEFAULT_CONFIG, SMALL)
+    config = merge_config(config, {"regions": regions, "suites": ["theorems", "quantization"]})
+    records = run_suites(config)
+    failing = {r.identity: r.witness for r in records if not r.passed}
+    assert failing["causality-counterexample"] == "configured pair is causally disjoint"
+    assert failing["time-ordered-half"] == "configured stacked pair is not time-ordered"
+    assert failing["time-ordered-half-counterexample"] == "configured pair is time-ordered"
+    assert failing["einstein-causality-counterexample"] == (
+        "no nonzero commutator across causally connected regions"
+    )
+    assert_matches_golden(make_report(config, records), "kg-small-misconfigured-regions.json")
+
+
 def test_run_rejects_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"suites": ["bogus"]}))
