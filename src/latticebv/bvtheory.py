@@ -109,9 +109,6 @@ class Section:
         return f"Section({self.data!r})"
 
 
-ZERO_SECTION = Section()
-
-
 @dataclass(frozen=True)
 class StencilEntry:
     dt: int

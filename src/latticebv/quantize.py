@@ -15,6 +15,9 @@ exponential series truncate because the pairings shorten words by two.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from itertools import product
+from math import comb
 
 from .bvtheory import (
     FreeBVModel,
@@ -277,8 +280,10 @@ def dirac_nary(sm: SymModel, elems) -> SymElement:
 
 
 def eta_gen_map(sm: SymModel, cutoff):
-    """eta as a generator map (degree -1) on ambient generators."""
+    """eta as a generator map (degree -1) on ambient generators; each image
+    is computed once for the life of the map."""
 
+    @cache
     def fn(g):
         return section_to_elem(homotopy_eta(sm.model, cutoff, gen_to_section(g)))
 
@@ -287,76 +292,40 @@ def eta_gen_map(sm: SymModel, cutoff):
 
 def quasi_inverse_gen_map(sm: SymModel, cutoff):
     """f_* g as a generator map (degree 0): ambient -> sections in the slab,
-    viewed ambiently."""
+    viewed ambiently; each image is computed once for the life of the map."""
 
+    @cache
     def fn(g):
         return section_to_elem(quasi_inverse_g(sm.model, cutoff, gen_to_section(g)))
 
     return fn
 
 
-def _lift_terms(word, p: int):
-    """Symmetrizing lift: word -> (1/p!) sum over permutations of generator
-    tuples with Koszul signs."""
-    import itertools
-
-    degs = [g[0] for g in word]
-    inv_fact = Fraction(1, _factorial(p))
-    out = []
-    for perm in itertools.permutations(range(p)):
-        sign = 1
-        for i in range(p):
-            for j in range(i + 1, p):
-                if perm[i] > perm[j] and degs[perm[i]] % 2 and degs[perm[j]] % 2:
-                    sign = -sign
-        out.append((tuple(word[k] for k in perm), inv_fact if sign > 0 else -inv_fact))
-    return out
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 def sym_power_homotopy(sm: SymModel, eta_fn, f_fn, word) -> SymElement:
     """H_p(word) for the symmetrized tensor-power homotopy built from a
-    homotopy eta (d eta = id - F) and the degree-0 map F."""
+    homotopy eta (d eta = id - F) and the degree-0 map F.
+
+    Sym is graded-commutative, so the symmetrizing sum over the p! orders
+    of the word collapses to a sum over the slot j that takes eta and the
+    set S of other slots that take F, each map applied in place.  A term
+    weighs |S|!(p-1-|S|)!/p! (the orders that put S first, then j) and has
+    the sign of moving eta, of degree -1, past word[:j]."""
     p = len(word)
-    if p == 0:
-        return SymElement()
     out = SymElement()
-    f_elem_cache: dict = {}
-    eta_elem_cache: dict = {}
-
-    def f_of(g):
-        e = f_elem_cache.get(g)
-        if e is None:
-            e = f_fn(g)
-            f_elem_cache[g] = e
-        return e
-
-    def eta_of(g):
-        e = eta_elem_cache.get(g)
-        if e is None:
-            e = eta_fn(g)
-            eta_elem_cache[g] = e
-        return e
-
-    for gens, coeff in _lift_terms(word, p):
-        for k in range(p):
-            prefix_deg = sum(g[0] for g in gens[:k])
-            sign = -1 if prefix_deg % 2 else 1  # eta has odd degree -1
-            factors = [f_of(g) for g in gens[:k]]
-            factors.append(eta_of(gens[k]))
-            factors.extend(SymElement.of_gen(g) for g in gens[k + 1 :])
+    for j in range(p):
+        sign = -1 if sum(g[0] for g in word[:j]) % 2 else 1
+        for takes_f in product((False, True), repeat=p - 1):
+            maps = iter(takes_f)
             prod = SymElement.unit()
-            for f in factors:
-                prod = mul(prod, f)
+            for i, g in enumerate(word):
+                if i == j:
+                    factor = eta_fn(g)
+                else:
+                    factor = f_fn(g) if next(maps) else SymElement.of_gen(g)
+                prod = mul(prod, factor)
                 if not prod:
                     break
-            out = out + prod.scale(coeff if sign > 0 else -coeff)
+            out = out + prod.scale(Fraction(sign, p * comb(p - 1, sum(takes_f))))
     return out
 
 

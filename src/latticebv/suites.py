@@ -3,9 +3,10 @@ configured model and returns CheckRecords for the report.
 
 All randomness is drawn from per-suite Random instances seeded from the
 config seed, so identical configs reproduce identical reports (up to wall
-times).  Failing quantified checks report the failing basis element; failing
-random-element checks shrink the witness first (drop words, then drop
-generators) while the failure persists.
+times).  Each check yields one outcome per case and :meth:`SuiteRunner.check`
+decides the verdict.  Failing quantified checks report the failing basis
+element; failing random-element checks shrink the witness first (drop words,
+then drop generators) while the failure persists.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 from .abstractspace import abstract_space, random_element, random_pairing, random_word
 from .bvtheory import (
@@ -276,6 +278,11 @@ class ModelBundle:
     def green_window(self):
         return tuple(self.config["windows"]["green_t"])
 
+    def homotopy_points(self):
+        t_lo, t_hi = self.config["windows"]["homotopy_t"]
+        x_lo, x_hi = self.config["windows"]["homotopy_x"]
+        return window_points(t_lo, t_hi, range(x_lo, x_hi + 1))
+
     def gens_window(self):
         return self.sym.generators_at(self.basis_points())
 
@@ -289,6 +296,10 @@ def _fmt_section(s: Section) -> str:
     return "; ".join(
         f"deg {k[0]} @(t={k[1]},x={k[2]},f={k[3]}): {v} + 0*i" for k, v in items
     )
+
+
+def _fmt_pair(s1: Section, s2: Section) -> str:
+    return f"{_fmt_section(s1)} | {_fmt_section(s2)}"
 
 
 def _fmt_elem(e: SymElement) -> str:
@@ -348,19 +359,30 @@ class SuiteRunner:
             }
         )
 
-    def check(self, identity: str, fn) -> None:
+    def check(self, identity: str, cases) -> None:
+        """Run one check and record its verdict.  ``cases()`` yields one
+        outcome per case: True when the case holds, otherwise its witness
+        text, or False when it has none.  The first failing case ends the
+        check; an exception fails it with the error as witness; a check that
+        yields no case fails as vacuous."""
         if identity not in CATALOG:
             raise KeyError(f"unknown identity {identity!r}")
         start = time.perf_counter()
+        outcome = "vacuous: no cases"
         try:
-            result = fn()
+            for outcome in cases():
+                if outcome is not True:
+                    break
         except Exception as exc:  # a crash is a failure with the error as witness
-            result = (False, f"error: {exc!r}")
+            outcome = f"error: {exc!r}"
         wall = (time.perf_counter() - start) * 1000.0
-        passed, witness = result if isinstance(result, tuple) else (result, None)
-        self.records.append(
-            CheckRecord(identity, bool(passed), self.digest, witness, wall)
-        )
+        witness = outcome if isinstance(outcome, str) else None
+        self.records.append(CheckRecord(identity, outcome is True, self.digest, witness, wall))
+
+
+def _koszul(deg1: int, deg2: int) -> int:
+    """The sign of swapping two factors of these degrees."""
+    return -1 if deg1 % 2 and deg2 % 2 else 1
 
 
 # -- algebra suite ---------------------------------------------------------------
@@ -377,17 +399,11 @@ def suite_algebra(bundle: ModelBundle) -> list:
     n_elems = cfg["algebra_elements"]
     max_len = cfg["algebra_max_len"]
 
-    def elements(rng, count, n_words=2):
-        return [random_element(rng, gens, max_len, n_words) for _ in range(count)]
-
     def check_normalize():
         rng = bundle.rng("algebra-normalize")
         for _ in range(200):
             w = random_word(rng, gens, max_len)
-            w2, s2 = normalize(w)
-            if w2 != w or s2 != 1:
-                return False, str(w)
-        return True, None
+            yield normalize(w) == (w, 1) or str(w)
 
     run.check("normalize-idempotent", check_normalize)
 
@@ -396,10 +412,8 @@ def suite_algebra(bundle: ModelBundle) -> list:
         for _ in range(200):
             w1, w2 = random_word(rng, gens, 4), random_word(rng, gens, 4)
             a, b = SymElement({w1: ONE}), SymElement({w2: ONE})
-            sign = -1 if (word_degree(w1) % 2) and (word_degree(w2) % 2) else 1
-            if mul(a, b) != mul(b, a).scale(sign):
-                return False, f"{w1} vs {w2}"
-        return True, None
+            sign = _koszul(word_degree(w1), word_degree(w2))
+            yield mul(a, b) == mul(b, a).scale(sign) or f"{w1} vs {w2}"
 
     run.check("algebra-graded-commutativity", check_commutativity)
 
@@ -409,10 +423,8 @@ def suite_algebra(bundle: ModelBundle) -> list:
             for _ in range(max(n_elems // 6, 40)):
                 a = random_element(rng, gens, 4, 2)
                 b = random_element(rng, gens, 4, 2)
-                if bider_apply(tau, a, b) != bider_recursive(tau, a, b):
-                    fails = lambda x: bider_apply(tau, x, b) != bider_recursive(tau, x, b)
-                    return False, _fmt_elem(shrink_element(a, fails))
-        return True, None
+                fails = lambda x: bider_apply(tau, x, b) != bider_recursive(tau, x, b)
+                yield not fails(a) or _fmt_elem(shrink_element(a, fails))
 
     run.check("bider-closed-vs-recursive", check_bider_routes)
 
@@ -422,25 +434,21 @@ def suite_algebra(bundle: ModelBundle) -> list:
             for _ in range(150):
                 w1, w2 = random_word(rng, gens, 3), random_word(rng, gens, 3)
                 a, b = SymElement({w1: ONE}), SymElement({w2: ONE})
-                sign = -1 if (word_degree(w1) % 2) and (word_degree(w2) % 2) else 1
+                sign = _koszul(word_degree(w1), word_degree(w2))
                 lhs = tensor_braiding(bider_apply(tau, b, a)).scale(sign)
-                if lhs != bider_apply(tau, a, b).scale(tau.symmetry):
-                    return False, f"{w1} vs {w2} (p={tau.degree}, s={tau.symmetry})"
-        return True, None
+                yield lhs == bider_apply(tau, a, b).scale(tau.symmetry) or (
+                    f"{w1} vs {w2} (p={tau.degree}, s={tau.symmetry})"
+                )
 
     run.check("bider-symmetry", check_bider_symmetry)
 
     def check_laplacian_routes():
         rng = bundle.rng("algebra-laplacian")
-        count = 0
-        while count < n_elems:
+        for _ in range((n_elems + 1) // 2):
             for tau in (tau_even, tau_odd):
                 a = random_element(rng, gens, max_len, 2)
-                count += 1
-                if laplacian_apply(tau, a) != laplacian_recursive(tau, a):
-                    fails = lambda x: laplacian_apply(tau, x) != laplacian_recursive(tau, x)
-                    return False, _fmt_elem(shrink_element(a, fails))
-        return True, None
+                fails = lambda x: laplacian_apply(tau, x) != laplacian_recursive(tau, x)
+                yield not fails(a) or _fmt_elem(shrink_element(a, fails))
 
     run.check("laplacian-closed-vs-recursive", check_laplacian_routes)
 
@@ -453,9 +461,7 @@ def suite_algebra(bundle: ModelBundle) -> list:
                 a = random_element(rng, gens, max_len - 1, 2)
                 lhs = extend_derivation(dmap, 1, laplacian_apply(tau, a))
                 lhs = lhs - laplacian_apply(tau, extend_derivation(dmap, 1, a)).scale(sign)
-                if lhs != laplacian_apply(dt, a):
-                    return False, _fmt_elem(a)
-        return True, None
+                yield lhs == laplacian_apply(dt, a) or _fmt_elem(a)
 
     run.check("laplacian-boundary", check_laplacian_boundary)
 
@@ -467,9 +473,7 @@ def suite_algebra(bundle: ModelBundle) -> list:
                 a = random_element(rng, gens, max_len, 2)
                 lhs = laplacian_apply(t1, laplacian_apply(t2, a))
                 rhs = laplacian_apply(t2, laplacian_apply(t1, a)).scale(sign)
-                if lhs != rhs:
-                    return False, _fmt_elem(a)
-        return True, None
+                yield lhs == rhs or _fmt_elem(a)
 
     run.check("laplacian-commutation", check_laplacian_commutation)
 
@@ -490,9 +494,7 @@ def suite_algebra(bundle: ModelBundle) -> list:
                     for _ in range(n - k):
                         te = bider_tensor(tau_even, te)
                     rhs = rhs + tensor_mu(te).scale(HScalar.of(binom(n, k)))
-                if lhs != rhs:
-                    return False, f"n={n}: {_fmt_elem(a)} | {_fmt_elem(b)}"
-        return True, None
+                yield lhs == rhs or f"n={n}: {_fmt_elem(a)} | {_fmt_elem(b)}"
 
     run.check("laplacian-binomial", check_binomial)
 
@@ -509,11 +511,8 @@ def suite_algebra(bundle: ModelBundle) -> list:
             )
             for _ in range(100):
                 a = random_element(rng, gens, 4, 2)
-                if sym_map(fmap, laplacian_apply(omega, a)) != laplacian_apply(
-                    tau, sym_map(fmap, a)
-                ):
-                    return False, _fmt_elem(a)
-        return True, None
+                lhs = sym_map(fmap, laplacian_apply(omega, a))
+                yield lhs == laplacian_apply(tau, sym_map(fmap, a)) or _fmt_elem(a)
 
     run.check("sym-map-naturality", check_naturality)
     return run.records
@@ -534,6 +533,18 @@ def _random_section(rng, model, points, n_terms):
     return out
 
 
+def _random_pairs(bundle: ModelBundle, stream: str):
+    """Pairs of random sections on the basis window; a pair with a zero
+    section is skipped."""
+    rng = bundle.rng(stream)
+    pts = bundle.basis_points()
+    for _ in range(bundle.config["samples"]["random_sections"]):
+        psi1 = _random_section(rng, bundle.model, pts, 3)
+        psi2 = _random_section(rng, bundle.model, pts, 3)
+        if psi1 and psi2:
+            yield psi1, psi2
+
+
 def suite_green(bundle: ModelBundle) -> list:
     run = SuiteRunner(bundle, "green")
     model = bundle.model
@@ -541,68 +552,57 @@ def suite_green(bundle: ModelBundle) -> list:
     t_lo, t_hi = bundle.green_window()
     basis = delta_basis(model, bundle.basis_points())
     rp = model.p_op.time_radius()
+    p_op, q_op, w_op = model.p_op, model.q_op, model.w_op
+    pair = model.int_pairing
 
-    run.check("complex-squares", lambda: (model.q_op.compose(model.q_op).is_zero(), None))
+    run.check("complex-squares", lambda: [q_op.compose(q_op).is_zero()])
 
     def check_witness_comp():
-        ww = model.w_op.compose(model.w_op)
-        ok = model.q_op.compose(ww) == ww.compose(model.q_op)
-        return ok, None
+        ww = w_op.compose(w_op)
+        yield q_op.compose(ww) == ww.compose(q_op)
 
     run.check("witness-composition", check_witness_comp)
 
     def check_p_commutes():
-        ok = model.p_op.compose(model.w_op) == model.w_op.compose(model.p_op)
-        ok = ok and model.p_op.compose(model.q_op) == model.q_op.compose(model.p_op)
-        return ok, None
+        yield p_op.compose(w_op) == w_op.compose(p_op)
+        yield p_op.compose(q_op) == q_op.compose(p_op)
 
     run.check("witness-p-commutes", check_p_commutes)
 
     def check_witness_selfadj():
-        pts = window_points(-2, 2, range(-2, 3))
-        b = delta_basis(model, pts)
+        b = delta_basis(model, window_points(-2, 2, range(-2, 3)))
         for s1 in b:
             n1 = next(iter(s1.degrees()))
-            w1 = model.w_op.apply(s1, lattice)
-            sign = -1 if n1 % 2 else 1
+            w1 = w_op.apply(s1, lattice)
             for s2 in b:
-                lhs = model.int_pairing(w1, s2)
-                rhs = model.int_pairing(s1, model.w_op.apply(s2, lattice))
-                if lhs != (rhs if sign > 0 else -rhs):
-                    return False, f"{_fmt_section(s1)} | {_fmt_section(s2)}"
-        return True, None
+                lhs = pair(w1, s2)
+                rhs = pair(s1, w_op.apply(s2, lattice))
+                yield lhs == (-rhs if n1 % 2 else rhs) or _fmt_pair(s1, s2)
 
     run.check("witness-self-adjoint", check_witness_selfadj)
 
     def check_metric_compat():
-        pts = window_points(-2, 2, range(-2, 3))
-        b = delta_basis(model, pts)
+        b = delta_basis(model, window_points(-2, 2, range(-2, 3)))
         for s1 in b:
             n1 = next(iter(s1.degrees()))
-            q1 = model.q_op.apply(s1, lattice)
-            sign = -1 if n1 % 2 else 1
+            q1 = q_op.apply(s1, lattice)
             for s2 in b:
-                acc = model.int_pairing(q1, s2)
-                term = model.int_pairing(s1, model.q_op.apply(s2, lattice))
-                acc = acc + (term if sign > 0 else -term)
-                if acc:
-                    return False, f"{_fmt_section(s1)} | {_fmt_section(s2)}"
-        return True, None
+                acc = pair(q1, s2)
+                term = pair(s1, q_op.apply(s2, lattice))
+                acc = acc + (-term if n1 % 2 else term)
+                yield not acc or _fmt_pair(s1, s2)
 
     run.check("metric-compatibility", check_metric_compat)
 
     run.check(
         "metric-antisymmetry",
-        lambda: (
-            model.metric.is_graded_antisymmetric() and model.metric.is_nondegenerate(),
-            None,
-        ),
+        lambda: [model.metric.is_graded_antisymmetric() and model.metric.is_nondegenerate()],
     )
 
     def check_triangular():
         for n in model.degrees():
             model.solve_data(n)
-        return True, None
+            yield True
 
     run.check("green-triangular", check_triangular)
 
@@ -610,22 +610,16 @@ def suite_green(bundle: ModelBundle) -> list:
         for phi in basis:
             for direction in (1, -1):
                 sol = model.green(direction).apply(phi, t_lo, t_hi)
-                lhs = model.p_op.apply(sol, lattice).restrict_times(t_lo + rp, t_hi - rp)
-                if lhs != phi.restrict_times(t_lo + rp, t_hi - rp):
-                    return False, _fmt_section(phi)
-        return True, None
+                lhs = p_op.apply(sol, lattice).restrict_times(t_lo + rp, t_hi - rp)
+                yield lhs == phi.restrict_times(t_lo + rp, t_hi - rp) or _fmt_section(phi)
 
     run.check("green-left-inverse", check_left_inverse)
 
     def check_right_inverse():
         for phi in basis:
             for direction in (1, -1):
-                back = model.green(direction).apply(
-                    model.p_op.apply(phi, lattice), t_lo, t_hi
-                )
-                if back != phi:
-                    return False, _fmt_section(phi)
-        return True, None
+                back = model.green(direction).apply(p_op.apply(phi, lattice), t_lo, t_hi)
+                yield back == phi or _fmt_section(phi)
 
     run.check("green-right-inverse", check_right_inverse)
 
@@ -635,17 +629,17 @@ def suite_green(bundle: ModelBundle) -> list:
             for direction in (1, -1):
                 sol = model.green(direction).apply(phi, t_lo, t_hi)
                 for p in sol.support_points():
-                    if not any(lattice.in_cone(s, p, direction) for s in seeds):
-                        return False, f"{_fmt_section(phi)} leaks at {p}"
-        return True, None
+                    yield any(lattice.in_cone(s, p, direction) for s in seeds) or (
+                        f"{_fmt_section(phi)} leaks at {p}"
+                    )
 
     run.check("green-support", check_support)
 
     def check_differ():
-        for phi in basis:
-            if model.green(1).apply(phi, t_lo, t_hi) != model.green(-1).apply(phi, t_lo, t_hi):
-                return True, None
-        return False, "retarded and advanced solutions agree on the whole basis"
+        yield any(
+            model.green(1).apply(phi, t_lo, t_hi) != model.green(-1).apply(phi, t_lo, t_hi)
+            for phi in basis
+        ) or "retarded and advanced solutions agree on the whole basis"
 
     run.check("green-plus-minus-differ", check_differ)
 
@@ -657,109 +651,83 @@ def suite_green(bundle: ModelBundle) -> list:
             if not phi:
                 continue
             for direction in (1, -1):
-                for op in (model.w_op, model.q_op):
+                for op in (w_op, q_op):
                     r = op.time_radius()
                     lhs = op.apply(
                         model.green(direction).apply(phi, -10 - r, 10 + r), lattice
                     ).restrict_times(-10, 10)
                     rhs = model.green(direction).apply(op.apply(phi, lattice), -10, 10)
-                    if lhs != rhs:
-                        return False, _fmt_section(phi)
-        return True, None
+                    yield lhs == rhs or _fmt_section(phi)
 
     run.check("green-commutation", check_commutation)
 
     def check_adjoint():
-        rng = bundle.rng("green-adjoint")
-        pts = bundle.basis_points()
-        for _ in range(bundle.config["samples"]["random_sections"]):
-            psi1 = _random_section(rng, model, pts, 3)
-            psi2 = _random_section(rng, model, pts, 3)
-            if not psi1 or not psi2:
-                continue
+        for psi1, psi2 in _random_pairs(bundle, "green-adjoint"):
             lo1, hi1 = psi1.min_t(), psi1.max_t()
             lo2, hi2 = psi2.min_t(), psi2.max_t()
             gp2 = model.green(1).apply(psi2, lo1, hi1)
             gm2 = model.green(-1).apply(psi2, lo1, hi1)
             gp1 = model.green(1).apply(psi1, lo2, hi2)
             gm1 = model.green(-1).apply(psi1, lo2, hi2)
-            if model.int_pairing(psi1, gp2) != model.int_pairing(gm1, psi2):
-                return False, f"{_fmt_section(psi1)} | {_fmt_section(psi2)}"
-            if model.int_pairing(psi1, gm2) != model.int_pairing(gp1, psi2):
-                return False, f"{_fmt_section(psi1)} | {_fmt_section(psi2)}"
-        return True, None
+            yield pair(psi1, gp2) == pair(gm1, psi2) or _fmt_pair(psi1, psi2)
+            yield pair(psi1, gm2) == pair(gp1, psi2) or _fmt_pair(psi1, psi2)
 
     run.check("green-adjoint", check_adjoint)
 
     def check_skew():
-        rng = bundle.rng("green-skew")
-        pts = bundle.basis_points()
-        for _ in range(bundle.config["samples"]["random_sections"]):
-            psi1 = _random_section(rng, model, pts, 3)
-            psi2 = _random_section(rng, model, pts, 3)
-            if not psi1 or not psi2:
-                continue
+        for psi1, psi2 in _random_pairs(bundle, "green-skew"):
             lo1, hi1 = psi1.min_t(), psi1.max_t()
             lo2, hi2 = psi2.min_t(), psi2.max_t()
             g12 = model.green(1).apply(psi2, lo1, hi1) - model.green(-1).apply(psi2, lo1, hi1)
             g21 = model.green(1).apply(psi1, lo2, hi2) - model.green(-1).apply(psi1, lo2, hi2)
-            if model.int_pairing(psi1, g12) != -model.int_pairing(g21, psi2):
-                return False, f"{_fmt_section(psi1)} | {_fmt_section(psi2)}"
+            yield pair(psi1, g12) == -pair(g21, psi2) or _fmt_pair(psi1, psi2)
             gd12 = (
                 model.green(1).apply(psi2, lo1, hi1) + model.green(-1).apply(psi2, lo1, hi1)
             ).scale(Fraction(1, 2))
             gd21 = (
                 model.green(1).apply(psi1, lo2, hi2) + model.green(-1).apply(psi1, lo2, hi2)
             ).scale(Fraction(1, 2))
-            if model.int_pairing(psi1, gd12) != model.int_pairing(gd21, psi2):
-                return False, f"{_fmt_section(psi1)} | {_fmt_section(psi2)}"
-        return True, None
+            yield pair(psi1, gd12) == pair(gd21, psi2) or _fmt_pair(psi1, psi2)
 
     run.check("green-skew", check_skew)
 
     def check_homotopy_trivializes():
-        rq = model.q_op.time_radius()
+        rq = q_op.time_radius()
         small = delta_basis(model, window_points(-1, 1, range(-1, 2)))
         for psi in small:
             for direction in (1, -1):
                 lam = lambda_pm(model, psi, direction, -8 - rq, 8 + rq)
-                term1 = model.q_op.apply(lam, lattice).restrict_times(-8, 8)
-                term2 = lambda_pm(model, model.q_op.apply(psi, lattice), direction, -8, 8)
-                if term1 + term2 != psi.restrict_times(-8, 8):
-                    return False, _fmt_section(psi)
-        return True, None
+                term1 = q_op.apply(lam, lattice).restrict_times(-8, 8)
+                term2 = lambda_pm(model, q_op.apply(psi, lattice), direction, -8, 8)
+                yield term1 + term2 == psi.restrict_times(-8, 8) or _fmt_section(psi)
 
     run.check("homotopy-trivializes", check_homotopy_trivializes)
 
     def check_lambda_cochain():
-        rq = model.q_op.time_radius()
+        rq = q_op.time_radius()
         small = delta_basis(model, window_points(0, 0, range(0, 2)))
         for psi in small:
             lam = lambda_diff(model, psi, -8 - rq, 8 + rq)
-            term1 = model.q_op.apply(lam, lattice).restrict_times(-8, 8)
-            term2 = lambda_diff(model, model.q_op.apply(psi, lattice), -8, 8)
-            if term1 + term2:
-                return False, _fmt_section(psi)
-        return True, None
+            term1 = q_op.apply(lam, lattice).restrict_times(-8, 8)
+            term2 = lambda_diff(model, q_op.apply(psi, lattice), -8, 8)
+            yield not (term1 + term2) or _fmt_section(psi)
 
     run.check("lambda-cochain", check_lambda_cochain)
 
     def check_lambda_orders():
         rng = bundle.rng("green-lambda-orders")
         pts = window_points(-1, 1, range(-1, 2))
-        rw = model.w_op.time_radius()
+        rw = w_op.time_radius()
         for _ in range(bundle.config["samples"]["random_sections"]):
             phi = _random_section(rng, model, pts, 3)
             if not phi:
                 continue
             for direction in (1, -1):
                 lhs = lambda_pm(model, phi, direction, -8, 8)
-                rhs = model.w_op.apply(
+                rhs = w_op.apply(
                     model.green(direction).apply(phi, -8 - rw, 8 + rw), lattice
                 ).restrict_times(-8, 8)
-                if lhs != rhs:
-                    return False, _fmt_section(phi)
-        return True, None
+                yield lhs == rhs or _fmt_section(phi)
 
     run.check("lambda-orders", check_lambda_orders)
 
@@ -773,9 +741,7 @@ def suite_green(bundle: ModelBundle) -> list:
             for direction in (1, -1):
                 direct = lambda_pm(model, phi.translate_time(4), direction, -4, 12)
                 moved = lambda_pm(model, phi, direction, -8, 8).translate_time(4)
-                if direct != moved:
-                    return False, _fmt_section(phi)
-        return True, None
+                yield direct == moved or _fmt_section(phi)
 
     run.check("lambda-translation-natural", check_lambda_translation)
     return run.records
@@ -790,19 +756,13 @@ def suite_structures(bundle: ModelBundle) -> list:
     sm = bundle.sym
     gens = bundle.gens_window()
 
-    def pair_sign(g1, g2):
-        return -1 if (g1[0] % 2) and (g2[0] % 2) else 1
-
     def check_pair_symmetry(tau, expected_s):
         # tau o gamma = s tau: koszul * tau(g2, g1) = s * tau(g1, g2)
-        for g1 in gens:
-            for g2 in gens:
-                base = tau(g1, g2)
-                rhs = base if expected_s > 0 else -base
-                lhs = tau(g2, g1)
-                if (lhs if pair_sign(g1, g2) > 0 else -lhs) != rhs:
-                    return False, f"{g1} | {g2}"
-        return True, None
+        for g1, g2 in product(gens, gens):
+            base = tau(g1, g2)
+            rhs = base if expected_s > 0 else -base
+            lhs = tau(g2, g1)
+            yield (lhs if _koszul(g1[0], g2[0]) > 0 else -lhs) == rhs or f"{g1} | {g2}"
 
     run.check("pairing-shifted-symmetric", lambda: check_pair_symmetry(sm.tau_m1, 1))
     run.check(
@@ -812,38 +772,25 @@ def suite_structures(bundle: ModelBundle) -> list:
 
     def check_d_tau_d():
         d_tau = boundary_pairing(sm.tau_d, sm.qgen).evaluate
-        for g1 in gens:
-            for g2 in gens:
-                if d_tau(g1, g2) != sm.tau_m1(g1, g2):
-                    return False, f"{g1} | {g2}"
-        return True, None
+        for g1, g2 in product(gens, gens):
+            yield d_tau(g1, g2) == sm.tau_m1(g1, g2) or f"{g1} | {g2}"
 
     run.check("pairing-dirac-trivializes", check_d_tau_d)
 
     def check_d_tau_0():
         d_tau = boundary_pairing(sm.tau_0, sm.qgen).evaluate
-        for g1 in gens:
-            for g2 in gens:
-                if d_tau(g1, g2):
-                    return False, f"{g1} | {g2}"
-        return True, None
+        for g1, g2 in product(gens, gens):
+            yield not d_tau(g1, g2) or f"{g1} | {g2}"
 
     run.check("pairing-unshifted-cochain", check_d_tau_0)
 
     def check_average():
-        rng = bundle.rng("structures-average")
-        pts = bundle.basis_points()
-        for _ in range(bundle.config["samples"]["random_sections"]):
-            psi1 = _random_section(rng, model, pts, 3)
-            psi2 = _random_section(rng, model, pts, 3)
-            if not psi1 or not psi2:
-                continue
+        for psi1, psi2 in _random_pairs(bundle, "structures-average"):
             lo, hi = psi1.min_t(), psi1.max_t()
             via_plus = model.int_pairing(psi1, lambda_pm(model, psi2, 1, lo, hi))
             via_minus = model.int_pairing(psi1, lambda_pm(model, psi2, -1, lo, hi))
-            if tau_dirac(model, psi1, psi2) != (via_plus + via_minus) * Fraction(1, 2):
-                return False, f"{_fmt_section(psi1)} | {_fmt_section(psi2)}"
-        return True, None
+            average = (via_plus + via_minus) * Fraction(1, 2)
+            yield tau_dirac(model, psi1, psi2) == average or _fmt_pair(psi1, psi2)
 
     run.check("pairing-dirac-average", check_average)
 
@@ -854,17 +801,19 @@ def suite_structures(bundle: ModelBundle) -> list:
             psi1 = _random_section(rng, model, pts, 3)
             psi2 = _random_section(rng, model, pts, 3)
             for fn in (tau_minus1, tau_0, tau_dirac):
-                if fn(model, psi1, psi2) != fn(
-                    model, psi1.translate_time(5), psi2.translate_time(5)
-                ):
-                    return False, f"{_fmt_section(psi1)} | {_fmt_section(psi2)}"
-        return True, None
+                moved = fn(model, psi1.translate_time(5), psi2.translate_time(5))
+                yield fn(model, psi1, psi2) == moved or _fmt_pair(psi1, psi2)
 
     run.check("pairing-translation-natural", check_translation)
     return run.records
 
 
 # -- theorems suite -----------------------------------------------------------------
+
+
+def _delta_pairs(model, r1: Region, r2: Region):
+    """Every (delta in r1, delta in r2) pair of the model's sections."""
+    return product(delta_basis(model, sorted(r1.points)), delta_basis(model, sorted(r2.points)))
 
 
 def suite_theorems(bundle: ModelBundle) -> list:
@@ -874,46 +823,31 @@ def suite_theorems(bundle: ModelBundle) -> list:
 
     def check_causality():
         r1, r2 = bundle.regions["disjoint_pair"]
-        if not causally_disjoint(r1, r2):
-            return False, "configured pair is not causally disjoint"
-        for psi1 in delta_basis(model, sorted(r1.points)):
-            for psi2 in delta_basis(model, sorted(r2.points)):
-                if tau_0(model, psi1, psi2):
-                    return False, f"{_fmt_section(psi1)} | {_fmt_section(psi2)}"
-        return True, None
+        yield causally_disjoint(r1, r2) or "configured pair is not causally disjoint"
+        for psi1, psi2 in _delta_pairs(model, r1, r2):
+            yield not tau_0(model, psi1, psi2) or _fmt_pair(psi1, psi2)
 
     run.check("causality-vanishing", check_causality)
 
     def check_causality_counter():
         r1, r2 = bundle.regions["connected_pair"]
-        if causally_disjoint(r1, r2):
-            return False, "configured pair is causally disjoint"
-        for psi1 in delta_basis(model, sorted(r1.points)):
-            for psi2 in delta_basis(model, sorted(r2.points)):
-                if tau_0(model, psi1, psi2):
-                    return True, None
-        return False, "no nonzero pairing found across causally connected regions"
+        yield not causally_disjoint(r1, r2) or "configured pair is causally disjoint"
+        yield any(tau_0(model, psi1, psi2) for psi1, psi2 in _delta_pairs(model, r1, r2)) or (
+            "no nonzero pairing found across causally connected regions"
+        )
 
     run.check("causality-counterexample", check_causality_counter)
 
     region = bundle.regions["slab"]
     cutoff = make_cutoff(bundle.config["cutoff_t0"])
 
-    def hom_pts(width_key="homotopy_t"):
-        t_lo, t_hi = bundle.config["windows"][width_key]
-        x_lo, x_hi = bundle.config["windows"]["homotopy_x"]
-        return window_points(t_lo, t_hi, range(x_lo, x_hi + 1))
-
     def check_eta():
         check_cutoff_in_region(model, cutoff, region)
-        for psi in delta_basis(model, hom_pts()):
+        for psi in delta_basis(model, bundle.homotopy_points()):
             term1 = model.q_op.apply(homotopy_eta(model, cutoff, psi), lattice)
             term2 = homotopy_eta(model, cutoff, model.q_op.apply(psi, lattice))
             lhs = (term1 + term2).scale(-1)
-            rhs = psi - quasi_inverse_g(model, cutoff, psi)
-            if lhs != rhs:
-                return False, _fmt_section(psi)
-        return True, None
+            yield lhs == psi - quasi_inverse_g(model, cutoff, psi) or _fmt_section(psi)
 
     run.check("cauchy-eta-homotopy", check_eta)
 
@@ -924,10 +858,7 @@ def suite_theorems(bundle: ModelBundle) -> list:
             term1 = model.q_op.apply(zeta_psi, lattice)
             term2 = homotopy_eta(model, cutoff, model.q_op.apply(psi, lattice))
             lhs = (term1 + term2).scale(-1)
-            rhs = psi - quasi_inverse_g(model, cutoff, psi)
-            if lhs != rhs:
-                return False, _fmt_section(psi)
-        return True, None
+            yield lhs == psi - quasi_inverse_g(model, cutoff, psi) or _fmt_section(psi)
 
     run.check("cauchy-zeta-homotopy", check_zeta)
 
@@ -935,22 +866,18 @@ def suite_theorems(bundle: ModelBundle) -> list:
         t_lo, t_hi = region.time_range()
         tall = window_points(t_lo - 3, t_hi + 3, range(0, 2))
         for psi in delta_basis(model, tall):
-            out = quasi_inverse_g(model, cutoff, psi)
-            if not out.supported_in(region):
-                return False, _fmt_section(psi)
-        return True, None
+            yield quasi_inverse_g(model, cutoff, psi).supported_in(region) or _fmt_section(psi)
 
     run.check("cauchy-g-support", check_g_support)
 
+    def half_holds(m, psi1, psi2):
+        return tau_dirac(m, psi1, psi2) == tau_0(m, psi1, psi2) * Fraction(1, 2)
+
     def check_half():
         later, earlier = bundle.regions["stacked_pair"]
-        if not is_time_ordered([later, earlier]):
-            return False, "configured stacked pair is not time-ordered"
-        for psi1 in delta_basis(model, sorted(later.points)):
-            for psi2 in delta_basis(model, sorted(earlier.points)):
-                if tau_dirac(model, psi1, psi2) != tau_0(model, psi1, psi2) * Fraction(1, 2):
-                    return False, f"{_fmt_section(psi1)} | {_fmt_section(psi2)}"
-        return True, None
+        yield is_time_ordered([later, earlier]) or "configured stacked pair is not time-ordered"
+        for psi1, psi2 in _delta_pairs(model, later, earlier):
+            yield half_holds(model, psi1, psi2) or _fmt_pair(psi1, psi2)
 
     run.check("time-ordered-half", check_half)
 
@@ -959,13 +886,11 @@ def suite_theorems(bundle: ModelBundle) -> list:
         # parity-supported and can miss small diamond pairs accidentally
         aux = klein_gordon(lattice, mass_sq=Fraction(1))
         a, b = (parse_region(lattice, lit) for lit in bundle.config["regions"]["nonordered_pair"])
-        if is_time_ordered([a, b]):
-            return False, "configured pair is time-ordered"
-        for psi1 in delta_basis(aux, sorted(a.points)):
-            for psi2 in delta_basis(aux, sorted(b.points)):
-                if tau_dirac(aux, psi1, psi2) != tau_0(aux, psi1, psi2) * Fraction(1, 2):
-                    return True, None
-        return False, "no violation found for the non-time-ordered pair"
+        yield not is_time_ordered([a, b]) or "configured pair is time-ordered"
+        pairs = _delta_pairs(aux, a, b)
+        yield any(not half_holds(aux, psi1, psi2) for psi1, psi2 in pairs) or (
+            "no violation found for the non-time-ordered pair"
+        )
 
     run.check("time-ordered-half-counterexample", check_half_counter)
     return run.records
@@ -982,18 +907,14 @@ def suite_quantization(bundle: ModelBundle) -> list:
 
     def check_q_hbar_squares():
         rng = bundle.rng("quant-qhbar")
+        fails = lambda x: bool(sm.q_hbar(sm.q_hbar(x)))
         for _ in range(cfg["word_samples"]):
             a = random_element(rng, gens, cfg["max_word_len"], 2)
-            if sm.q_hbar(sm.q_hbar(a)):
-                fails = lambda x: bool(sm.q_hbar(sm.q_hbar(x)))
-                return False, _fmt_elem(shrink_element(a, fails))
-        return True, None
+            yield not fails(a) or _fmt_elem(shrink_element(a, fails))
 
     run.check("bv-differential-squares", check_q_hbar_squares)
 
-    run.check(
-        "tpfa-unit", lambda: (tpfa_product(sm, [], []) == SymElement.unit(), None)
-    )
+    run.check("tpfa-unit", lambda: [tpfa_product(sm, [], []) == SymElement.unit()])
 
     def check_tpfa_chain():
         rng = bundle.rng("quant-tpfa")
@@ -1004,9 +925,9 @@ def suite_quantization(bundle: ModelBundle) -> list:
             a = SymElement({random_word(rng, g1, 2): ONE})
             b = SymElement({random_word(rng, g2, 2): ONE})
             te = TensorElement.of(a, b)
-            if sm.q_hbar(tensor_mu(te)) != tensor_mu(q_hbar_tensor(sm, te)):
-                return False, f"{_fmt_elem(a)} | {_fmt_elem(b)}"
-        return True, None
+            yield sm.q_hbar(tensor_mu(te)) == tensor_mu(q_hbar_tensor(sm, te)) or (
+                f"{_fmt_elem(a)} | {_fmt_elem(b)}"
+            )
 
     run.check("tpfa-chain-map", check_tpfa_chain)
 
@@ -1016,9 +937,9 @@ def suite_quantization(bundle: ModelBundle) -> list:
             a = random_element(rng, gens, 3, 2)
             b = random_element(rng, gens, 3, 2)
             c = random_element(rng, gens, 3, 2)
-            if sm.moyal_mul(sm.moyal_mul(a, b), c) != sm.moyal_mul(a, sm.moyal_mul(b, c)):
-                return False, f"{_fmt_elem(a)} | {_fmt_elem(b)} | {_fmt_elem(c)}"
-        return True, None
+            yield sm.moyal_mul(sm.moyal_mul(a, b), c) == sm.moyal_mul(a, sm.moyal_mul(b, c)) or (
+                f"{_fmt_elem(a)} | {_fmt_elem(b)} | {_fmt_elem(c)}"
+            )
 
     run.check("moyal-associative", check_assoc)
 
@@ -1026,9 +947,8 @@ def suite_quantization(bundle: ModelBundle) -> list:
         rng = bundle.rng("quant-unital")
         for _ in range(8):
             a = random_element(rng, gens, 4, 2)
-            if sm.moyal_mul(SymElement.unit(), a) != a or sm.moyal_mul(a, SymElement.unit()) != a:
-                return False, _fmt_elem(a)
-        return True, None
+            one = SymElement.unit()
+            yield sm.moyal_mul(one, a) == a == sm.moyal_mul(a, one) or _fmt_elem(a)
 
     run.check("moyal-unital", check_unital)
 
@@ -1041,9 +961,7 @@ def suite_quantization(bundle: ModelBundle) -> list:
             sign = -1 if word_degree(w1) % 2 else 1
             lhs = sm.q_sym(sm.moyal_mul(a, b))
             rhs = sm.moyal_mul(sm.q_sym(a), b) + sm.moyal_mul(a, sm.q_sym(b)).scale(sign)
-            if lhs != rhs:
-                return False, f"{w1} | {w2}"
-        return True, None
+            yield lhs == rhs or f"{w1} | {w2}"
 
     run.check("moyal-chain-map", check_chain)
 
@@ -1052,9 +970,9 @@ def suite_quantization(bundle: ModelBundle) -> list:
         for _ in range(cfg["comparison_pairs"]):
             a = random_element(rng, gens, 3, 2)
             b = random_element(rng, gens, 3, 2)
-            if sm.moyal_mul(a, b).coeff_at_order(0) != mul(a, b).coeff_at_order(0):
-                return False, f"{_fmt_elem(a)} | {_fmt_elem(b)}"
-        return True, None
+            yield sm.moyal_mul(a, b).coeff_at_order(0) == mul(a, b).coeff_at_order(0) or (
+                f"{_fmt_elem(a)} | {_fmt_elem(b)}"
+            )
 
     run.check("moyal-classical-limit", check_classical)
 
@@ -1065,36 +983,32 @@ def suite_quantization(bundle: ModelBundle) -> list:
             w2 = random_word(rng, gens, 3)
             a, b = SymElement({w1: ONE}), SymElement({w2: ONE})
             defect = sm.star_commutator(a, b) - sm.poisson_bracket(a, b).scale(IH)
-            if defect.coeff_at_order(0) or defect.coeff_at_order(1):
-                return False, f"{w1} | {w2}"
-        return True, None
+            yield not (defect.coeff_at_order(0) or defect.coeff_at_order(1)) or f"{w1} | {w2}"
 
     run.check("moyal-commutator-order", check_commutator_order)
+
+    def commutator(g1, g2):
+        return sm.star_commutator(SymElement.of_gen(g1), SymElement.of_gen(g2))
 
     def check_einstein():
         rng = bundle.rng("quant-einstein")
         r1, r2 = bundle.regions["disjoint_pair"]
         g1s, g2s = sm.generators_in_region(r1), sm.generators_in_region(r2)
-        for g1 in g1s:
-            for g2 in g2s:
-                if sm.star_commutator(SymElement.of_gen(g1), SymElement.of_gen(g2)):
-                    return False, f"{g1} | {g2}"
+        for g1, g2 in product(g1s, g2s):
+            yield not commutator(g1, g2) or f"{g1} | {g2}"
         for _ in range(6):
             a = SymElement({random_word(rng, g1s, 3): ONE})
             b = SymElement({random_word(rng, g2s, 3): ONE})
-            if sm.star_commutator(a, b):
-                return False, f"{_fmt_elem(a)} | {_fmt_elem(b)}"
-        return True, None
+            yield not sm.star_commutator(a, b) or f"{_fmt_elem(a)} | {_fmt_elem(b)}"
 
     run.check("einstein-causality", check_einstein)
 
     def check_einstein_counter():
         r1, r2 = bundle.regions["connected_pair"]
-        for g1 in sm.generators_in_region(r1):
-            for g2 in sm.generators_in_region(r2):
-                if sm.star_commutator(SymElement.of_gen(g1), SymElement.of_gen(g2)):
-                    return True, None
-        return False, "no nonzero commutator across causally connected regions"
+        pairs = product(sm.generators_in_region(r1), sm.generators_in_region(r2))
+        yield any(commutator(g1, g2) for g1, g2 in pairs) or (
+            "no nonzero commutator across causally connected regions"
+        )
 
     run.check("einstein-causality-counterexample", check_einstein_counter)
 
@@ -1104,39 +1018,35 @@ def suite_quantization(bundle: ModelBundle) -> list:
             w1 = random_word(rng, gens, 3)
             w2 = random_word(rng, gens, 3)
             a, b = SymElement({w1: ONE}), SymElement({w2: ONE})
-            sign = -1 if (word_degree(w1) % 2) and (word_degree(w2) % 2) else 1
-            if sm.dirac_mul(a, b) != sm.dirac_mul(b, a).scale(sign):
-                return False, f"{w1} | {w2}"
+            sign = _koszul(word_degree(w1), word_degree(w2))
+            yield sm.dirac_mul(a, b) == sm.dirac_mul(b, a).scale(sign) or f"{w1} | {w2}"
         rng2 = bundle.rng("quant-dirac-assoc")
         for _ in range(5):
             a = random_element(rng2, gens, 3, 2)
             b = random_element(rng2, gens, 3, 2)
             c = random_element(rng2, gens, 3, 2)
-            if sm.dirac_mul(sm.dirac_mul(a, b), c) != sm.dirac_mul(a, sm.dirac_mul(b, c)):
-                return False, "associativity failure"
-            if sm.dirac_mul(SymElement.unit(), a) != a:
-                return False, "unit failure"
-        return True, None
+            yield sm.dirac_mul(sm.dirac_mul(a, b), c) == sm.dirac_mul(a, sm.dirac_mul(b, c)) or (
+                "associativity failure"
+            )
+            yield sm.dirac_mul(SymElement.unit(), a) == a or "unit failure"
 
     run.check("dirac-commutative", check_dirac_commutative)
+
+    def breaks_leibniz(g1, g2):
+        # mu_D fails the Leibniz rule of Q on a pair that tau_m1 pairs
+        if not sm.tau_m1(g1, g2) or normalize([g1, g2])[0] is None:
+            return False
+        a, b = SymElement.of_gen(g1), SymElement.of_gen(g2)
+        s = -1 if g1[0] % 2 else 1
+        lhs = sm.q_sym(sm.dirac_mul(a, b))
+        return lhs != sm.dirac_mul(sm.q_sym(a), b) + sm.dirac_mul(a, sm.q_sym(b)).scale(s)
 
     def check_dirac_not_chain():
         # a field/antifield pair at one point pairs nontrivially under tau_m1
         pool = sm.generators_at([Point(0, 0)])
-        for g1 in pool:
-            for g2 in pool:
-                if not sm.tau_m1(g1, g2):
-                    continue
-                w, sign = normalize([g1, g2])
-                if w is None:
-                    continue
-                a, b = SymElement.of_gen(g1), SymElement.of_gen(g2)
-                s = -1 if g1[0] % 2 else 1
-                lhs = sm.q_sym(sm.dirac_mul(a, b))
-                rhs = sm.dirac_mul(sm.q_sym(a), b) + sm.dirac_mul(a, sm.q_sym(b)).scale(s)
-                if lhs != rhs:
-                    return True, None
-        return False, "no witness pair found"
+        yield any(breaks_leibniz(g1, g2) for g1, g2 in product(pool, pool)) or (
+            "no witness pair found"
+        )
 
     run.check("dirac-not-chain-map", check_dirac_not_chain)
 
@@ -1146,9 +1056,7 @@ def suite_quantization(bundle: ModelBundle) -> list:
             for _ in range(6):
                 w = random_word(rng, gens, p, min_len=p)
                 res = filtration_defects(sm, w)
-                if not (res["graded_matches_classical"] and res["only_allowed_lengths"]):
-                    return False, str(w)
-        return True, None
+                yield res["graded_matches_classical"] and res["only_allowed_lengths"] or str(w)
 
     run.check("filtration-preserved", check_filtration)
 
@@ -1159,19 +1067,13 @@ def suite_quantization(bundle: ModelBundle) -> list:
         check_cutoff_in_region(bundle.model, cutoff, region)
         eta_fn = eta_gen_map(sm, cutoff)
         fg_fn = quasi_inverse_gen_map(sm, cutoff)
-        t_lo, t_hi = bundle.config["windows"]["homotopy_t"]
-        x_lo, x_hi = bundle.config["windows"]["homotopy_x"]
-        ambient = sm.generators_at(
-            window_points(t_lo, t_hi, range(x_lo, x_hi + 1))
-        )
+        ambient = sm.generators_at(bundle.homotopy_points())
         slab_gens = [g for g in ambient if region.contains(Point(g[1], g[2]))]
         for p in range(1, bundle.config["p_max"] + 1):
             for pool in (ambient, slab_gens):
                 for _ in range(bundle.config["samples"]["timeslice_words"]):
                     w = random_word(rng, pool, p, min_len=p)
-                    if sym_power_homotopy_defect(sm, eta_fn, fg_fn, w):
-                        return False, f"p={p}: {w}"
-        return True, None
+                    yield not sym_power_homotopy_defect(sm, eta_fn, fg_fn, w) or f"p={p}: {w}"
 
     run.check("time-slice-sym-powers", check_time_slice)
     return run.records
@@ -1192,9 +1094,8 @@ def suite_comparison(bundle: ModelBundle) -> list:
             for _ in range(cfg["comparison_words_per_length"]):
                 w = random_word(rng, gens, length, min_len=length)
                 elem = SymElement({w: ONE})
-                if sm.q_sym(sm.time_ordering(elem)) != sm.time_ordering(sm.q_hbar(elem)):
-                    return False, str(w)
-        return True, None
+                lhs = sm.q_sym(sm.time_ordering(elem))
+                yield lhs == sm.time_ordering(sm.q_hbar(elem)) or str(w)
 
     run.check("comparison-chain-map", check_chain_map)
 
@@ -1205,9 +1106,7 @@ def suite_comparison(bundle: ModelBundle) -> list:
             b = random_element(rng, gens, 3, 2)
             lhs = sm.time_ordering(mul(a, b))
             rhs = sm.dirac_mul(sm.time_ordering(a), sm.time_ordering(b))
-            if lhs != rhs:
-                return False, f"{_fmt_elem(a)} | {_fmt_elem(b)}"
-        return True, None
+            yield lhs == rhs or f"{_fmt_elem(a)} | {_fmt_elem(b)}"
 
     run.check("comparison-multiplicative", check_multiplicative)
 
@@ -1223,15 +1122,14 @@ def suite_comparison(bundle: ModelBundle) -> list:
                 elems = [SymElement({random_word(rng, pools[i], 2): ONE}) for i in range(n)]
                 lhs = sm.time_ordering(tpfa_product(sm, regions, elems))
                 rhs = fa_product(sm, regions, [sm.time_ordering(e) for e in elems])
-                if lhs != rhs:
-                    return False, f"n={n}: " + " | ".join(_fmt_elem(e) for e in elems)
+                yield lhs == rhs or f"n={n}: " + " | ".join(_fmt_elem(e) for e in elems)
                 if n >= 3:
                     hull, inner, outer = factorize_tuple(regions, ambient)
                     inner_prod = tpfa_product(sm, inner, elems[:-1])
                     via = tpfa_product(sm, [hull, regions[-1]], [inner_prod, elems[-1]])
-                    if via != tpfa_product(sm, regions, elems):
-                        return False, f"factorized route differs at n={n}"
-        return True, None
+                    yield via == tpfa_product(sm, regions, elems) or (
+                        f"factorized route differs at n={n}"
+                    )
 
     run.check("comparison-tuples", check_tuples)
 
@@ -1239,9 +1137,7 @@ def suite_comparison(bundle: ModelBundle) -> list:
         rng = bundle.rng("comp-inverse")
         for _ in range(cfg["comparison_pairs"]):
             a = random_element(rng, gens, cfg["max_word_len"], 2)
-            if sm.time_ordering(sm.time_ordering(a), -1) != a:
-                return False, _fmt_elem(a)
-        return True, None
+            yield sm.time_ordering(sm.time_ordering(a), -1) == a or _fmt_elem(a)
 
     run.check("comparison-invertible", check_invertible)
 
@@ -1254,9 +1150,7 @@ def suite_comparison(bundle: ModelBundle) -> list:
             b = SymElement({random_word(rng, g2s, 2): ONE})
             one = fa_product(sm, [r1, r2], [a, b], rho=(0, 1))
             other = fa_product(sm, [r1, r2], [a, b], rho=(1, 0))
-            if one != other:
-                return False, f"{_fmt_elem(a)} | {_fmt_elem(b)}"
-        return True, None
+            yield one == other or f"{_fmt_elem(a)} | {_fmt_elem(b)}"
 
     run.check("fa-ordering-independent", check_fa_ordering)
 
@@ -1267,9 +1161,7 @@ def suite_comparison(bundle: ModelBundle) -> list:
         for n in (2, 3):
             for _ in range(cfg["tuple_reps"]):
                 elems = [SymElement({random_word(rng, pools[i], 2): ONE}) for i in range(n)]
-                if dirac_nary(sm, elems) != fa_product(sm, regions_all[:n], elems):
-                    return False, f"n={n}"
-        return True, None
+                yield dirac_nary(sm, elems) == fa_product(sm, regions_all[:n], elems) or f"n={n}"
 
     run.check("dirac-products-match", check_dirac_products)
 
@@ -1285,9 +1177,7 @@ def suite_comparison(bundle: ModelBundle) -> list:
             for k in range(1, 4):
                 lhs = bider_tensor(sm.tau_d, lhs)
                 rhs = bider_tensor(sm.tau_0, rhs).scale(Fraction(1, 2))
-                if lhs != rhs:
-                    return False, f"k={k}: {_fmt_elem(a)} | {_fmt_elem(b)}"
-        return True, None
+                yield lhs == rhs or f"k={k}: {_fmt_elem(a)} | {_fmt_elem(b)}"
 
     run.check("pair-power-half", check_pair_power)
     return run.records

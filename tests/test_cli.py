@@ -295,6 +295,38 @@ def test_suite_runner_records_crashes_as_failures():
     assert "solver exploded" in rec.witness
 
 
+def _run_one_check(cases):
+    from latticebv.suites import ModelBundle, SuiteRunner
+
+    run = SuiteRunner(ModelBundle(merge_config(DEFAULT_CONFIG, SMALL)), "green")
+    run.check("complex-squares", cases)
+    (rec,) = run.records
+    return rec
+
+
+def test_suite_runner_fails_a_check_with_no_cases():
+    rec = _run_one_check(lambda: iter(()))
+    assert rec.passed is False
+    assert rec.witness == "vacuous: no cases"
+
+
+def test_suite_runner_stops_at_the_first_failing_case():
+    def cases():
+        yield True
+        yield "first failure"
+        raise RuntimeError("a case after the failure ran")
+
+    rec = _run_one_check(cases)
+    assert rec.passed is False
+    assert rec.witness == "first failure"
+
+
+def test_suite_runner_false_outcome_has_no_witness():
+    rec = _run_one_check(lambda: [True, False])
+    assert rec.passed is False
+    assert rec.witness is None
+
+
 def test_cli_import_loads_every_module():
     # a module that `import latticebv.cli` leaves unloaded is reached by no
     # suite and no CLI command

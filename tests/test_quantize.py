@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -17,6 +19,7 @@ from latticebv.quantize import (
     gen_to_section,
     q_hbar_tensor,
     quasi_inverse_gen_map,
+    sym_power_homotopy,
     sym_power_homotopy_defect,
     tpfa_product,
 )
@@ -557,6 +560,52 @@ def test_sym_power_homotopies_certify_time_slice():
             for _ in range(4):
                 w = random_word_of(rng, slab_gens, p, min_len=p)
                 assert not sym_power_homotopy_defect(sm, eta_fn, fg_fn, w)
+
+
+def reference_sym_power_homotopy(eta_fn, f_fn, word):
+    """H_p(word) as its defining sum: 1/p! times the sum over every order of
+    the word, with its Koszul sign, of F on the first k factors, eta on the
+    next and the identity on the rest, for k = 0 .. p-1."""
+    p = len(word)
+    out = SymElement()
+    for perm in itertools.permutations(range(p)):
+        sign = 1
+        for i, j in itertools.combinations(range(p), 2):
+            if perm[i] > perm[j] and word[perm[i]][0] % 2 and word[perm[j]][0] % 2:
+                sign = -sign
+        gens = [word[k] for k in perm]
+        for k in range(p):
+            eta_sign = -1 if sum(g[0] for g in gens[:k]) % 2 else 1
+            factors = [f_fn(g) for g in gens[:k]] + [eta_fn(gens[k])]
+            factors += [SymElement.of_gen(g) for g in gens[k + 1 :]]
+            prod = SymElement.unit()
+            for factor in factors:
+                prod = mul(prod, factor)
+            out = out + prod.scale(Fraction(sign * eta_sign, math.factorial(p)))
+    return out
+
+
+@pytest.mark.parametrize("model", ["kg-massive", "maxwell2d"])
+def test_sym_power_homotopy_matches_permutation_sum(model):
+    # the collapsed sum over (eta slot, F slots) against the p!-term
+    # symmetrization it replaces, up to p = 4
+    if model == "maxwell2d":
+        sm = sym_mw()
+    else:
+        sm = sym_kg(kappa=Fraction(1, 2), mass_sq=Fraction(1))
+    rng = random.Random(31)
+    cutoff = make_cutoff(0)
+    eta_fn = eta_gen_map(sm, cutoff)
+    fg_fn = quasi_inverse_gen_map(sm, cutoff)
+    gens = window_gens(sm, -3, 3, range(0, 2))
+    nonzero = 0
+    for p in (1, 2, 3, 4):
+        for _ in range(6):
+            w = random_word_of(rng, gens, p, min_len=p)
+            h = sym_power_homotopy(sm, eta_fn, fg_fn, w)
+            assert h == reference_sym_power_homotopy(eta_fn, fg_fn, w), w
+            nonzero += bool(h)
+    assert nonzero >= 12
 
 
 def test_green_window_outside_support_is_zero():
