@@ -77,5 +77,5 @@ def random_element(rng, gens, max_len: int, n_words: int = 3) -> SymElement:
         w = random_word(rng, gens, max_len, min_len=0)
         coeff = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
         if coeff:
-            out = out + SymElement({w: HScalar.of(coeff)})
+            out.add_term(w, HScalar.of(coeff))
     return out

@@ -56,10 +56,7 @@ def section_to_combo(section: Section) -> dict:
 
 
 def section_to_elem(section: Section) -> SymElement:
-    out = SymElement()
-    for g, c in section_to_combo(section).items():
-        out = out + SymElement.of_gen(g, c)
-    return out
+    return SymElement({(g,): HScalar.of(c) for g, c in section_to_combo(section).items()})
 
 
 class SymModel:
@@ -176,7 +173,7 @@ class SymModel:
         for da, pa in a.homogeneous_parts().items():
             for db, pb in b.homogeneous_parts().items():
                 sign = -1 if (da % 2) and (db % 2) else 1
-                out = out - self.moyal_mul(pb, pa).scale(sign)
+                out.add_scaled(self.moyal_mul(pb, pa), -sign)
         return out
 
     # -- comparison ----------------------------------------------------------
@@ -209,7 +206,7 @@ def q_hbar_tensor(sm: SymModel, te: TensorElement) -> TensorElement:
     out = TensorElement()
     arity = len(next(iter(te.terms), ()))
     for i in range(arity):
-        out = out + te.map_factor(i, sm.q_hbar, 1)
+        out.add_scaled(te.map_factor(i, sm.q_hbar, 1))
     return out
 
 
@@ -258,7 +255,7 @@ def fa_product(sm: SymModel, regions, elems, rho=None) -> SymElement:
         prod = SymElement({words[0]: ONE})
         for w in words[1:]:
             prod = sm.moyal_mul(prod, SymElement({w: ONE}))
-        result = result + prod.scale(c)
+        result.add_scaled(prod, c)
     return result
 
 
@@ -272,7 +269,7 @@ def dirac_nary(sm: SymModel, elems) -> SymElement:
         prod = SymElement({words[0]: ONE})
         for w in words[1:]:
             prod = sm.dirac_mul(prod, SymElement({w: ONE}))
-        result = result + prod.scale(c)
+        result.add_scaled(prod, c)
     return result
 
 
@@ -325,7 +322,7 @@ def sym_power_homotopy(sm: SymModel, eta_fn, f_fn, word) -> SymElement:
                 prod = mul(prod, factor)
                 if not prod:
                     break
-            out = out + prod.scale(Fraction(sign, p * comb(p - 1, sum(takes_f))))
+            out.add_scaled(prod, Fraction(sign, p * comb(p - 1, sum(takes_f))))
     return out
 
 
@@ -335,12 +332,12 @@ def sym_power_homotopy_defect(sm: SymModel, eta_fn, f_fn, word) -> SymElement:
     elem = SymElement({word: ONE})
     h_of_w = sym_power_homotopy(sm, eta_fn, f_fn, word)
     q_w = sm.q_sym(elem)
-    h_of_qw = SymElement()
+    defect = sm.q_sym(h_of_w)
     for w2, c in q_w.items():
-        h_of_qw = h_of_qw + sym_power_homotopy(sm, eta_fn, f_fn, w2).scale(c)
-    boundary = sm.q_sym(h_of_w) + h_of_qw
-    target = elem - sym_map(f_fn, elem)
-    return boundary - target
+        defect.add_scaled(sym_power_homotopy(sm, eta_fn, f_fn, w2), c)
+    defect.add_scaled(elem, -1)
+    defect.add_scaled(sym_map(f_fn, elem))
+    return defect
 
 
 def filtration_defects(sm: SymModel, word) -> dict:

@@ -55,7 +55,8 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value equals its rational, so it must hash as one
+        return hash(self.re) if not self.im else hash((self.re, self.im))
 
     def __str__(self):
         return f"{_frac_str(self.re)} + {_frac_str(self.im)}*i"
@@ -108,6 +109,9 @@ class HScalar:
         return NotImplemented
 
     def __hash__(self):
+        # a constant equals its rational, so it must hash as one
+        if len(self.coeffs) <= 1:
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash(self.coeffs)
 
     # -- ring operations ----------------------------------------------

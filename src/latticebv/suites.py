@@ -56,7 +56,7 @@ from .quantize import (
     tpfa_product,
 )
 from .reporting import CATALOG, CheckRecord, digest_inputs
-from .scalars import IH, HScalar, ONE
+from .scalars import IH, ONE
 from .symalg import (
     PairingOracle,
     SymElement,
@@ -493,7 +493,7 @@ def suite_algebra(bundle: ModelBundle) -> list:
                         te = laplacian_tensor(tau_even, te)
                     for _ in range(n - k):
                         te = bider_tensor(tau_even, te)
-                    rhs = rhs + tensor_mu(te).scale(HScalar.of(binom(n, k)))
+                    rhs.add_scaled(tensor_mu(te), binom(n, k))
                 yield lhs == rhs or f"n={n}: {_fmt_elem(a)} | {_fmt_elem(b)}"
 
     run.check("laplacian-binomial", check_binomial)

@@ -70,11 +70,11 @@ class Combination:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
+        self.terms = {k: c for k, c in terms.items() if c} if terms else {}
 
     def _with_terms(self, terms: dict):
         """A fresh element of the same class that takes ownership of terms."""
-        res = type(self)()
+        res = object.__new__(type(self))
         res.terms = terms
         return res
 
@@ -92,17 +92,39 @@ class Combination:
         else:
             self.terms.pop(key, None)
 
+    def add_scaled(self, other, c=None) -> None:
+        """self += c * other in place (c None means 1), dropping the keys that
+        cancel.
+
+        Aliasing rule: call it only on a fresh local accumulator, never on an
+        argument, a cached value (a generator-map image, a SymModel cache
+        entry) or an operand that another element may share, and never with
+        other being self."""
+        terms = self.terms
+        if c is not None:
+            c = HScalar.of(c)
+            if not c:
+                return
+        for k, v in other.terms.items():
+            s = terms.get(k, ZERO) + (v if c is None else v * c)
+            if s:
+                terms[k] = s
+            else:
+                terms.pop(k, None)
+
     def __add__(self, other):
         res = self._with_terms(dict(self.terms))
-        for k, c in other.terms.items():
-            res.add_term(k, c)
+        res.add_scaled(other)
         return res
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        res = self._with_terms(dict(self.terms))
+        res.add_scaled(other, -1)
+        return res
 
     def scale(self, c):
-        c = HScalar.of(c)
+        if type(c) is not HScalar:
+            c = HScalar.of(c)
         return self._with_terms({k: v * c for k, v in self.terms.items()} if c else {})
 
     def items(self):
@@ -167,25 +189,23 @@ def mul(a: SymElement, b: SymElement) -> SymElement:
 
 def extend_derivation(dmap: Callable, degree: int, a: SymElement) -> SymElement:
     """Extend a generator map (gen -> SymElement) of the given degree to a
-    graded derivation."""
+    graded derivation: each image word u replaces v_i in place, and sorting
+    v_1 ... u ... v_n supplies its Koszul sign."""
     out = SymElement()
     for w, c in a.items():
         prefix_deg = 0
         for i, g in enumerate(w):
             img = dmap(g)
             if img:
-                sign = -1 if (degree % 2) and (prefix_deg % 2) else 1
-                out = out + _derivation_term(w, i, img).scale(c if sign > 0 else -c)
+                cg = -c if (degree % 2) and (prefix_deg % 2) else c
+                left, right = w[:i], w[i + 1 :]
+                for u, cu in img.items():
+                    word, sign = normalize(left + u + right)
+                    if word is not None:
+                        cc = cu * cg
+                        out.add_term(word, cc if sign > 0 else -cc)
             prefix_deg += g[0]
     return out
-
-
-def _derivation_term(w: Word, i: int, img: SymElement) -> SymElement:
-    """v_1 ... v_{i-1} * img * v_{i+1} ... v_n; `mul` supplies the Koszul
-    normalization signs, the caller supplies the (-1)^{|D| * prefix} factor."""
-    left = SymElement({w[:i]: ONE})
-    right = SymElement({w[i + 1 :]: ONE})
-    return mul(left, mul(img, right))
 
 
 def sym_map(fmap: Callable, a: SymElement) -> SymElement:
@@ -197,7 +217,7 @@ def sym_map(fmap: Callable, a: SymElement) -> SymElement:
             acc = mul(acc, fmap(g))
             if not acc:
                 break
-        out = out + acc.scale(c)
+        out.add_scaled(acc, c)
     return out
 
 
@@ -349,8 +369,7 @@ def bider_apply(tau: PairingOracle, a: SymElement, b: SymElement) -> TensorEleme
     out = TensorElement()
     for w1, c1 in a.items():
         for w2, c2 in b.items():
-            piece = _bider_words(tau, w1, w2).scale(c1 * c2)
-            out = out + piece
+            out.add_scaled(_bider_words(tau, w1, w2), c1 * c2)
     return out
 
 
@@ -358,7 +377,7 @@ def bider_tensor(tau: PairingOracle, te: TensorElement) -> TensorElement:
     """The biderivation as an endomorphism of Sym V (x) Sym V."""
     out = TensorElement()
     for (w1, w2), c in te.items():
-        out = out + _bider_words(tau, w1, w2).scale(c)
+        out.add_scaled(_bider_words(tau, w1, w2), c)
     return out
 
 
@@ -369,7 +388,7 @@ def bider_recursive(tau: PairingOracle, a: SymElement, b: SymElement) -> TensorE
     out = TensorElement()
     for w1, c1 in a.items():
         for w2, c2 in b.items():
-            out = out + _bider_rec_words(tau, w1, w2).scale(c1 * c2)
+            out.add_scaled(_bider_rec_words(tau, w1, w2), c1 * c2)
     return out
 
 
@@ -462,7 +481,7 @@ def laplacian_recursive(tau: PairingOracle, a: SymElement) -> SymElement:
     p = tau.degree
     out = SymElement()
     for w, c in a.items():
-        out = out + _laplacian_rec_word(tau, w, p).scale(c)
+        out.add_scaled(_laplacian_rec_word(tau, w, p), c)
     return out
 
 
@@ -488,9 +507,11 @@ def exp_bider(tau: PairingOracle, te: TensorElement, prefactor: HScalar) -> Tens
     term = te
     k = 0
     while term:
-        total = total + term
+        total.add_scaled(term)
         k += 1
-        term = bider_tensor(tau, term).scale(prefactor * Fraction(1, k))
+        term = bider_tensor(tau, term)
+        if term:
+            term = term.scale(prefactor * Fraction(1, k))
     return total
 
 
@@ -500,9 +521,11 @@ def exp_laplacian(tau: PairingOracle, a: SymElement, prefactor: HScalar) -> SymE
     term = a
     k = 0
     while term:
-        total = total + term
+        total.add_scaled(term)
         k += 1
-        term = laplacian_apply(tau, term).scale(prefactor * Fraction(1, k))
+        term = laplacian_apply(tau, term)
+        if term:
+            term = term.scale(prefactor * Fraction(1, k))
     return total
 
 

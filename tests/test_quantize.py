@@ -26,9 +26,11 @@ from latticebv.quantize import (
 from latticebv.scalars import IH, HScalar, ONE
 from latticebv.suites import DEFAULT_CONFIG, merge_config, run_suites
 from latticebv.symalg import (
+    Combination,
     SymElement,
     TensorElement,
     bider_tensor,
+    exp_bider,
     mul,
     normalize,
     tensor_mu,
@@ -606,6 +608,43 @@ def test_sym_power_homotopy_matches_permutation_sum(model):
             assert h == reference_sym_power_homotopy(eta_fn, fg_fn, w), w
             nonzero += bool(h)
     assert nonzero >= 12
+
+
+def test_sym_layer_accumulates_in_place(monkeypatch):
+    # a deterministic work count, not a timing: the Sym-layer loops add
+    # into one accumulator, so none of them may build a + b or a - b
+    calls = Counter()
+    for name in ("__add__", "__sub__"):
+        original = getattr(Combination, name)
+
+        def counted(a, b, original=original, name=name):
+            calls[name] += 1
+            return original(a, b)
+
+        monkeypatch.setattr(Combination, name, counted)
+    SymElement.unit() + SymElement.unit() - SymElement.unit()
+    assert calls == Counter({"__add__": 1, "__sub__": 1})
+    calls.clear()
+
+    sm = sym_mw()
+    rng = random.Random(51)
+    gens = window_gens(sm, -1, 1, range(0, 2))
+    word = random_word_of(rng, gens, 4, min_len=4)
+    assert sm.q_sym(SymElement({word: ONE}))
+    te = TensorElement()
+    while not bider_tensor(sm.tau_0, te):  # draw until some pair contracts
+        a = SymElement({random_word_of(rng, gens, 3, min_len=3): ONE})
+        b = SymElement({random_word_of(rng, gens, 3, min_len=3): HScalar.of(Fraction(2, 3))})
+        te = TensorElement.of(a, b)
+    assert exp_bider(sm.tau_0, te, IH) != te
+    assert sm.moyal_mul(a, b) != mul(a, b)
+    cutoff = make_cutoff(0)
+    eta_fn = eta_gen_map(sm, cutoff)
+    fg_fn = quasi_inverse_gen_map(sm, cutoff)
+    word = random_word_of(rng, window_gens(sm, -3, 3, range(0, 2)), 3, min_len=3)
+    assert sym_power_homotopy(sm, eta_fn, fg_fn, word)
+    assert not sym_power_homotopy_defect(sm, eta_fn, fg_fn, word)
+    assert calls == Counter()
 
 
 def test_green_window_outside_support_is_zero():

@@ -175,3 +175,24 @@ def test_equality_with_rationals():
     assert IH != 0
     assert IH != ONE
     assert hash(HScalar.of(Fraction(6, 3))) == hash(HScalar((2,)))
+
+
+def test_equal_values_hash_equal():
+    # HScalar and GaussianRational compare equal to int/Fraction, so every
+    # equal pair must share its hash (and find each other's dict entries)
+    values = [
+        0, 1, -3, Fraction(1, 2), Fraction(-7, 3), Fraction(4, 2),
+        ZERO, ONE, HScalar.of(-3), HScalar.of(Fraction(1, 2)), IH,
+        HScalar((Fraction(1, 2), 0, 2)), HScalar.of(Fraction(-7, 3)),
+        GaussianRational(), GaussianRational(1), GaussianRational(Fraction(1, 2)),
+        GaussianRational(-3, 0), GaussianRational(0, 1), GaussianRational(2, 5),
+    ]
+    n_equal = 0
+    for x in values:
+        for y in values:
+            if x == y:
+                n_equal += 1
+                assert hash(x) == hash(y), (x, y)
+    assert n_equal - len(values) >= 18  # the cross-type pairs are exercised
+    assert {HScalar.of(1): "one"}.get(1) == "one"
+    assert {Fraction(1, 2): "half"}.get(GaussianRational(Fraction(1, 2))) == "half"

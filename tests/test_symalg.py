@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -5,7 +6,10 @@ import pytest
 
 from conftest import abstract_space, random_element, random_pairing, random_word
 
-from latticebv.scalars import HScalar, ONE
+from latticebv.lattice import Lattice, Point
+from latticebv.models import klein_gordon, maxwell2d
+from latticebv.quantize import SymModel
+from latticebv.scalars import IH, ZERO, HScalar, ONE
 from latticebv.symalg import (
     PairingOracle,
     SymElement,
@@ -16,6 +20,7 @@ from latticebv.symalg import (
     binom,
     boundary_pairing,
     extend_derivation,
+    exp_bider,
     exp_laplacian,
     laplacian_apply,
     laplacian_recursive,
@@ -397,3 +402,141 @@ def test_bider_naturality_under_degree_zero_isomorphism():
             u2 = tuple(relabel[g] for g in w2)
             mapped.add_term((u1, u2), c)
         assert pushed == mapped
+
+
+# -- in-place accumulation -----------------------------------------------------
+
+
+def _random_coeff(rng):
+    """A nonzero polynomial in u with non-integer rational coefficients."""
+    while True:
+        n = rng.randint(1, 3)
+        c = HScalar(tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)))
+        if c:
+            return c
+
+
+def _random_terms(rng, keys, n):
+    return {rng.choice(keys): _random_coeff(rng) for _ in range(n)}
+
+
+def reference_add_scaled(terms, other, c):
+    """a + c * b on plain dicts, written out directly: the keys of a in
+    order, then the new keys of b in order, zero sums dropped."""
+    factor = ONE if c is None else HScalar.of(c)
+    out = {}
+    for k in list(terms) + [k for k in other if k not in terms]:
+        v = terms.get(k, ZERO) + other.get(k, ZERO) * factor
+        if v:
+            out[k] = v
+    return out
+
+
+def _accumulation_cases():
+    rng = random.Random(40)
+    gens, _ = abstract_space()
+    words = [random_word(rng, gens, 4, min_len=0) for _ in range(12)]
+    pairs = [(rng.choice(words), rng.choice(words)) for _ in range(12)]
+    for cls, keys in ((SymElement, words), (TensorElement, pairs)):
+        for _ in range(30):
+            a = _random_terms(rng, keys, 5)
+            b = _random_terms(rng, keys, 5)
+            yield cls, a, b
+
+
+@pytest.mark.parametrize("c", [None, 0, Fraction(-3, 7), 2, IH * Fraction(5, 3) + Fraction(1, 2)])
+def test_add_scaled_matches_plain_dict_reference(c):
+    shared = only_a = only_b = 0
+    for cls, a, b in _accumulation_cases():
+        acc = cls(a)
+        acc.add_scaled(cls(b), c)
+        assert list(acc.items()) == list(reference_add_scaled(a, b, c).items())
+        shared += bool(a.keys() & b.keys())
+        only_a += bool(a.keys() - b.keys())
+        only_b += bool(b.keys() - a.keys())
+    assert shared and only_a and only_b
+
+
+def test_add_scaled_cancels_to_empty():
+    for cls, a, _ in _accumulation_cases():
+        acc = cls(a)
+        acc.add_scaled(cls(a), -1)
+        assert not acc and acc.terms == {}
+        acc = cls(a).scale(IH)
+        acc.add_scaled(cls(a), -IH)
+        assert not acc
+
+
+def test_operations_leave_operands_unchanged():
+    rng = random.Random(41)
+    gens, _, tau_even, _, tau_anti = _pairings()
+    sm = SymModel(klein_gordon(Lattice(21), kappa=Fraction(1, 2), mass_sq=Fraction(1)))
+    sm_gens = sm.generators_at([Point(t, x) for t in (-1, 0, 1) for x in (0, 1)])
+    for _ in range(20):
+        a = random_element(rng, gens, 4).scale(IH + Fraction(1, 3))
+        b = random_element(rng, gens, 4)
+        te = TensorElement.of(a, b)
+        before = copy.deepcopy((a.terms, b.terms, te.terms))
+        a + b
+        a - b
+        a.scale(Fraction(-2, 3))
+        exp_bider(tau_anti, te, IH)
+        exp_bider(tau_even, te, -IH)
+        assert (a.terms, b.terms, te.terms) == before
+        x = random_element(rng, sm_gens, 3)
+        y = random_element(rng, sm_gens, 3)
+        before = copy.deepcopy((x.terms, y.terms))
+        sm.moyal_mul(x, y)
+        sm.dirac_mul(x, y)
+        sm.time_ordering(x)
+        sm.time_ordering(y, -1)
+        assert (x.terms, y.terms) == before
+
+
+# -- the derivation against its product form -----------------------------------
+
+
+def reference_extend_derivation(dmap, degree, a):
+    """The derivation as the product v_1...v_{i-1} * D(v_i) * v_{i+1}...v_n
+    of three elements, `mul` supplying the Koszul signs of the product."""
+    out = SymElement()
+    for w, c in a.items():
+        prefix_deg = 0
+        for i, g in enumerate(w):
+            img = dmap(g)
+            if img:
+                sign = -1 if (degree % 2) and (prefix_deg % 2) else 1
+                left = SymElement({w[:i]: ONE})
+                right = SymElement({w[i + 1 :]: ONE})
+                out = out + mul(left, mul(img, right)).scale(c if sign > 0 else -c)
+            prefix_deg += g[0]
+    return out
+
+
+def test_derivation_matches_product_form_abstract():
+    rng = random.Random(42)
+    gens, dmap = abstract_space()
+    nonzero = 0
+    for _ in range(150):
+        a = random_element(rng, gens, 6)
+        got = extend_derivation(dmap, 1, a)
+        assert got == reference_extend_derivation(dmap, 1, a), a
+        nonzero += bool(got)
+    assert nonzero >= 100
+
+
+@pytest.mark.parametrize("model", ["kg-massive", "maxwell2d"])
+def test_derivation_matches_product_form_on_q(model):
+    if model == "maxwell2d":
+        sm = SymModel(maxwell2d(Lattice(21)))
+    else:
+        sm = SymModel(klein_gordon(Lattice(21), kappa=Fraction(1, 2), mass_sq=Fraction(1)))
+    rng = random.Random(43)
+    gens = sm.generators_at([Point(t, x) for t in (-1, 0, 1) for x in (-1, 0, 1)])
+    nonzero = 0
+    for _ in range(40):
+        a = random_element(rng, gens, 5)
+        got = sm.q_sym(a)
+        assert got == reference_extend_derivation(sm.qgen, 1, a), a
+        nonzero += bool(got)
+    assert nonzero >= 30
