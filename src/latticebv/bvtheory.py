@@ -23,90 +23,54 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import Lattice, Point, Region, CutoffData
-from .scalars import rational
-
-SectionKey = tuple  # (degree, t, x, fiber)
+from .scalars import Combination, rational
 
 
-class Section:
+class Section(Combination):
     """Finitely supported graded section: {(deg, t, x, fiber): rational}.
 
     Values are exact rationals narrowed by :func:`rational`: a nonzero
     ``int``, or a ``Fraction`` whose denominator is not 1.
     """
 
-    __slots__ = ("data",)
+    __slots__ = ()
+    coerce = staticmethod(rational)
 
-    def __init__(self, data=None):
-        self.data = {k: rational(v) for k, v in (data or {}).items() if v}
+    @property
+    def data(self):
+        # read-only view of terms: the benchmark tracer keys Green sources on
+        # section.data, a dict, because a Combination is unhashable
+        return self.terms
 
     @staticmethod
     def delta(degree: int, point: Point, fiber: int = 0, coeff=1) -> "Section":
         return Section({(degree, point.t, point.x, fiber): coeff})
 
-    def __bool__(self):
-        return bool(self.data)
-
-    def __eq__(self, other):
-        return isinstance(other, Section) and self.data == other.data
-
-    def __add__(self, other):
-        out = dict(self.data)
-        for k, v in other.data.items():
-            s = out.get(k, 0) + v
-            if s:
-                out[k] = s if type(s) is int else rational(s)
-            else:
-                out.pop(k, None)
-        res = Section()
-        res.data = out
-        return res
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "Section":
-        c = rational(c)
-        res = Section()
-        if c:
-            res.data = {k: rational(v * c) for k, v in self.data.items()}
-        return res
-
-    def items(self):
-        return self.data.items()
-
     def support_points(self):
-        return {Point(t, x) for (_, t, x, _) in self.data}
+        return {Point(t, x) for (_, t, x, _) in self.terms}
 
     def degrees(self):
-        return {k[0] for k in self.data}
+        return {k[0] for k in self.terms}
 
     def min_t(self) -> int:
-        return min(k[1] for k in self.data)
+        return min(k[1] for k in self.terms)
 
     def max_t(self) -> int:
-        return max(k[1] for k in self.data)
+        return max(k[1] for k in self.terms)
 
     def restrict_times(self, t_lo, t_hi) -> "Section":
-        res = Section()
-        res.data = {k: v for k, v in self.data.items() if t_lo <= k[1] <= t_hi}
-        return res
+        return self._with_terms({k: v for k, v in self.terms.items() if t_lo <= k[1] <= t_hi})
 
     def multiply_indicator(self, chi_of_t) -> "Section":
-        res = Section()
-        res.data = {k: v for k, v in self.data.items() if chi_of_t(k[1])}
-        return res
+        return self._with_terms({k: v for k, v in self.terms.items() if chi_of_t(k[1])})
 
     def translate_time(self, dt: int) -> "Section":
-        res = Section()
-        res.data = {(d, t + dt, x, f): v for (d, t, x, f), v in self.data.items()}
-        return res
+        return self._with_terms(
+            {(d, t + dt, x, f): v for (d, t, x, f), v in self.terms.items()}
+        )
 
     def supported_in(self, region: Region) -> bool:
         return all(region.contains(p) for p in self.support_points())
-
-    def __repr__(self):
-        return f"Section({self.data!r})"
 
 
 @dataclass(frozen=True)
@@ -170,14 +134,8 @@ class Stencil:
                 if e.fin != fin:
                     continue
                 key = (n + shift, t - e.dt, (x - e.dx) % n_sites, e.fout)
-                s = out.get(key, 0) + val * e.coeff
-                if s:
-                    out[key] = s if type(s) is int else rational(s)
-                else:
-                    out.pop(key, None)
-        res = Section()
-        res.data = out
-        return res
+                out[key] = out.get(key, 0) + val * e.coeff
+        return Section(out)
 
     def compose(self, other: "Stencil") -> "Stencil":
         """self after other."""
@@ -390,7 +348,7 @@ class FreeBVModel:
             for j, coeff in enumerate(row):
                 if not coeff:
                     continue
-                w = psi.data.get((m, t, x, j))
+                w = psi.terms.get((m, t, x, j))
                 if w is not None:
                     acc += v * w * coeff
         return rational(acc)
@@ -479,9 +437,7 @@ class GreenSolver:
                 for (x, fout), kv in sl.items():
                     key = (n, t, (x + xs) % n_sites, fout)
                     out[key] = out.get(key, 0) + v * kv
-        res = Section()
-        res.data = {k: s if type(s) is int else rational(s) for k, s in out.items() if s}
-        return res
+        return Section(out)
 
     def value_at(self, source: Section, degree: int, point: Point, fiber: int):
         """Single solved value; avoids materializing window sections."""
@@ -512,15 +468,18 @@ def lambda_pm(model: FreeBVModel, psi: Section, direction: int, t_lo: int, t_hi:
 
 def lambda_diff(model: FreeBVModel, psi: Section, t_lo: int, t_hi: int) -> Section:
     """The retarded-minus-advanced map L = L+ - L- on the window."""
-    return lambda_pm(model, psi, 1, t_lo, t_hi) - lambda_pm(model, psi, -1, t_lo, t_hi)
+    out = lambda_pm(model, psi, 1, t_lo, t_hi)
+    out.add_scaled(lambda_pm(model, psi, -1, t_lo, t_hi), -1)
+    return out
 
 
 def lambda_dirac(model: FreeBVModel, psi: Section, t_lo: int, t_hi: int) -> Section:
     """L_D = (L+ + L-)/2 on the window."""
     half = Fraction(1, 2)
-    return (
-        lambda_pm(model, psi, 1, t_lo, t_hi) + lambda_pm(model, psi, -1, t_lo, t_hi)
-    ).scale(half)
+    out = Section()
+    out.add_scaled(lambda_pm(model, psi, 1, t_lo, t_hi), half)
+    out.add_scaled(lambda_pm(model, psi, -1, t_lo, t_hi), half)
+    return out
 
 
 def _shifted_sign(n: int) -> int:
@@ -533,10 +492,11 @@ def tau_minus1(model: FreeBVModel, psi1: Section, psi2: Section):
     acc = 0
     by_deg: dict = {}
     for k, v in psi1.items():
-        by_deg.setdefault(k[0], {})[k] = v
-    for n, data in by_deg.items():
-        part = Section()
-        part.data = data
+        part = by_deg.get(k[0])
+        if part is None:
+            part = by_deg[k[0]] = Section()
+        part.add_term(k, v)
+    for n, part in by_deg.items():
         val = model.int_pairing(part, psi2)
         if val:
             acc += val if _shifted_sign(n) > 0 else -val
@@ -607,9 +567,7 @@ def _cut_translate_sum(model: FreeBVModel, cutoff: CutoffData, psi: Section, tab
         for m, s, x, g, w in sol:
             key = (m, s + t0, (x + xs) % n_sites, g)
             out[key] = out.get(key, 0) + v * w
-    res = Section()
-    res.data = {k: c if type(c) is int else rational(c) for k, c in out.items() if c}
-    return res
+    return Section(out)
 
 
 def _g_of_delta(model: FreeBVModel, cutoff: CutoffData, delta: Section) -> Section:
@@ -618,10 +576,8 @@ def _g_of_delta(model: FreeBVModel, cutoff: CutoffData, delta: Section) -> Secti
     t0 = cutoff.t0
     band_lo, band_hi = t0 + 1 - rt, t0 + rt
     lam = lambda_diff(model, delta, band_lo - rt, band_hi + rt)
-    clipped = lam.multiply_indicator(cutoff.chi_plus)
-    out = model.q_op.apply(clipped, model.lattice) - model.q_op.apply(
-        lam, model.lattice
-    ).multiply_indicator(cutoff.chi_plus)
+    out = model.q_op.apply(lam.multiply_indicator(cutoff.chi_plus), model.lattice)
+    out.add_scaled(model.q_op.apply(lam, model.lattice).multiply_indicator(cutoff.chi_plus), -1)
     return out.restrict_times(band_lo, band_hi)
 
 
@@ -631,7 +587,10 @@ def _eta_of_delta(model: FreeBVModel, cutoff: CutoffData, delta: Section) -> Sec
     t, t0 = delta.min_t(), cutoff.t0
     plus_part = lambda_pm(model, delta, 1, t - rt, t0).multiply_indicator(cutoff.chi_minus)
     minus_part = lambda_pm(model, delta, -1, t0 + 1, t + rt).multiply_indicator(cutoff.chi_plus)
-    return (plus_part + minus_part).scale(-1)
+    out = Section()
+    out.add_scaled(plus_part, -1)
+    out.add_scaled(minus_part, -1)
+    return out
 
 
 def quasi_inverse_g(model: FreeBVModel, cutoff: CutoffData, psi: Section) -> Section:

@@ -11,7 +11,8 @@ injective ring map, so an identity checked in Q[u] holds in Q(i)[h]; text
 and ``coeff_at_order`` report the h-coefficients, which lie in Q(i)
 (:class:`GaussianRational`).  Keeping h formal makes order-by-order
 statements exact: any identity is checked with zero tolerance, coefficient by
-coefficient.
+coefficient.  :class:`Combination` is the one sparse linear-combination type
+over either ring: sections over Q, Sym elements and tensors over Q[u].
 """
 
 from __future__ import annotations
@@ -205,3 +206,89 @@ def _canonical(coeffs) -> tuple:
 ZERO = HScalar()
 ONE = HScalar.of(1)
 IH = HScalar((0, 1))  # u = i*h
+
+
+class Combination:
+    """Finite linear combination {key: nonzero coefficient}: the one sparse
+    type of the package.
+
+    A subclass fixes the keys and the ring through ``coerce``, which turns a
+    caller's coefficient into a ring element: :func:`rational` for sections
+    over Q, ``HScalar.of`` for Sym elements over Q[u].  Stored values stay
+    canonical: HScalar arithmetic narrows itself, and a rational sum or
+    product that comes out integral is stored as an ``int``.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        coerce = self.coerce
+        self.terms = {k: coerce(c) for k, c in terms.items() if c} if terms else {}
+
+    def _with_terms(self, terms: dict):
+        """A fresh element of the same class that takes ownership of terms."""
+        res = object.__new__(type(self))
+        res.terms = terms
+        return res
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
+
+    def add_term(self, key, c) -> None:
+        """Accumulate c, a ring element, onto key in place, dropping the key
+        when it cancels."""
+        terms = self.terms
+        old = terms.get(key)
+        s = c if old is None else old + c
+        if s:
+            terms[key] = s.numerator if type(s) is Fraction and s.denominator == 1 else s
+        else:
+            terms.pop(key, None)
+
+    def add_scaled(self, other, c=None) -> None:
+        """self += c * other in place (c None means 1), dropping the keys that
+        cancel.
+
+        Aliasing rule: call it only on a fresh local accumulator, never on an
+        argument, a cached value (a generator-map image, a SymModel cache
+        entry) or an operand that another element may share, and never with
+        other being self."""
+        terms = self.terms
+        if c is not None:
+            c = self.coerce(c)
+            if not c:
+                return
+        for k, v in other.terms.items():
+            if c is not None:
+                v = v * c
+            old = terms.get(k)
+            if old is not None:
+                v = old + v
+                if not v:
+                    del terms[k]
+                    continue
+            terms[k] = v.numerator if type(v) is Fraction and v.denominator == 1 else v
+
+    def __add__(self, other):
+        res = self._with_terms(dict(self.terms))
+        res.add_scaled(other)
+        return res
+
+    def __sub__(self, other):
+        res = self._with_terms(dict(self.terms))
+        res.add_scaled(other, -1)
+        return res
+
+    def scale(self, c):
+        res = self._with_terms({})
+        res.add_scaled(self, c)
+        return res
+
+    def items(self):
+        return self.terms.items()
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.terms!r})"

@@ -140,6 +140,11 @@ DEFAULT_CONFIG = {
 }
 
 
+# the keys model_params may hold: kg reads kappa and mass_sq, and every
+# model reads metric_flip
+MODEL_PARAMS = ("kappa", "mass_sq", "metric_flip")
+
+
 def merge_config(base: dict, override: dict) -> dict:
     out = dict(base)
     for key, val in override.items():
@@ -178,8 +183,8 @@ def _region_literal(path: str, literal) -> None:
                 _integer(f"{path}.seeds", v)
     elif kind == "slab":
         _window(f"{path}.t", literal.get("t"))
-    elif kind != "all":
-        raise ValueError(f"{path} must be a region of kind all, hull or slab, got {literal!r}")
+    else:
+        raise ValueError(f"{path} must be a region of kind hull or slab, got {literal!r}")
 
 
 def validate_config(config: dict) -> None:
@@ -191,18 +196,25 @@ def validate_config(config: dict) -> None:
     for key in ("lattice", "model_params", "windows", "samples", "regions"):
         if not isinstance(config[key], dict):
             raise ValueError(f"{key} must be an object, got {config[key]!r}")
-    # model_params is left open: its keys differ by model
-    for section in ("lattice", "windows", "samples", "regions"):
-        known = DEFAULT_CONFIG[section]
+    for section in ("lattice", "model_params", "windows", "samples", "regions"):
+        known = MODEL_PARAMS if section == "model_params" else DEFAULT_CONFIG[section]
         for key in config[section]:
             if key not in known:
                 name = f"{section}.{key}"
                 raise ValueError(f"unknown key {name!r}; valid keys: {sorted(known)}")
     if not isinstance(config["model"], str):
         raise ValueError(f"model must be a string, got {config['model']!r}")
-    flip = config["model_params"].get("metric_flip", False)
+    params = config["model_params"]
+    flip = params.get("metric_flip", False)
     if type(flip) is not bool:
         raise ValueError(f"model_params.metric_flip must be true or false, got {flip!r}")
+    for key in ("kappa", "mass_sq"):
+        try:
+            Fraction(str(params.get(key, 0)))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(
+                f'model_params.{key} must be a rational such as "1/2", got {params[key]!r}'
+            ) from None
     _integer("seed", config["seed"])
     _integer("p_max", config["p_max"], 1)
     _integer("cutoff_t0", config["cutoff_t0"])
@@ -222,14 +234,10 @@ def validate_config(config: dict) -> None:
             raise ValueError(f"regions.{name} must be a single region, got {lits!r}")
         for lit in lits if isinstance(lits, list) else [lits]:
             _region_literal(f"regions.{name}", lit)
-    if any(lit["kind"] == "all" for lit in config["regions"].get("disjoint_pair", [])):
-        raise ValueError("regions.disjoint_pair must be finite regions (hull or slab)")
 
 
 def parse_region(lattice: Lattice, literal: dict) -> Region:
     kind = literal.get("kind")
-    if kind == "all":
-        return Region.all_of(lattice)
     if kind == "hull":
         return causal_hull(lattice, [tuple(s) for s in literal["seeds"]])
     if kind == "slab":
@@ -262,8 +270,7 @@ class ModelBundle:
         }
         # the no-wrap constraint applies where causal DISJOINTNESS is claimed;
         # time-ordering of stacked regions cannot wrap (cones only move forward)
-        disjoint = [r for r in self.regions.get("disjoint_pair", []) if r.is_finite]
-        validate_ring_size(self.lattice, disjoint)
+        validate_ring_size(self.lattice, self.regions["disjoint_pair"])
         # the Cauchy-slab checks need the cut band inside the slab
         check_cutoff_in_region(self.model, make_cutoff(config["cutoff_t0"]), self.regions["slab"])
 
@@ -529,7 +536,8 @@ def _random_section(rng, model, points, n_terms):
         f = rng.randrange(model.rank(n))
         c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
         if c:
-            out = out + Section.delta(n, model.lattice.point(p.t, p.x), f, c)
+            q = model.lattice.point(p.t, p.x)
+            out.add_term((n, q.t, q.x, f), c)
     return out
 
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable
 
-from .scalars import HScalar, ZERO, ONE
+from .scalars import Combination, HScalar, ZERO, ONE
 
 Word = tuple  # sorted tuple of generators
 
@@ -60,84 +60,11 @@ def normalize(gens) -> tuple:
     return tuple(gens), sign
 
 
-class Combination:
-    """Finite linear combination {key: nonzero coefficient in Q[u]}, u = i*h.
-
-    The subclasses fix the keys: a normalized word (SymElement) or a tuple of
-    words, one per tensor slot (TensorElement).
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {k: c for k, c in terms.items() if c} if terms else {}
-
-    def _with_terms(self, terms: dict):
-        """A fresh element of the same class that takes ownership of terms."""
-        res = object.__new__(type(self))
-        res.terms = terms
-        return res
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self.terms == other.terms
-
-    def add_term(self, key, c: HScalar) -> None:
-        """Accumulate c onto key in place, dropping the key when it cancels."""
-        s = self.terms.get(key, ZERO) + c
-        if s:
-            self.terms[key] = s
-        else:
-            self.terms.pop(key, None)
-
-    def add_scaled(self, other, c=None) -> None:
-        """self += c * other in place (c None means 1), dropping the keys that
-        cancel.
-
-        Aliasing rule: call it only on a fresh local accumulator, never on an
-        argument, a cached value (a generator-map image, a SymModel cache
-        entry) or an operand that another element may share, and never with
-        other being self."""
-        terms = self.terms
-        if c is not None:
-            c = HScalar.of(c)
-            if not c:
-                return
-        for k, v in other.terms.items():
-            s = terms.get(k, ZERO) + (v if c is None else v * c)
-            if s:
-                terms[k] = s
-            else:
-                terms.pop(k, None)
-
-    def __add__(self, other):
-        res = self._with_terms(dict(self.terms))
-        res.add_scaled(other)
-        return res
-
-    def __sub__(self, other):
-        res = self._with_terms(dict(self.terms))
-        res.add_scaled(other, -1)
-        return res
-
-    def scale(self, c):
-        if type(c) is not HScalar:
-            c = HScalar.of(c)
-        return self._with_terms({k: v * c for k, v in self.terms.items()} if c else {})
-
-    def items(self):
-        return self.terms.items()
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.terms!r})"
-
-
 class SymElement(Combination):
     """Finite linear combination of normalized words over Q[u], u = i*h."""
 
     __slots__ = ()
+    coerce = staticmethod(HScalar.of)
 
     @staticmethod
     def unit(coeff=1) -> "SymElement":
@@ -273,9 +200,11 @@ def boundary_pairing(tau: PairingOracle, dmap: Callable, name: str = "") -> Pair
 
 
 class TensorElement(Combination):
-    """Element of a tensor power of Sym V: {(word_1, ..., word_n): coeff}."""
+    """Element of a tensor power of Sym V: {(word_1, ..., word_n): coeff}
+    over Q[u]."""
 
     __slots__ = ()
+    coerce = staticmethod(HScalar.of)
 
     @staticmethod
     def of(*elems: SymElement) -> "TensorElement":
@@ -433,12 +362,10 @@ def _bider_rec_words(tau: PairingOracle, w1: Word, w2: Word) -> TensorElement:
     if len(w2) >= 2:
         # <a, b c> = <a,b>(1 (x) c) + (-1)^{(|a|+p)|b|} (1 (x) b) <a,c>
         head, tail = (w2[0],), w2[1:]
-        first = _module_right(_bider_rec_words(tau, w1, head), tail)
+        out = _module_right(_bider_rec_words(tau, w1, head), tail)
         sign = -1 if ((word_degree(w1) + p) % 2) and (head[0][0] % 2) else 1
-        second = _module_left(head, _bider_rec_words(tau, w1, tail))
-        if sign < 0:
-            second = second.scale(-1)
-        return first + second
+        out.add_scaled(_module_left(head, _bider_rec_words(tau, w1, tail)), sign)
+        return out
     # len(w1) >= 2, len(w2) == 1: flip through (anti-)symmetry
     flipped = _bider_rec_words(tau, w2, w1)
     sign = -1 if (word_degree(w1) % 2) and (word_degree(w2) % 2) else 1
@@ -493,11 +420,9 @@ def _laplacian_rec_word(tau: PairingOracle, w: Word, p: int) -> SymElement:
         return SymElement({EMPTY_WORD: val} if val else {})
     head, tail = (w[0],), w[1:]
     sign = -1 if (p % 2) and (head[0][0] % 2) else 1
-    first = mul(SymElement({head: ONE}), _laplacian_rec_word(tau, tail, p))
-    if sign < 0:
-        first = first.scale(-1)
-    cross = tensor_mu(_bider_rec_words(tau, head, tail))
-    return first + cross
+    out = tensor_mu(_bider_rec_words(tau, head, tail))
+    out.add_scaled(mul(SymElement({head: ONE}), _laplacian_rec_word(tau, tail, p)), sign)
+    return out
 
 
 def exp_bider(tau: PairingOracle, te: TensorElement, prefactor: HScalar) -> TensorElement:

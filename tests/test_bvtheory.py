@@ -48,10 +48,8 @@ def brute_apply(stencil, section, lattice):
             if e.fin != fin:
                 continue
             key = (n + stencil.degree_shift, t - e.dt, (x - e.dx) % lattice.n_sites, e.fout)
-            out[key] = out.get(key, ZERO) + val * e.coeff
-    res = Section()
-    res.data = {k: v for k, v in out.items() if v}
-    return res
+            out[key] = out.get(key, 0) + val * e.coeff
+    return Section(out)
 
 
 def random_section(rng, model, points, n_terms=3, degrees=None):
@@ -148,8 +146,7 @@ def _metric_compat_defect(model, phi1, phi2):
     lattice = model.lattice
     acc = ZERO
     for n in model.degrees():
-        part = Section()
-        part.data = {k: v for k, v in phi1.items() if k[0] == n}
+        part = Section({k: v for k, v in phi1.items() if k[0] == n})
         if not part:
             continue
         q1 = model.q_op.apply(part, lattice)
@@ -620,8 +617,7 @@ def _d_tau(model, tau_fn, psi1, psi2):
     lattice = model.lattice
     acc = tau_fn(model, q.apply(psi1, lattice), psi2)
     for n in psi1.degrees():
-        part = Section()
-        part.data = {k: v for k, v in psi1.items() if k[0] == n}
+        part = Section({k: v for k, v in psi1.items() if k[0] == n})
         sign = -1 if (n - 1) % 2 else 1
         term = tau_fn(model, part, q.apply(psi2, lattice))
         acc = acc + (term if sign > 0 else -term)

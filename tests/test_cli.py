@@ -140,6 +140,18 @@ def test_run_rejects_bad_config(tmp_path, capsys):
         ({"samples": {"nope": 3}}, "unknown key 'samples.nope'"),
         ({"windows": {"bogus_w": [0, 1]}}, "unknown key 'windows.bogus_w'"),
         ({"lattice": {"n_sites": 21, "foo": 3}}, "unknown key 'lattice.foo'"),
+        ({"regions": {"slab": {"kind": "all"}}}, "regions.slab"),
+        (
+            {"regions": {"stacked_pair": [{"kind": "all"}, {"kind": "hull", "seeds": [[0, 0]]}]}},
+            "regions.stacked_pair",
+        ),
+        (
+            {"regions": {"stacked_tuple": [{"kind": "all"}] * 4}},
+            "regions.stacked_tuple",
+        ),
+        ({"model_params": {"kapa": "1/2"}}, "unknown key 'model_params.kapa'"),
+        ({"model_params": {"kappa": "abc"}}, "model_params.kappa"),
+        ({"model_params": {"mass_sq": "1/0"}}, "model_params.mass_sq"),
     ],
 )
 def test_run_rejects_invalid_config_values(tmp_path, capsys, extra, field):

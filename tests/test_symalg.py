@@ -6,10 +6,20 @@ import pytest
 
 from conftest import abstract_space, random_element, random_pairing, random_word
 
-from latticebv.lattice import Lattice, Point
+from latticebv.bvtheory import (
+    Section,
+    homotopy_eta,
+    lambda_diff,
+    lambda_dirac,
+    quasi_inverse_g,
+    tau_0,
+    tau_dirac,
+    tau_minus1,
+)
+from latticebv.lattice import Lattice, Point, make_cutoff
 from latticebv.models import klein_gordon, maxwell2d
 from latticebv.quantize import SymModel
-from latticebv.scalars import IH, ZERO, HScalar, ONE
+from latticebv.scalars import IH, HScalar, ONE
 from latticebv.symalg import (
     PairingOracle,
     SymElement,
@@ -416,17 +426,31 @@ def _random_coeff(rng):
             return c
 
 
-def _random_terms(rng, keys, n):
-    return {rng.choice(keys): _random_coeff(rng) for _ in range(n)}
+def _random_rational(rng):
+    """A nonzero rational with denominator 1, 2 or 3, so that sums such as
+    1/2 + 1/2 and products such as (2/3)(3/2) come out integral."""
+    return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+
+
+def _random_terms(rng, keys, n, coeff):
+    return {rng.choice(keys): coeff(rng) for _ in range(n)}
+
+
+def assert_narrowed(elem):
+    """Every stored rational, a Section value or an HScalar coefficient, is
+    an int or a Fraction whose denominator is not 1."""
+    for v in elem.terms.values():
+        for q in v.coeffs if type(v) is HScalar else (v,):
+            assert type(q) is int or (type(q) is Fraction and q.denominator != 1), v
 
 
 def reference_add_scaled(terms, other, c):
     """a + c * b on plain dicts, written out directly: the keys of a in
     order, then the new keys of b in order, zero sums dropped."""
-    factor = ONE if c is None else HScalar.of(c)
+    factor = 1 if c is None else c
     out = {}
     for k in list(terms) + [k for k in other if k not in terms]:
-        v = terms.get(k, ZERO) + other.get(k, ZERO) * factor
+        v = terms.get(k, 0) + other.get(k, 0) * factor
         if v:
             out[k] = v
     return out
@@ -437,24 +461,40 @@ def _accumulation_cases():
     gens, _ = abstract_space()
     words = [random_word(rng, gens, 4, min_len=0) for _ in range(12)]
     pairs = [(rng.choice(words), rng.choice(words)) for _ in range(12)]
-    for cls, keys in ((SymElement, words), (TensorElement, pairs)):
+    points = [(n, t, x, 0) for n in (0, 1) for t in (-1, 0) for x in (0, 20)]
+    for cls, keys, coeff in (
+        (SymElement, words, _random_coeff),
+        (TensorElement, pairs, _random_coeff),
+        (Section, points, _random_rational),
+    ):
         for _ in range(30):
-            a = _random_terms(rng, keys, 5)
-            b = _random_terms(rng, keys, 5)
+            a = _random_terms(rng, keys, 5, coeff)
+            b = _random_terms(rng, keys, 5, coeff)
             yield cls, a, b
 
 
-@pytest.mark.parametrize("c", [None, 0, Fraction(-3, 7), 2, IH * Fraction(5, 3) + Fraction(1, 2)])
+@pytest.mark.parametrize(
+    "c", [None, 0, Fraction(-3, 7), 2, Fraction(3, 2), IH * Fraction(5, 3) + Fraction(1, 2)]
+)
 def test_add_scaled_matches_plain_dict_reference(c):
-    shared = only_a = only_b = 0
+    shared = only_a = only_b = integral = 0
     for cls, a, b in _accumulation_cases():
+        if cls is Section and type(c) is HScalar:
+            continue  # sections are over Q
         acc = cls(a)
         acc.add_scaled(cls(b), c)
         assert list(acc.items()) == list(reference_add_scaled(a, b, c).items())
+        assert_narrowed(acc)
         shared += bool(a.keys() & b.keys())
         only_a += bool(a.keys() - b.keys())
         only_b += bool(b.keys() - a.keys())
+        integral += cls is Section and any(
+            type(v) is int and type(a.get(k)) is Fraction and a[k].denominator != 1
+            for k, v in acc.items()
+        )
     assert shared and only_a and only_b
+    if c in (None, Fraction(3, 2)):
+        assert integral  # some non-integral value of a summed to an integer
 
 
 def test_add_scaled_cancels_to_empty():
@@ -462,9 +502,11 @@ def test_add_scaled_cancels_to_empty():
         acc = cls(a)
         acc.add_scaled(cls(a), -1)
         assert not acc and acc.terms == {}
-        acc = cls(a).scale(IH)
-        acc.add_scaled(cls(a), -IH)
-        assert not acc
+        factor = Fraction(3, 2) if cls is Section else IH
+        acc = cls(a).scale(factor)
+        assert_narrowed(acc)
+        acc.add_scaled(cls(a), -factor)
+        assert not acc and acc.terms == {}
 
 
 def test_operations_leave_operands_unchanged():
@@ -491,6 +533,35 @@ def test_operations_leave_operands_unchanged():
         sm.time_ordering(x)
         sm.time_ordering(y, -1)
         assert (x.terms, y.terms) == before
+    # sections: sums and products of non-integral rationals that come out
+    # integral are stored as ints, and the Green, pairing and cut maps,
+    # which accumulate in place, leave their arguments alone
+    model = sm.model
+    half, third = Fraction(1, 2), Fraction(2, 3)
+    a = Section({(0, 0, 0, 0): half, (1, 1, 0, 0): third, (0, -1, 1, 0): 1})
+    b = Section({(0, 0, 0, 0): half, (1, 1, 0, 0): -third, (1, 2, 20, 0): 3})
+    before = copy.deepcopy((a.terms, b.terms))
+    assert (a + b).terms == {(0, 0, 0, 0): 1, (0, -1, 1, 0): 1, (1, 2, 20, 0): 3}
+    assert (a - b).terms == {(1, 1, 0, 0): Fraction(4, 3), (0, -1, 1, 0): 1, (1, 2, 20, 0): -3}
+    assert a.scale(Fraction(3, 2)).terms == {
+        (0, 0, 0, 0): Fraction(3, 4), (1, 1, 0, 0): 1, (0, -1, 1, 0): Fraction(3, 2)
+    }
+    cutoff = make_cutoff(0)
+    results = [a + b, a - b, a.scale(Fraction(3, 2)), a.scale(0)]
+    for psi in (a, b):
+        results += [
+            lambda_diff(model, psi, -3, 3),
+            lambda_dirac(model, psi, -3, 3),
+            homotopy_eta(model, cutoff, psi),
+            quasi_inverse_g(model, cutoff, psi),
+        ]
+    for fn in (tau_minus1, tau_0, tau_dirac):
+        fn(model, a, b)
+        fn(model, b, a)
+    assert (a.terms, b.terms) == before
+    for r in results:
+        assert_narrowed(r)
+    assert all(results[-4:])  # b's images are nonzero
 
 
 # -- the derivation against its product form -----------------------------------
