@@ -105,6 +105,15 @@ def check_report_path(path: str) -> None:
         raise ValueError(f"--report-out {path!r} cannot be written")
 
 
+def print_record(rec) -> None:
+    """The progress line of one check, printed as the check ends."""
+    info = CATALOG[rec.identity]
+    mark = "PASS" if rec.passed else "FAIL"
+    print(f"[{mark}] {info.suite}/{rec.identity}: {info.statement}", flush=True)
+    if not rec.passed and rec.witness:
+        print(f"       witness: {rec.witness}", flush=True)
+
+
 def cmd_run(args) -> int:
     try:
         config = load_config(args)
@@ -113,7 +122,7 @@ def cmd_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        records = run_suites(config)
+        records = run_suites(config, on_record=None if args.quiet else print_record)
     except (ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -121,12 +130,6 @@ def cmd_run(args) -> int:
     text = render_report(report)
     with open(args.report_out, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
-    if not args.quiet:
-        for rec in report["records"]:
-            mark = "PASS" if rec["passed"] else "FAIL"
-            print(f"[{mark}] {rec['suite']}/{rec['identity']}: {rec['statement']}")
-            if not rec["passed"] and rec.get("witness"):
-                print(f"       witness: {rec['witness']}")
     n_fail = sum(1 for rec in report["records"] if not rec["passed"])
     print(
         f"{report['n_checks'] - n_fail}/{report['n_checks']} checks passed "

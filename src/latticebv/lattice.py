@@ -246,14 +246,6 @@ class CutoffData:
 
     t0: int
 
-    @property
-    def sigma_minus(self) -> int:
-        return self.t0 - 1
-
-    @property
-    def sigma_plus(self) -> int:
-        return self.t0 + 1
-
     def chi_plus(self, t: int) -> int:
         return 1 if t >= self.t0 + 1 else 0
 

@@ -88,6 +88,20 @@ class SymModel:
             (g2[2] - g1[2]) % self.model.lattice.n_sites,
         )
 
+    def class_pairs(self, gens1, gens2):
+        """The pairs of product(gens1, gens2) in that order, skipping every
+        pair whose translation class has already appeared.  The pairings, Q
+        and the fiber metric take one value per class, so a check over these
+        pairs quantifies over the generator basis modulo translation: it
+        decides what the check over every pair decides, and its first failing
+        pair is the same."""
+        seen = set()
+        for g1, g2 in product(gens1, gens2):
+            key = self._translation_class(g1, g2)
+            if key not in seen:
+                seen.add(key)
+                yield g1, g2
+
     def _ev_m1(self, g1, g2) -> HScalar:
         return HScalar.of(tau_minus1(self.model, gen_to_section(g1), gen_to_section(g2)))
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -247,10 +248,12 @@ def parse_region(lattice: Lattice, literal: dict) -> Region:
 
 
 class ModelBundle:
-    """Everything a suite needs, built once from a config."""
+    """Everything a suite needs, built once from a config, and the
+    callback that sees each check's record as the check ends."""
 
-    def __init__(self, config: dict):
+    def __init__(self, config: dict, on_record=None):
         self.config = config
+        self.on_record = on_record
         lat = config["lattice"]
         self.lattice = Lattice(lat["n_sites"], lat.get("slope", 1))
         params = dict(config.get("model_params", {}))
@@ -384,7 +387,10 @@ class SuiteRunner:
             outcome = f"error: {exc!r}"
         wall = (time.perf_counter() - start) * 1000.0
         witness = outcome if isinstance(outcome, str) else None
-        self.records.append(CheckRecord(identity, outcome is True, self.digest, witness, wall))
+        record = CheckRecord(identity, outcome is True, self.digest, witness, wall)
+        self.records.append(record)
+        if self.bundle.on_record is not None:
+            self.bundle.on_record(record)
 
 
 def _koszul(deg1: int, deg2: int) -> int:
@@ -766,7 +772,7 @@ def suite_structures(bundle: ModelBundle) -> list:
 
     def check_pair_symmetry(tau, expected_s):
         # tau o gamma = s tau: koszul * tau(g2, g1) = s * tau(g1, g2)
-        for g1, g2 in product(gens, gens):
+        for g1, g2 in sm.class_pairs(gens, gens):
             base = tau(g1, g2)
             rhs = base if expected_s > 0 else -base
             lhs = tau(g2, g1)
@@ -780,14 +786,14 @@ def suite_structures(bundle: ModelBundle) -> list:
 
     def check_d_tau_d():
         d_tau = boundary_pairing(sm.tau_d, sm.qgen).evaluate
-        for g1, g2 in product(gens, gens):
+        for g1, g2 in sm.class_pairs(gens, gens):
             yield d_tau(g1, g2) == sm.tau_m1(g1, g2) or f"{g1} | {g2}"
 
     run.check("pairing-dirac-trivializes", check_d_tau_d)
 
     def check_d_tau_0():
         d_tau = boundary_pairing(sm.tau_0, sm.qgen).evaluate
-        for g1, g2 in product(gens, gens):
+        for g1, g2 in sm.class_pairs(gens, gens):
             yield not d_tau(g1, g2) or f"{g1} | {g2}"
 
     run.check("pairing-unshifted-cochain", check_d_tau_0)
@@ -860,8 +866,16 @@ def suite_theorems(bundle: ModelBundle) -> list:
     run.check("cauchy-eta-homotopy", check_eta)
 
     def check_zeta():
-        # the full delta basis of the Cauchy region
-        for psi in delta_basis(model, sorted(region.points)):
+        # the delta basis of the Cauchy region.  Q, eta and g commute with
+        # x -> x + 1, so a region of whole time slices (a slab), which that
+        # translation maps onto itself, needs one delta per (degree, t,
+        # fiber): the slice's first point x = 0 stands for the slice
+        sizes = Counter(p.t for p in region.points)
+        if all(size == lattice.n_sites for size in sizes.values()):
+            points = [Point(t, 0) for t in sorted(sizes)]
+        else:
+            points = sorted(region.points)
+        for psi in delta_basis(model, points):
             zeta_psi = homotopy_zeta(model, cutoff, region, psi)
             term1 = model.q_op.apply(zeta_psi, lattice)
             term2 = homotopy_eta(model, cutoff, model.q_op.apply(psi, lattice))
@@ -1201,10 +1215,11 @@ SUITES = {
 }
 
 
-def run_suites(config: dict, workers: int = 1) -> list:
+def run_suites(config: dict, workers: int = 1, on_record=None) -> list:
     """Run the config's suites in order and return their records in that
-    order.  An invalid config raises ValueError (see :func:`validate_config`)
-    before any suite runs.
+    order; ``on_record``, when given, is called with each record as soon as
+    its check ends.  An invalid config raises ValueError (see
+    :func:`validate_config`) before any suite runs.
 
     Suites run one after another in the calling thread.  The ``workers``
     keyword is kept only because the benchmark child (perfbench/child.py)
@@ -1217,7 +1232,7 @@ def run_suites(config: dict, workers: int = 1) -> list:
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    bundle = ModelBundle(config)
+    bundle = ModelBundle(config, on_record)
     records = []
     for name in names:
         records.extend(SUITES[name](bundle))

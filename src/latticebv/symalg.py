@@ -76,14 +76,6 @@ class SymElement(Combination):
         c = HScalar.of(coeff)
         return SymElement({(g,): c} if c else {})
 
-    @staticmethod
-    def of_word(gens, coeff=1) -> "SymElement":
-        w, sign = normalize(gens)
-        if w is None:
-            return SymElement()
-        c = HScalar.of(coeff) * sign
-        return SymElement({w: c} if c else {})
-
     def homogeneous_parts(self) -> dict:
         parts: dict = {}
         for w, c in self.terms.items():

@@ -8,7 +8,7 @@ import pytest
 
 from latticebv.cli import main
 from latticebv.reporting import CATALOG, make_report, render_report, strip_timing
-from latticebv.suites import DEFAULT_CONFIG, merge_config, run_suites
+from latticebv.suites import DEFAULT_CONFIG, SuiteRunner, merge_config, run_suites
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -64,6 +64,48 @@ def test_run_small_config_passes(tmp_path, capsys):
     assert report["n_checks"] >= 2
     text = capsys.readouterr().out
     assert "[PASS] structures/pairing-dirac-trivializes" in text
+
+
+def test_run_suites_hands_each_record_to_the_callback_in_run_order(monkeypatch):
+    # structures runs before algebra here, the reverse of the report's order;
+    # the callback sees each record before the next check starts
+    config = merge_config(merge_config(DEFAULT_CONFIG, SMALL), {"suites": ["structures", "algebra"]})
+    seen = []
+    checks_started = []
+    check = SuiteRunner.check
+
+    def counted(run, identity, cases):
+        checks_started.append(len(seen))
+        check(run, identity, cases)
+
+    monkeypatch.setattr(SuiteRunner, "check", counted)
+    records = run_suites(config, on_record=seen.append)
+    assert seen == records
+    assert len(seen) == make_report(config, records)["n_checks"]
+    assert checks_started == list(range(len(records)))
+    assert [CATALOG[rec.identity].suite for rec in seen[:1] + seen[-1:]] == ["structures", "algebra"]
+
+
+def test_run_prints_each_check_line_in_run_order(tmp_path, capsys):
+    # the flipped metric fails checks of both suites; a failing line is
+    # followed by its witness, if it has one, and the summary comes last
+    cfg = write_config(tmp_path, {"model_params": {"metric_flip": True}})
+    out = tmp_path / "report.json"
+    argv = ["run", "--config", str(cfg), "--suite", "structures", "--suite", "green"]
+    assert main(argv + ["--report-out", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    config = merge_config(DEFAULT_CONFIG, json.loads(cfg.read_text()))
+    records = run_suites(merge_config(config, {"suites": ["structures", "green"]}))
+    expected = []
+    for rec in records:
+        info = CATALOG[rec.identity]
+        expected.append(f"[{'PASS' if rec.passed else 'FAIL'}] {info.suite}/{rec.identity}: {info.statement}")
+        if rec.witness:
+            expected.append(f"       witness: {rec.witness}")
+    n_pass = sum(rec.passed for rec in records)
+    expected.append(f"{n_pass}/{len(records)} checks passed (model=kg, seed=11); report: {out}")
+    assert lines == expected
+    assert {"structures", "green"} == {CATALOG[rec.identity].suite for rec in records if not rec.passed}
 
 
 def test_run_exit_code_and_witness_on_flipped_metric(tmp_path, capsys):

@@ -199,8 +199,6 @@ def test_cutoff_partition():
     for t in range(-4, 5):
         assert cut.chi_plus(t) + cut.chi_minus(t) == 1
     assert cut.chi_plus(1) == 1 and cut.chi_plus(0) == 0
-    # supp chi_+ = {t >= 1} inside I^+(Sigma_-) = {t >= 0}
-    assert cut.sigma_minus == -1 and cut.sigma_plus == 1
 
 
 def test_validate_ring_size():

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from latticebv import bvtheory
-from latticebv.bvtheory import tau_0, tau_dirac, tau_minus1
+from latticebv import bvtheory, suites
+from latticebv.bvtheory import delta_basis, homotopy_eta, quasi_inverse_g, tau_0, tau_dirac, tau_minus1
 from latticebv.lattice import Lattice, Point, Region, causal_hull, causally_disjoint, make_cutoff, slab
 from latticebv.models import klein_gordon, maxwell2d
 from latticebv.quantize import (
@@ -24,12 +24,13 @@ from latticebv.quantize import (
     tpfa_product,
 )
 from latticebv.scalars import IH, HScalar, ONE
-from latticebv.suites import DEFAULT_CONFIG, merge_config, run_suites
+from latticebv.suites import DEFAULT_CONFIG, ModelBundle, merge_config, run_suites
 from latticebv.symalg import (
     Combination,
     SymElement,
     TensorElement,
     bider_tensor,
+    boundary_pairing,
     exp_bider,
     mul,
     normalize,
@@ -758,6 +759,154 @@ def test_pairing_and_cut_solves_once_per_translation_class(monkeypatch):
         totals.append(Counter(key[0] for key in runs))
     assert totals[0] == totals[1]
     assert totals[0].keys() == {"tau_m1", "tau_0", "tau_D", "L", "eta", "g"}
+
+
+def test_class_pairs_keeps_product_order_one_pair_per_class():
+    # a window that straddles the ring seam, paired with a window elsewhere
+    for sm in (sym_kg(), sym_mw()):
+        gens1 = window_gens(sm, -1, 1, range(19, 23))
+        gens2 = window_gens(sm, 0, 2, range(-1, 2))
+        pairs = list(itertools.product(gens1, gens2))
+        kept = list(sm.class_pairs(gens1, gens2))
+        keys = [sm._translation_class(g1, g2) for g1, g2 in kept]
+        assert len(set(keys)) == len(keys)
+        assert set(keys) == {sm._translation_class(g1, g2) for g1, g2 in pairs}
+        assert len(kept) < len(pairs)
+        # kept pairs appear in product order, each the first of its class
+        first = {}
+        for i, (g1, g2) in enumerate(pairs):
+            first.setdefault(sm._translation_class(g1, g2), i)
+        assert [pairs[i] for i in sorted(first.values())] == kept
+
+
+# the six checks that quantify over translation classes
+CLASS_CHECKS = (
+    "pairing-shifted-symmetric",
+    "pairing-unshifted-antisymmetric",
+    "pairing-dirac-symmetric",
+    "pairing-dirac-trivializes",
+    "pairing-unshifted-cochain",
+    "cauchy-zeta-homotopy",
+)
+
+
+def _first_failure(cases):
+    """What SuiteRunner.check records of the cases: True, or the first
+    failing outcome."""
+    for outcome in cases:
+        if outcome is not True:
+            return outcome
+    return True
+
+
+def per_pair_reference(bundle):
+    """The six checks over every case: every generator pair of the window,
+    the uncached d(tau) evaluators, and the full delta basis of the Cauchy
+    region.  Maps each identity to True or to its first witness."""
+    sm, model, lattice = bundle.sym, bundle.model, bundle.lattice
+    gens = bundle.gens_window()
+    pairs = list(itertools.product(gens, gens))
+
+    def symmetry(tau, s):
+        for g1, g2 in pairs:
+            base = tau(g1, g2)
+            rhs = base if s > 0 else -base
+            lhs = tau(g2, g1)
+            koszul = -1 if g1[0] % 2 and g2[0] % 2 else 1
+            yield (lhs if koszul > 0 else -lhs) == rhs or f"{g1} | {g2}"
+
+    d_tau_d = boundary_pairing(sm.tau_d, sm.qgen).evaluate
+    d_tau_0 = boundary_pairing(sm.tau_0, sm.qgen).evaluate
+    region = bundle.regions["slab"]
+    cutoff = make_cutoff(bundle.config["cutoff_t0"])
+
+    def zeta():
+        for psi in delta_basis(model, sorted(region.points)):
+            term1 = model.q_op.apply(bvtheory.homotopy_zeta(model, cutoff, region, psi), lattice)
+            term2 = homotopy_eta(model, cutoff, model.q_op.apply(psi, lattice))
+            lhs = (term1 + term2).scale(-1)
+            yield lhs == psi - quasi_inverse_g(model, cutoff, psi) or suites._fmt_section(psi)
+
+    cases = {
+        "pairing-shifted-symmetric": symmetry(sm.tau_m1, 1),
+        "pairing-unshifted-antisymmetric": symmetry(sm.tau_0, -1),
+        "pairing-dirac-symmetric": symmetry(sm.tau_d, 1),
+        "pairing-dirac-trivializes": (
+            d_tau_d(g1, g2) == sm.tau_m1(g1, g2) or f"{g1} | {g2}" for g1, g2 in pairs
+        ),
+        "pairing-unshifted-cochain": (not d_tau_0(g1, g2) or f"{g1} | {g2}" for g1, g2 in pairs),
+        "cauchy-zeta-homotopy": zeta(),
+    }
+    return {identity: _first_failure(c) for identity, c in cases.items()}
+
+
+CAUSAL_WINDOWS = {
+    "suites": ["structures", "theorems"],
+    "windows": {"basis_t": [-1, 1], "basis_x": [-1, 1], "homotopy_t": [-1, 1]},
+    "regions": {"slab": {"kind": "slab", "t": [-1, 1]}},
+}
+
+
+@pytest.mark.parametrize(
+    "override, failing",
+    [
+        ({"model": "kg", "model_params": {"kappa": "1/2", "mass_sq": "1"}}, set()),
+        ({"model": "maxwell2d"}, set()),
+        # the flipped-metric probe: the same failing pairs as every pair gives
+        (
+            {"model": "kg", "seed": 11, "model_params": {"metric_flip": True},
+             "regions": {"slab": {"kind": "slab", "t": [-3, 3]}}},
+            {"pairing-shifted-symmetric", "pairing-dirac-trivializes"},
+        ),
+    ],
+)
+def test_class_quantified_checks_match_per_pair_reference(override, failing):
+    config = merge_config(merge_config(DEFAULT_CONFIG, CAUSAL_WINDOWS), override)
+    records = {rec.identity: rec for rec in run_suites(config)}
+    reference = per_pair_reference(ModelBundle(config))
+    assert {k for k, v in reference.items() if v is not True} == failing
+    for identity in CLASS_CHECKS:
+        rec, ref = records[identity], reference[identity]
+        assert rec.passed == (ref is True)
+        assert rec.witness == (None if ref is True else ref)
+
+
+@pytest.mark.parametrize(
+    "literal, one_per_slice",
+    [
+        ({"kind": "slab", "t": [-2, 2]}, True),
+        # holds the cut band (whole slices at |t| <= 1 on 9 sites), not all of
+        # its slices are whole
+        ({"kind": "hull", "seeds": [[-5, 0], [5, 0]]}, False),
+    ],
+)
+def test_zeta_checks_one_delta_per_slice_only_on_x_invariant_regions(monkeypatch, literal, one_per_slice):
+    # a slab is closed under x -> x + 1 and gets one delta per (degree, t,
+    # fiber); any other region gets every delta
+    seen = []
+    homotopy_zeta = suites.homotopy_zeta
+
+    def counted(model, cutoff, region, psi):
+        ((key, _),) = psi.items()
+        seen.append(key)
+        return homotopy_zeta(model, cutoff, region, psi)
+
+    monkeypatch.setattr(suites, "homotopy_zeta", counted)
+    config = merge_config(
+        DEFAULT_CONFIG,
+        {"lattice": {"n_sites": 9}, "suites": ["theorems"], "regions": {"slab": literal}},
+    )
+    bundle = ModelBundle(config)
+    region = bundle.regions["slab"]
+    every = [key for psi in delta_basis(bundle.model, sorted(region.points)) for key, _ in psi.items()]
+    records = {rec.identity: rec for rec in run_suites(config)}
+    assert records["cauchy-zeta-homotopy"].passed
+    if one_per_slice:
+        classes = {(n, t, f) for n, t, _, f in every}
+        assert len(seen) == len(classes) < len(every)
+        assert {(n, t, f) for n, t, _, f in seen} == classes
+    else:
+        assert seen == every
 
 
 def test_comparison_tuples_with_scrambled_listing():

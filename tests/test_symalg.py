@@ -49,6 +49,12 @@ EVEN_A = (0, 2)
 EVEN_B = (2, 3)
 
 
+def of_word(gens) -> SymElement:
+    """The normalized word of the generators, with its Koszul sign."""
+    w, sign = normalize(gens)
+    return SymElement() if w is None else SymElement({w: HScalar.of(sign)})
+
+
 def test_normalize_single_odd_transposition():
     w, sign = normalize([ODD_B, ODD_A])
     assert w == (ODD_A, ODD_B)
@@ -76,7 +82,7 @@ def test_normalize_idempotent():
 
 
 def test_mul_unit_and_odd_square():
-    a = SymElement.of_word([ODD_A, EVEN_A])
+    a = of_word([ODD_A, EVEN_A])
     assert mul(SymElement.unit(), a) == a
     v = SymElement.of_gen(ODD_A)
     assert not mul(v, v)
@@ -106,7 +112,7 @@ def test_derivation_on_generators_and_leibniz():
     assert extend_derivation(dmap, 1, SymElement.of_gen(g)) == dmap(g)
     # two-generator Leibniz, checked against the hand expansion
     h = gens[4]
-    word = SymElement.of_word([g, h])
+    word = of_word([g, h])
     got = extend_derivation(dmap, 1, word)
     sign = -1 if g[0] % 2 else 1
     expected = mul(dmap(g), SymElement.of_gen(h)) + mul(
@@ -165,7 +171,7 @@ def test_bider_generator_pair():
 
 def test_bider_kills_unit():
     gens, _, tau, _, _ = _pairings()
-    a = SymElement.of_word([gens[0], gens[2]])
+    a = of_word([gens[0], gens[2]])
     assert not bider_apply(tau, a, SymElement.unit())
     assert not bider_apply(tau, SymElement.unit(), a)
 
