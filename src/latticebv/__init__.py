@@ -3,12 +3,12 @@ complexes on discrete Lorentzian lattices.
 
 The package machine-checks, in exact arithmetic (rationals for sections,
 Green solves and pairings; polynomials in u = i*h over Q for the symmetric
-algebra, whose text reports the h-coefficients in Q(i)), the algebraic
-identities relating the two quantizations of a free field complex on a
-lattice cylinder: the deformed differential Q_h = Q + i*h*Delta_BV with its
-time-ordered products, the Moyal-Weyl star product with Einstein causality
-and time-slice, and the time-ordering isomorphism T = exp(i*h*Delta_D)
-intertwining them.
+algebra, plain rationals when constant, whose text reports the
+h-coefficients in Q(i)), the algebraic identities relating the two
+quantizations of a free field complex on a lattice cylinder: the deformed
+differential Q_h = Q + i*h*Delta_BV with its time-ordered products, the
+Moyal-Weyl star product with Einstein causality and time-slice, and the
+time-ordering isomorphism T = exp(i*h*Delta_D) intertwining them.
 """
 
 from .scalars import GaussianRational, HScalar

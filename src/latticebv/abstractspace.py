@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .scalars import HScalar, ZERO
+from .scalars import rational
 from .symalg import PairingOracle, SymElement, normalize
 
 
@@ -53,11 +53,11 @@ def random_pairing(gens, degree: int, symmetry: int, seed: int = 0, density: flo
             koszul = -1 if (g[0] % 2) and (h[0] % 2) else 1
             if g == h and symmetry * koszul == -1:
                 continue  # diagonal forced to vanish
-            table[(g, h)] = HScalar.of(val)
-            table[(h, g)] = HScalar.of(val if symmetry * koszul == 1 else -val)
+            table[(g, h)] = val = rational(val)
+            table[(h, g)] = val if symmetry * koszul == 1 else -val
 
     def ev(g, h):
-        return table.get((g, h), ZERO)
+        return table.get((g, h), 0)
 
     return PairingOracle(degree, symmetry, ev, name=f"abstract(p={degree},s={symmetry})")
 
@@ -77,5 +77,5 @@ def random_element(rng, gens, max_len: int, n_words: int = 3) -> SymElement:
         w = random_word(rng, gens, max_len, min_len=0)
         coeff = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
         if coeff:
-            out.add_term(w, HScalar.of(coeff))
+            out.add_term(w, coeff)
     return out

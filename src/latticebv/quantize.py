@@ -27,7 +27,7 @@ from .bvtheory import (
     tau_minus1,
 )
 from .lattice import Point, Region, find_time_ordering
-from .scalars import IH, HScalar, ONE
+from .scalars import IH, rational
 from .symalg import (
     PairingOracle,
     SymElement,
@@ -56,7 +56,7 @@ def section_to_combo(section: Section) -> dict:
 
 
 def section_to_elem(section: Section) -> SymElement:
-    return SymElement({(g,): HScalar.of(c) for g, c in section_to_combo(section).items()})
+    return SymElement({(g,): c for g, c in section_to_combo(section).items()})
 
 
 class SymModel:
@@ -75,8 +75,8 @@ class SymModel:
         self._w_delta_cache: dict = {}
 
     # -- pairing evaluators (delta pairs; Green kernels translated) ------
-    # The pairings are rational; each evaluator lifts its value into Q[u]
-    # only on the way out to the Sym algebra.
+    # The pairings are rational, and so are their values in the Sym algebra:
+    # a constant Sym coefficient is a plain rational.
 
     def _translation_class(self, g1, g2) -> tuple:
         """Cache key of a generator pair.  Q, W and the fiber metric do not
@@ -102,8 +102,8 @@ class SymModel:
                 seen.add(key)
                 yield g1, g2
 
-    def _ev_m1(self, g1, g2) -> HScalar:
-        return HScalar.of(tau_minus1(self.model, gen_to_section(g1), gen_to_section(g2)))
+    def _ev_m1(self, g1, g2):
+        return tau_minus1(self.model, gen_to_section(g1), gen_to_section(g2))
 
     def _w_delta(self, g) -> Section:
         sec = self._w_delta_cache.get(g)
@@ -138,13 +138,13 @@ class SymModel:
             sums = self._lambda_cache[key] = self._lambda_values(g1, g2)
         return sums
 
-    def _ev_0(self, g1, g2) -> HScalar:
+    def _ev_0(self, g1, g2):
         plus, minus = self._lambda_sums(g1, g2)
-        return HScalar.of(plus - minus)
+        return rational(plus - minus)
 
-    def _ev_d(self, g1, g2) -> HScalar:
+    def _ev_d(self, g1, g2):
         plus, minus = self._lambda_sums(g1, g2)
-        return HScalar.of((plus + minus) * Fraction(1, 2))
+        return rational((plus + minus) * Fraction(1, 2))
 
     # -- differentials ----------------------------------------------------
 
@@ -266,9 +266,9 @@ def fa_product(sm: SymModel, regions, elems, rho=None) -> SymElement:
     te = TensorElement.of(*elems).permute(tuple(rho))
     result = SymElement()
     for words, c in te.items():
-        prod = SymElement({words[0]: ONE})
+        prod = SymElement({words[0]: 1})
         for w in words[1:]:
-            prod = sm.moyal_mul(prod, SymElement({w: ONE}))
+            prod = sm.moyal_mul(prod, SymElement({w: 1}))
         result.add_scaled(prod, c)
     return result
 
@@ -280,9 +280,9 @@ def dirac_nary(sm: SymModel, elems) -> SymElement:
         return SymElement.unit()
     result = SymElement()
     for words, c in TensorElement.of(*elems).items():
-        prod = SymElement({words[0]: ONE})
+        prod = SymElement({words[0]: 1})
         for w in words[1:]:
-            prod = sm.dirac_mul(prod, SymElement({w: ONE}))
+            prod = sm.dirac_mul(prod, SymElement({w: 1}))
         result.add_scaled(prod, c)
     return result
 
@@ -343,7 +343,7 @@ def sym_power_homotopy(sm: SymModel, eta_fn, f_fn, word) -> SymElement:
 def sym_power_homotopy_defect(sm: SymModel, eta_fn, f_fn, word) -> SymElement:
     """d(H_p) - (id - Sym^p F) evaluated on a basis word; zero iff the
     constructive quasi-isomorphism certificate holds there."""
-    elem = SymElement({word: ONE})
+    elem = SymElement({word: 1})
     h_of_w = sym_power_homotopy(sm, eta_fn, f_fn, word)
     q_w = sm.q_sym(elem)
     defect = sm.q_sym(h_of_w)
@@ -359,7 +359,7 @@ def filtration_defects(sm: SymModel, word) -> dict:
     only lengths present are len(word) (the classical differential) and
     len(word) - 2 (the BV term)."""
     p = len(word)
-    elem = SymElement({word: ONE})
+    elem = SymElement({word: 1})
     image = sm.q_hbar(elem)
     by_len: dict = {}
     for w, c in image.items():

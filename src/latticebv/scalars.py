@@ -5,14 +5,17 @@ rational: they are plain Python numbers, an ``int`` or a ``Fraction`` whose
 denominator is not 1 (see :func:`rational`).  The formal deformation
 parameter h enters the Sym algebra only through i*h (Q_h = Q + i*h*Delta_BV,
 the exponents (i*h/2)<-,-> and i*h*Delta_D), so every Sym coefficient is a
-polynomial in u = i*h over Q (:class:`HScalar`); a rational value crosses
-into it through ``HScalar.of``.  The map u -> i*h into Q(i)[h] is an
-injective ring map, so an identity checked in Q[u] holds in Q(i)[h]; text
-and ``coeff_at_order`` report the h-coefficients, which lie in Q(i)
-(:class:`GaussianRational`).  Keeping h formal makes order-by-order
-statements exact: any identity is checked with zero tolerance, coefficient by
-coefficient.  :class:`Combination` is the one sparse linear-combination type
-over either ring: sections over Q, Sym elements and tensors over Q[u].
+polynomial in u = i*h over Q.  A constant one is a plain rational too; only a
+coefficient with a u term is an :class:`HScalar`, and arithmetic that cancels
+every power of u returns the rational (:func:`u_poly` builds, and
+:func:`sym_coeff` coerces, a Sym coefficient).  The map u -> i*h into Q(i)[h]
+is an injective ring map, so an identity checked in Q[u] holds in Q(i)[h];
+:func:`h_coeff` and the witness text :func:`coeff_text` report the
+h-coefficients, which lie in Q(i) (:class:`GaussianRational`).  Keeping h
+formal makes order-by-order statements exact: any identity is checked with
+zero tolerance, coefficient by coefficient.  :class:`Combination` is the one
+sparse linear-combination type over either ring: sections over Q, Sym
+elements and tensors over Q[u].
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ def _frac_str(q: Fraction) -> str:
 
 
 class GaussianRational:
-    """Element a + b*i of Q(i): the value of one h-coefficient of an HScalar."""
+    """Element a + b*i of Q(i): the value of one h-coefficient of a Sym
+    coefficient (:func:`h_coeff`)."""
 
     __slots__ = ("re", "im")
 
@@ -67,144 +71,131 @@ class GaussianRational:
 
 
 class HScalar:
-    """Polynomial in u = i*h over Q.
+    """Polynomial in u = i*h over Q with a u term: a Sym coefficient that is
+    not constant.
 
-    ``coeffs`` is a tuple of rationals (see :func:`rational`) indexed by the
-    power of u, with no trailing zero; ``()`` is zero.  Instances are
-    immutable; all arithmetic returns fresh objects or shares an operand.
-    Sums and products of two constants skip the polynomial loops.
+    ``coeffs`` is a tuple of at least two rationals (see :func:`rational`)
+    indexed by the power of u, the last one nonzero.  A constant Sym
+    coefficient is a plain rational, so an HScalar is never zero and equals
+    no rational; a sum or product whose u terms cancel is that rational (see
+    :func:`u_poly`).  Instances are immutable.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=()):
-        self.coeffs = _canonical(coeffs)
-
-    @staticmethod
-    def of(value) -> "HScalar":
-        """Constant polynomial from an int/Fraction, or an HScalar as is."""
-        if type(value) is HScalar:
-            return value
-        if not isinstance(value, _FRACTION_LIKE):
-            raise TypeError(f"cannot coerce {value!r} to HScalar")
-        q = rational(value)
-        return _raw((q,) if q else ())
-
-    # -- queries ------------------------------------------------------
-
-    def coeff_at_order(self, k: int) -> GaussianRational:
-        """The coefficient of h^k: i^k times the coefficient of u^k."""
-        a = self.coeffs[k] if k < len(self.coeffs) else 0
-        if k % 2:
-            return GaussianRational(0, a if k % 4 == 1 else -a)
-        return GaussianRational(a if k % 4 == 0 else -a)
-
-    def __bool__(self):
-        return bool(self.coeffs)
+    def __init__(self, coeffs):
+        c = u_poly(coeffs)
+        if type(c) is not HScalar:
+            raise ValueError(f"{coeffs!r} is constant: build Sym coefficients with u_poly")
+        self.coeffs = c.coeffs
 
     def __eq__(self, other):
-        if type(other) is HScalar:
-            return self.coeffs == other.coeffs
-        if isinstance(other, _FRACTION_LIKE):
-            return self.coeffs == HScalar.of(other).coeffs
-        return NotImplemented
+        return type(other) is HScalar and self.coeffs == other.coeffs
 
     def __hash__(self):
-        # a constant equals its rational, so it must hash as one
-        if len(self.coeffs) <= 1:
-            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash(self.coeffs)
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
-        if type(other) is not HScalar:
-            other = HScalar.of(other)
-        a, b = self.coeffs, other.coeffs
-        if not b:
-            return self
-        if not a:
-            return other
-        if len(a) == 1 == len(b):
-            s = a[0] + b[0]
-            if type(s) is not int and s.denominator == 1:
-                s = s.numerator
-            return _raw((s,) if s else ())
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return _raw(_canonical(out))
+        a = self.coeffs
+        if type(other) is HScalar:
+            b = other.coeffs
+            if len(a) < len(b):
+                a, b = b, a
+            out = list(a)
+            for k, c in enumerate(b):
+                out[k] += c
+            return u_poly(out)
+        if not isinstance(other, _FRACTION_LIKE):
+            return NotImplemented
+        return u_poly((a[0] + other,) + a[1:])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _raw(tuple(-c for c in self.coeffs))
+        return u_poly(-c for c in self.coeffs)
 
     def __sub__(self, other):
-        if type(other) is not HScalar:
-            other = HScalar.of(other)
-        return self + (-other)
+        return self + -other
 
     def __rsub__(self, other):
-        return HScalar.of(other) - self
+        return -self + other
 
     def __mul__(self, other):
-        if type(other) is not HScalar:
-            other = HScalar.of(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return ZERO
-        if len(a) == 1 == len(b):
-            p = a[0] * b[0]
-            if type(p) is not int and p.denominator == 1:
-                p = p.numerator
-            return _raw((p,))
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return _raw(_canonical(out))
+        a = self.coeffs
+        if type(other) is HScalar:
+            b = other.coeffs
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        out[i + j] += x * y
+            return u_poly(out)
+        if not isinstance(other, _FRACTION_LIKE):
+            return NotImplemented
+        return u_poly(c * other for c in a)
 
     __rmul__ = __mul__
 
-    # -- serialization -------------------------------------------------
-
-    def to_text(self) -> str:
-        """Render the h-coefficients as "a/b + c/d*i" terms per h-order,
-        lowest order first."""
-        parts = []
-        for k, a in enumerate(self.coeffs):
-            if a:
-                body = str(self.coeff_at_order(k))
-                parts.append(body if k == 0 else f"({body})*h^{k}")
-        return " + ".join(parts) or "0"
-
     def __str__(self):
-        return self.to_text()
+        return coeff_text(self)
 
     def __repr__(self):
         return f"HScalar({self.coeffs!r})"
 
 
-def _raw(coeffs: tuple) -> HScalar:
-    out = HScalar.__new__(HScalar)
-    out.coeffs = coeffs
-    return out
-
-
-def _canonical(coeffs) -> tuple:
-    """The coefficients as narrowed rationals, trailing zeros dropped."""
+def u_poly(coeffs):
+    """The Sym coefficient sum_k coeffs[k] * u^k in canonical form: the
+    rational coeffs[0] when no power of u survives, else an HScalar whose
+    coefficients are narrowed rationals with no trailing zero."""
     out = [rational(c) for c in coeffs]
     while out and not out[-1]:
         out.pop()
-    return tuple(out)
+    if len(out) < 2:
+        return out[0] if out else 0
+    res = HScalar.__new__(HScalar)
+    res.coeffs = tuple(out)
+    return res
 
 
-ZERO = HScalar()
-ONE = HScalar.of(1)
+def sym_coeff(value):
+    """A caller's Sym coefficient in canonical form: an HScalar as it is, an
+    int or a Fraction as a narrowed rational."""
+    if type(value) is HScalar:
+        return value
+    if not isinstance(value, _FRACTION_LIKE):
+        raise TypeError(f"not a Sym coefficient: {value!r}")
+    return rational(value)
+
+
+def u_coeffs(c) -> tuple:
+    """The coefficients of a Sym coefficient or a rational by power of u."""
+    return c.coeffs if type(c) is HScalar else (c,)
+
+
+def h_coeff(c, k: int) -> GaussianRational:
+    """The coefficient of h^k of a Sym coefficient or a rational: i^k times
+    its coefficient of u^k."""
+    cs = u_coeffs(c)
+    a = cs[k] if k < len(cs) else 0
+    if k % 2:
+        return GaussianRational(0, a if k % 4 == 1 else -a)
+    return GaussianRational(a if k % 4 == 0 else -a)
+
+
+def coeff_text(c) -> str:
+    """The witness text of a Sym coefficient or a rational: its nonzero
+    h-coefficients as "a/b + c/d*i" terms, lowest order first ("0" when it
+    is zero)."""
+    parts = []
+    for k, a in enumerate(u_coeffs(c)):
+        if a:
+            body = str(h_coeff(c, k))
+            parts.append(body if k == 0 else f"({body})*h^{k}")
+    return " + ".join(parts) or "0"
+
+
 IH = HScalar((0, 1))  # u = i*h
 
 
@@ -214,9 +205,10 @@ class Combination:
 
     A subclass fixes the keys and the ring through ``coerce``, which turns a
     caller's coefficient into a ring element: :func:`rational` for sections
-    over Q, ``HScalar.of`` for Sym elements over Q[u].  Stored values stay
-    canonical: HScalar arithmetic narrows itself, and a rational sum or
-    product that comes out integral is stored as an ``int``.
+    over Q, :func:`sym_coeff` for Sym elements over Q[u], whose coefficients
+    are rationals or non-constant HScalars.  Stored values stay canonical:
+    HScalar arithmetic returns a rational when no u term survives, and a
+    rational sum or product that comes out integral is stored as an ``int``.
     """
 
     __slots__ = ("terms",)

@@ -51,13 +51,14 @@ from .quantize import (
     eta_gen_map,
     fa_product,
     filtration_defects,
+    gen_to_section,
     q_hbar_tensor,
     quasi_inverse_gen_map,
     sym_power_homotopy_defect,
     tpfa_product,
 )
 from .reporting import CATALOG, CheckRecord, digest_inputs
-from .scalars import IH, ONE
+from .scalars import IH, coeff_text
 from .symalg import (
     PairingOracle,
     SymElement,
@@ -301,10 +302,9 @@ class ModelBundle:
 
 
 def _fmt_section(s: Section) -> str:
-    # values are rational; " + 0*i" keeps the Q(i)[h] text of witness reports
     items = sorted(s.items(), key=lambda kv: kv[0])
     return "; ".join(
-        f"deg {k[0]} @(t={k[1]},x={k[2]},f={k[3]}): {v} + 0*i" for k, v in items
+        f"deg {k[0]} @(t={k[1]},x={k[2]},f={k[3]}): {coeff_text(v)}" for k, v in items
     )
 
 
@@ -316,7 +316,7 @@ def _fmt_elem(e: SymElement) -> str:
     parts = []
     for w, c in sorted(e.items(), key=lambda kv: kv[0]):
         label = "*".join(f"({g[0]},{g[1]},{g[2]},{g[3]})" for g in w) or "1"
-        parts.append(f"{label}: {c}")
+        parts.append(f"{label}: {coeff_text(c)}")
     return "; ".join(parts)
 
 
@@ -340,7 +340,7 @@ def shrink_element(elem: SymElement, still_fails) -> SymElement:
             for i in range(len(w)):
                 shorter = w[:i] + w[i + 1 :]
                 terms = {u: c for u, c in cur.items() if u != w}
-                cand = SymElement(terms) + SymElement({shorter: ONE})
+                cand = SymElement(terms) + SymElement({shorter: 1})
                 if still_fails(cand):
                     cur = cand
                     changed = True
@@ -424,7 +424,7 @@ def suite_algebra(bundle: ModelBundle) -> list:
         rng = bundle.rng("algebra-comm")
         for _ in range(200):
             w1, w2 = random_word(rng, gens, 4), random_word(rng, gens, 4)
-            a, b = SymElement({w1: ONE}), SymElement({w2: ONE})
+            a, b = SymElement({w1: 1}), SymElement({w2: 1})
             sign = _koszul(word_degree(w1), word_degree(w2))
             yield mul(a, b) == mul(b, a).scale(sign) or f"{w1} vs {w2}"
 
@@ -446,7 +446,7 @@ def suite_algebra(bundle: ModelBundle) -> list:
         for tau in (tau_even, tau_odd, tau_anti):
             for _ in range(150):
                 w1, w2 = random_word(rng, gens, 3), random_word(rng, gens, 3)
-                a, b = SymElement({w1: ONE}), SymElement({w2: ONE})
+                a, b = SymElement({w1: 1}), SymElement({w2: 1})
                 sign = _koszul(word_degree(w1), word_degree(w2))
                 lhs = tensor_braiding(bider_apply(tau, b, a)).scale(sign)
                 yield lhs == bider_apply(tau, a, b).scale(tau.symmetry) or (
@@ -825,9 +825,13 @@ def suite_structures(bundle: ModelBundle) -> list:
 # -- theorems suite -----------------------------------------------------------------
 
 
-def _delta_pairs(model, r1: Region, r2: Region):
-    """Every (delta in r1, delta in r2) pair of the model's sections."""
-    return product(delta_basis(model, sorted(r1.points)), delta_basis(model, sorted(r2.points)))
+def _delta_pairs(sm: SymModel, r1: Region, r2: Region):
+    """The (delta in r1, delta in r2) pairs of the model's sections, the first
+    of each translation class in product order (SymModel.class_pairs): the
+    section-level pairings of two deltas take one value per class."""
+    gens1, gens2 = sm.generators_in_region(r1), sm.generators_in_region(r2)
+    for g1, g2 in sm.class_pairs(gens1, gens2):
+        yield gen_to_section(g1), gen_to_section(g2)
 
 
 def suite_theorems(bundle: ModelBundle) -> list:
@@ -838,7 +842,7 @@ def suite_theorems(bundle: ModelBundle) -> list:
     def check_causality():
         r1, r2 = bundle.regions["disjoint_pair"]
         yield causally_disjoint(r1, r2) or "configured pair is not causally disjoint"
-        for psi1, psi2 in _delta_pairs(model, r1, r2):
+        for psi1, psi2 in _delta_pairs(bundle.sym, r1, r2):
             yield not tau_0(model, psi1, psi2) or _fmt_pair(psi1, psi2)
 
     run.check("causality-vanishing", check_causality)
@@ -846,7 +850,7 @@ def suite_theorems(bundle: ModelBundle) -> list:
     def check_causality_counter():
         r1, r2 = bundle.regions["connected_pair"]
         yield not causally_disjoint(r1, r2) or "configured pair is causally disjoint"
-        yield any(tau_0(model, psi1, psi2) for psi1, psi2 in _delta_pairs(model, r1, r2)) or (
+        yield any(tau_0(model, psi1, psi2) for psi1, psi2 in _delta_pairs(bundle.sym, r1, r2)) or (
             "no nonzero pairing found across causally connected regions"
         )
 
@@ -898,7 +902,7 @@ def suite_theorems(bundle: ModelBundle) -> list:
     def check_half():
         later, earlier = bundle.regions["stacked_pair"]
         yield is_time_ordered([later, earlier]) or "configured stacked pair is not time-ordered"
-        for psi1, psi2 in _delta_pairs(model, later, earlier):
+        for psi1, psi2 in _delta_pairs(bundle.sym, later, earlier):
             yield half_holds(model, psi1, psi2) or _fmt_pair(psi1, psi2)
 
     run.check("time-ordered-half", check_half)
@@ -909,7 +913,7 @@ def suite_theorems(bundle: ModelBundle) -> list:
         aux = klein_gordon(lattice, mass_sq=Fraction(1))
         a, b = (parse_region(lattice, lit) for lit in bundle.config["regions"]["nonordered_pair"])
         yield not is_time_ordered([a, b]) or "configured pair is time-ordered"
-        pairs = _delta_pairs(aux, a, b)
+        pairs = _delta_pairs(SymModel(aux), a, b)
         yield any(not half_holds(aux, psi1, psi2) for psi1, psi2 in pairs) or (
             "no violation found for the non-time-ordered pair"
         )
@@ -944,8 +948,8 @@ def suite_quantization(bundle: ModelBundle) -> list:
         g1 = sm.generators_in_region(later)
         g2 = sm.generators_in_region(earlier)
         for _ in range(cfg["word_samples"]):
-            a = SymElement({random_word(rng, g1, 2): ONE})
-            b = SymElement({random_word(rng, g2, 2): ONE})
+            a = SymElement({random_word(rng, g1, 2): 1})
+            b = SymElement({random_word(rng, g2, 2): 1})
             te = TensorElement.of(a, b)
             yield sm.q_hbar(tensor_mu(te)) == tensor_mu(q_hbar_tensor(sm, te)) or (
                 f"{_fmt_elem(a)} | {_fmt_elem(b)}"
@@ -979,7 +983,7 @@ def suite_quantization(bundle: ModelBundle) -> list:
         for _ in range(cfg["word_samples"]):
             w1 = random_word(rng, gens, 3)
             w2 = random_word(rng, gens, 3)
-            a, b = SymElement({w1: ONE}), SymElement({w2: ONE})
+            a, b = SymElement({w1: 1}), SymElement({w2: 1})
             sign = -1 if word_degree(w1) % 2 else 1
             lhs = sm.q_sym(sm.moyal_mul(a, b))
             rhs = sm.moyal_mul(sm.q_sym(a), b) + sm.moyal_mul(a, sm.q_sym(b)).scale(sign)
@@ -1003,7 +1007,7 @@ def suite_quantization(bundle: ModelBundle) -> list:
         for _ in range(cfg["comparison_pairs"]):
             w1 = random_word(rng, gens, 3)
             w2 = random_word(rng, gens, 3)
-            a, b = SymElement({w1: ONE}), SymElement({w2: ONE})
+            a, b = SymElement({w1: 1}), SymElement({w2: 1})
             defect = sm.star_commutator(a, b) - sm.poisson_bracket(a, b).scale(IH)
             yield not (defect.coeff_at_order(0) or defect.coeff_at_order(1)) or f"{w1} | {w2}"
 
@@ -1019,8 +1023,8 @@ def suite_quantization(bundle: ModelBundle) -> list:
         for g1, g2 in product(g1s, g2s):
             yield not commutator(g1, g2) or f"{g1} | {g2}"
         for _ in range(6):
-            a = SymElement({random_word(rng, g1s, 3): ONE})
-            b = SymElement({random_word(rng, g2s, 3): ONE})
+            a = SymElement({random_word(rng, g1s, 3): 1})
+            b = SymElement({random_word(rng, g2s, 3): 1})
             yield not sm.star_commutator(a, b) or f"{_fmt_elem(a)} | {_fmt_elem(b)}"
 
     run.check("einstein-causality", check_einstein)
@@ -1039,7 +1043,7 @@ def suite_quantization(bundle: ModelBundle) -> list:
         for _ in range(cfg["comparison_pairs"]):
             w1 = random_word(rng, gens, 3)
             w2 = random_word(rng, gens, 3)
-            a, b = SymElement({w1: ONE}), SymElement({w2: ONE})
+            a, b = SymElement({w1: 1}), SymElement({w2: 1})
             sign = _koszul(word_degree(w1), word_degree(w2))
             yield sm.dirac_mul(a, b) == sm.dirac_mul(b, a).scale(sign) or f"{w1} | {w2}"
         rng2 = bundle.rng("quant-dirac-assoc")
@@ -1115,7 +1119,7 @@ def suite_comparison(bundle: ModelBundle) -> list:
         for length in (1, 2, 3, 4):
             for _ in range(cfg["comparison_words_per_length"]):
                 w = random_word(rng, gens, length, min_len=length)
-                elem = SymElement({w: ONE})
+                elem = SymElement({w: 1})
                 lhs = sm.q_sym(sm.time_ordering(elem))
                 yield lhs == sm.time_ordering(sm.q_hbar(elem)) or str(w)
 
@@ -1141,7 +1145,7 @@ def suite_comparison(bundle: ModelBundle) -> list:
             regions = regions_all[:n]
             reps = cfg["tuple_reps"] if n else 1
             for _ in range(reps):
-                elems = [SymElement({random_word(rng, pools[i], 2): ONE}) for i in range(n)]
+                elems = [SymElement({random_word(rng, pools[i], 2): 1}) for i in range(n)]
                 lhs = sm.time_ordering(tpfa_product(sm, regions, elems))
                 rhs = fa_product(sm, regions, [sm.time_ordering(e) for e in elems])
                 yield lhs == rhs or f"n={n}: " + " | ".join(_fmt_elem(e) for e in elems)
@@ -1168,8 +1172,8 @@ def suite_comparison(bundle: ModelBundle) -> list:
         r1, r2 = bundle.regions["disjoint_pair"]
         g1s, g2s = sm.generators_in_region(r1), sm.generators_in_region(r2)
         for _ in range(6):
-            a = SymElement({random_word(rng, g1s, 2): ONE})
-            b = SymElement({random_word(rng, g2s, 2): ONE})
+            a = SymElement({random_word(rng, g1s, 2): 1})
+            b = SymElement({random_word(rng, g2s, 2): 1})
             one = fa_product(sm, [r1, r2], [a, b], rho=(0, 1))
             other = fa_product(sm, [r1, r2], [a, b], rho=(1, 0))
             yield one == other or f"{_fmt_elem(a)} | {_fmt_elem(b)}"
@@ -1182,7 +1186,7 @@ def suite_comparison(bundle: ModelBundle) -> list:
         pools = [sm.generators_in_region(r) for r in regions_all]
         for n in (2, 3):
             for _ in range(cfg["tuple_reps"]):
-                elems = [SymElement({random_word(rng, pools[i], 2): ONE}) for i in range(n)]
+                elems = [SymElement({random_word(rng, pools[i], 2): 1}) for i in range(n)]
                 yield dirac_nary(sm, elems) == fa_product(sm, regions_all[:n], elems) or f"n={n}"
 
     run.check("dirac-products-match", check_dirac_products)
@@ -1192,8 +1196,8 @@ def suite_comparison(bundle: ModelBundle) -> list:
         later, earlier = bundle.regions["stacked_pair"]
         g1s, g2s = sm.generators_in_region(later), sm.generators_in_region(earlier)
         for _ in range(6):
-            a = SymElement({random_word(rng, g1s, 3): ONE})
-            b = SymElement({random_word(rng, g2s, 3): ONE})
+            a = SymElement({random_word(rng, g1s, 3): 1})
+            b = SymElement({random_word(rng, g2s, 3): 1})
             lhs = TensorElement.of(a, b)
             rhs = TensorElement.of(a, b)
             for k in range(1, 4):

@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable
 
-from .scalars import Combination, HScalar, ZERO, ONE
+from .scalars import Combination, HScalar, sym_coeff, u_coeffs
 
 Word = tuple  # sorted tuple of generators
 
@@ -64,16 +64,16 @@ class SymElement(Combination):
     """Finite linear combination of normalized words over Q[u], u = i*h."""
 
     __slots__ = ()
-    coerce = staticmethod(HScalar.of)
+    coerce = staticmethod(sym_coeff)
 
     @staticmethod
     def unit(coeff=1) -> "SymElement":
-        c = HScalar.of(coeff)
+        c = sym_coeff(coeff)
         return SymElement({EMPTY_WORD: c} if c else {})
 
     @staticmethod
     def of_gen(g, coeff=1) -> "SymElement":
-        c = HScalar.of(coeff)
+        c = sym_coeff(coeff)
         return SymElement({(g,): c} if c else {})
 
     def homogeneous_parts(self) -> dict:
@@ -83,14 +83,11 @@ class SymElement(Combination):
         return {d: SymElement(t) for d, t in parts.items()}
 
     def coeff_at_order(self, k: int) -> "SymElement":
-        """The u^k coefficient of each word, as a constant.  The coefficient
-        of h^k is i^k times it; i^k is a unit, so the two agree at k = 0 and
+        """The u^k coefficient of each word, a rational.  The coefficient of
+        h^k is i^k times it; i^k is a unit, so the two agree at k = 0 and
         vanish together at every k."""
-        out = {}
-        for w, c in self.terms.items():
-            if k < len(c.coeffs) and c.coeffs[k]:
-                out[w] = HScalar.of(c.coeffs[k])
-        return SymElement(out)
+        coeffs = {w: u_coeffs(c) for w, c in self.terms.items()}
+        return SymElement({w: cs[k] for w, cs in coeffs.items() if k < len(cs)})
 
 
 def mul(a: SymElement, b: SymElement) -> SymElement:
@@ -163,7 +160,7 @@ class PairingOracle:
     key: Callable | None = None
     _cache: dict = field(default_factory=dict, repr=False)
 
-    def __call__(self, g1, g2) -> HScalar:
+    def __call__(self, g1, g2):
         key = (g1, g2) if self.key is None else self.key(g1, g2)
         val = self._cache.get(key)
         if val is None:
@@ -177,8 +174,8 @@ def boundary_pairing(tau: PairingOracle, dmap: Callable, name: str = "") -> Pair
     (d tau)(v, w) = -(-1)^p [ tau(dv, w) + (-1)^{|v|} tau(v, dw) ],
     where dmap is the complex differential on generators."""
 
-    def ev(g1, g2) -> HScalar:
-        acc = ZERO
+    def ev(g1, g2):
+        acc = 0
         for (h1,), c in dmap(g1).items():
             acc = acc + tau(h1, g2) * c
         sign1 = -1 if g1[0] % 2 else 1
@@ -196,7 +193,7 @@ class TensorElement(Combination):
     over Q[u]."""
 
     __slots__ = ()
-    coerce = staticmethod(HScalar.of)
+    coerce = staticmethod(sym_coeff)
 
     @staticmethod
     def of(*elems: SymElement) -> "TensorElement":
@@ -228,7 +225,7 @@ class TensorElement(Combination):
         for words, c in self.terms.items():
             prefix = sum(word_degree(w) for w in words[:index])
             sign = -1 if (fdeg % 2) and (prefix % 2) else 1
-            img = fn(SymElement({words[index]: ONE}))
+            img = fn(SymElement({words[index]: 1}))
             for w, cw in img.items():
                 key = words[:index] + (w,) + words[index + 1 :]
                 cc = c * cw
@@ -413,7 +410,7 @@ def _laplacian_rec_word(tau: PairingOracle, w: Word, p: int) -> SymElement:
     head, tail = (w[0],), w[1:]
     sign = -1 if (p % 2) and (head[0][0] % 2) else 1
     out = tensor_mu(_bider_rec_words(tau, head, tail))
-    out.add_scaled(mul(SymElement({head: ONE}), _laplacian_rec_word(tau, tail, p)), sign)
+    out.add_scaled(mul(SymElement({head: 1}), _laplacian_rec_word(tau, tail, p)), sign)
     return out
 
 
@@ -451,11 +448,11 @@ def laplacian_tensor(tau: PairingOracle, te: TensorElement) -> TensorElement:
     p = tau.degree
     out = TensorElement()
     for (w1, w2), c in te.items():
-        left = laplacian_apply(tau, SymElement({w1: ONE}))
+        left = laplacian_apply(tau, SymElement({w1: 1}))
         for u1, c1 in left.items():
             out.add_term((u1, w2), c * c1)
         sign = -1 if (p % 2) and (word_degree(w1) % 2) else 1
-        right = laplacian_apply(tau, SymElement({w2: ONE}))
+        right = laplacian_apply(tau, SymElement({w2: 1}))
         for u2, c2 in right.items():
             cc = c * c2
             out.add_term((w1, u2), cc if sign > 0 else -cc)

@@ -25,7 +25,6 @@ from latticebv.bvtheory import (
 )
 from latticebv.lattice import Lattice, Point, causal_hull, causally_disjoint, is_time_ordered, make_cutoff, slab
 from latticebv.models import klein_gordon, maxwell2d
-from latticebv.scalars import HScalar, ZERO
 
 
 def kg21(**kw):
@@ -144,7 +143,7 @@ def _metric_compat_defect(model, phi1, phi2):
     # <<Q phi1, phi2>> + (-1)^{bundle degree phi1} <<phi1, Q phi2>> over
     # homogeneous parts
     lattice = model.lattice
-    acc = ZERO
+    acc = 0
     for n in model.degrees():
         part = Section({k: v for k, v in phi1.items() if k[0] == n})
         if not part:
@@ -548,8 +547,8 @@ def test_tau_minus1_kg_single_point():
     field = Section.delta(0, Point(0, 0))  # shifted degree -1
     antifield = Section.delta(1, Point(0, 0))  # shifted degree 0
     # (-1)^{-1} * metric(0, 1) entry = (-1) * (-1) = +1
-    assert tau_minus1(model, field, antifield) == HScalar.of(1)
-    assert tau_minus1(model, antifield, field) == HScalar.of(1)
+    assert tau_minus1(model, field, antifield) == 1
+    assert tau_minus1(model, antifield, field) == 1
 
 
 def test_tau_minus1_disjoint_supports():
@@ -577,7 +576,7 @@ def test_tau0_pure_time_value():
     model = pure_time()
     psi1 = Section.delta(1, Point(0, 0))
     psi2 = Section.delta(1, Point(2, 0))
-    assert tau_0(model, psi1, psi2) == HScalar.of(-2)
+    assert tau_0(model, psi1, psi2) == -2
 
 
 def test_tau0_antisymmetry_and_tau_d_symmetry():

@@ -404,15 +404,15 @@ def test_witness_text_of_sym_coefficients():
     from fractions import Fraction
 
     from latticebv.quantize import IH
-    from latticebv.scalars import HScalar
+    from latticebv.scalars import sym_coeff
     from latticebv.suites import _fmt_elem
     from latticebv.symalg import SymElement
 
     u2 = IH * IH
     u3 = u2 * IH
-    a = HScalar.of(Fraction(1, 2)) + IH * Fraction(-3, 4) + u2 * Fraction(5, 3) + u3 * Fraction(7, 2)
+    a = sym_coeff(Fraction(1, 2)) + IH * Fraction(-3, 4) + u2 * Fraction(5, 3) + u3 * Fraction(7, 2)
     b = IH * Fraction(2, 5) - u3 * Fraction(1, 6)
-    c = u2 * -3 + HScalar.of(Fraction(-9, 4))
+    c = u2 * -3 + sym_coeff(Fraction(-9, 4))
     e = SymElement({((-1, 0, 1, 0),): a, ((0, 1, 2, 0), (0, 1, 2, 1)): b, (): c})
     assert _fmt_elem(e) == (
         "1: -9/4 + 0*i + (3 + 0*i)*h^2; "

@@ -23,7 +23,7 @@ from latticebv.quantize import (
     sym_power_homotopy_defect,
     tpfa_product,
 )
-from latticebv.scalars import IH, HScalar, ONE
+from latticebv.scalars import IH, sym_coeff
 from latticebv.suites import DEFAULT_CONFIG, ModelBundle, merge_config, run_suites
 from latticebv.symalg import (
     Combination,
@@ -65,7 +65,7 @@ def random_elem(rng, gens, max_len, n_words=2):
         w = random_word_of(rng, gens, max_len, min_len=0)
         c = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
         if c:
-            out = out + SymElement({w: HScalar.of(c)})
+            out = out + SymElement({w: sym_coeff(c)})
     return out
 
 
@@ -87,7 +87,7 @@ def test_q_hbar_on_pairs_adds_bv_term():
             w, sign = normalize([g1, g2])
             if w is None:
                 continue
-            elem = SymElement({w: ONE})
+            elem = SymElement({w: 1})
             tau_val = sm.tau_m1(g1, g2)
             expected_extra = SymElement.unit(tau_val * IH * sign) if tau_val else SymElement()
             assert sm.q_hbar(elem) == sm.q_sym(elem) + expected_extra
@@ -166,8 +166,8 @@ def test_tpfa_cochain_map_on_stacked_diamonds():
         g_later = sm.generators_in_region(later)
         g_earlier = sm.generators_in_region(earlier)
         for _ in range(12):
-            a = SymElement({random_word_of(rng, g_later, 2): ONE})
-            b = SymElement({random_word_of(rng, g_earlier, 2): ONE})
+            a = SymElement({random_word_of(rng, g_later, 2): 1})
+            b = SymElement({random_word_of(rng, g_earlier, 2): 1})
             te = TensorElement.of(a, b)
             lhs = sm.q_hbar(tensor_mu(te))
             rhs = tensor_mu(q_hbar_tensor(sm, te))
@@ -216,7 +216,7 @@ def test_moyal_chain_map():
         for _ in range(15):
             w1 = random_word_of(rng, gens, 3)
             w2 = random_word_of(rng, gens, 3)
-            a, b = SymElement({w1: ONE}), SymElement({w2: ONE})
+            a, b = SymElement({w1: 1}), SymElement({w2: 1})
             sign = -1 if word_degree(w1) % 2 else 1
             lhs = sm.q_sym(sm.moyal_mul(a, b))
             rhs = sm.moyal_mul(sm.q_sym(a), b) + sm.moyal_mul(a, sm.q_sym(b)).scale(sign)
@@ -251,7 +251,7 @@ def test_moyal_commutator_poisson_order():
     for _ in range(10):
         w1 = random_word_of(rng, gens, 3)
         w2 = random_word_of(rng, gens, 3)
-        a, b = SymElement({w1: ONE}), SymElement({w2: ONE})
+        a, b = SymElement({w1: 1}), SymElement({w2: 1})
         defect = sm.star_commutator(a, b) - sm.poisson_bracket(a, b).scale(IH)
         assert not defect.coeff_at_order(0)
         assert not defect.coeff_at_order(1)
@@ -293,8 +293,8 @@ def test_einstein_causality_disjoint_diamonds():
         # a couple of longer words as well
         rng = random.Random(10)
         for _ in range(5):
-            a = SymElement({random_word_of(rng, g1s, 3): ONE})
-            b = SymElement({random_word_of(rng, g2s, 3): ONE})
+            a = SymElement({random_word_of(rng, g1s, 3): 1})
+            b = SymElement({random_word_of(rng, g2s, 3): 1})
             assert not sm.star_commutator(a, b)
 
 
@@ -332,7 +332,7 @@ def test_dirac_commutative():
         for _ in range(10):
             w1 = random_word_of(rng, gens, 3)
             w2 = random_word_of(rng, gens, 3)
-            a, b = SymElement({w1: ONE}), SymElement({w2: ONE})
+            a, b = SymElement({w1: 1}), SymElement({w2: 1})
             sign = -1 if (word_degree(w1) % 2) and (word_degree(w2) % 2) else 1
             assert sm.dirac_mul(a, b) == sm.dirac_mul(b, a).scale(sign)
 
@@ -379,8 +379,8 @@ def test_fa_product_independent_of_ordering_for_disjoint():
         assert causally_disjoint(r1, r2)
         g1s, g2s = sm.generators_in_region(r1), sm.generators_in_region(r2)
         for _ in range(6):
-            a = SymElement({random_word_of(rng, g1s, 2): ONE})
-            b = SymElement({random_word_of(rng, g2s, 2): ONE})
+            a = SymElement({random_word_of(rng, g1s, 2): 1})
+            b = SymElement({random_word_of(rng, g2s, 2): 1})
             one_way = fa_product(sm, [r1, r2], [a, b], rho=(0, 1))
             other = fa_product(sm, [r1, r2], [a, b], rho=(1, 0))
             assert one_way == other
@@ -395,7 +395,7 @@ def test_fa_equals_dirac_products_on_time_orderable_tuples():
         pools = [sm.generators_in_region(r) for r in regions]
         for n in (2, 3):
             for _ in range(6):
-                elems = [SymElement({random_word_of(rng, pools[i], 2): ONE}) for i in range(n)]
+                elems = [SymElement({random_word_of(rng, pools[i], 2): 1}) for i in range(n)]
                 lhs = dirac_nary(sm, elems)
                 rhs = fa_product(sm, regions[:n], elems)
                 assert lhs == rhs
@@ -409,8 +409,8 @@ def test_pair_d_power_equals_half_pair_0_power_on_time_ordered():
     later, earlier = _regions_stacked(lattice, (4, 0), (0, 0))
     g1s, g2s = sm.generators_in_region(later), sm.generators_in_region(earlier)
     for _ in range(8):
-        a = SymElement({random_word_of(rng, g1s, 3): ONE})
-        b = SymElement({random_word_of(rng, g2s, 3): ONE})
+        a = SymElement({random_word_of(rng, g1s, 3): 1})
+        b = SymElement({random_word_of(rng, g2s, 3): 1})
         te = TensorElement.of(a, b)
         lhs = te
         rhs = te
@@ -434,7 +434,7 @@ def test_time_ordering_map_small_cases():
             w, sign = normalize([g1, g2])
             if w is None:
                 continue
-            elem = SymElement({w: ONE})
+            elem = SymElement({w: 1})
             expected = elem + SymElement.unit(sm.tau_d(g1, g2) * IH * sign)
             assert sm.time_ordering(elem) == expected
 
@@ -457,7 +457,7 @@ def test_comparison_chain_map():
         for length in (1, 2, 3, 4):
             for _ in range(6):
                 w = random_word_of(rng, gens, length, min_len=length)
-                elem = SymElement({w: ONE})
+                elem = SymElement({w: 1})
                 lhs = sm.q_sym(sm.time_ordering(elem))
                 rhs = sm.time_ordering(sm.q_hbar(elem))
                 assert lhs == rhs
@@ -487,7 +487,7 @@ def test_comparison_intertwines_tuple_products():
             regions = regions_all[:n]
             reps = 4 if n else 1
             for _ in range(reps):
-                elems = [SymElement({random_word_of(rng, pools[i], 2): ONE}) for i in range(n)]
+                elems = [SymElement({random_word_of(rng, pools[i], 2): 1}) for i in range(n)]
                 lhs = sm.time_ordering(tpfa_product(sm, regions, elems))
                 t_elems = [sm.time_ordering(e) for e in elems]
                 rhs = fa_product(sm, regions, t_elems)
@@ -505,7 +505,7 @@ def test_comparison_tuples_match_factorized_route():
     pools = [sm.generators_in_region(r) for r in regions]
     ambient = Region.all_of(lattice)
     for _ in range(5):
-        elems = [SymElement({random_word_of(rng, pools[i], 2): ONE}) for i in range(3)]
+        elems = [SymElement({random_word_of(rng, pools[i], 2): 1}) for i in range(3)]
         hull, inner, outer = factorize_tuple(regions, ambient)
         inner_prod = tpfa_product(sm, inner, elems[:-1])
         via_fact = tpfa_product(sm, [hull, regions[-1]], [inner_prod, elems[-1]])
@@ -537,7 +537,7 @@ def test_filtration_p2_unit_component_is_bv_only():
     g1 = (-1, 0, 0, 0)
     g2 = (0, 0, 0, 0)
     w, sign = normalize([g1, g2])
-    elem = SymElement({w: ONE})
+    elem = SymElement({w: 1})
     image = sm.q_hbar(elem)
     unit_part = image.terms.get((), None)
     bv = sm.delta_bv(elem).scale(IH)
@@ -631,11 +631,11 @@ def test_sym_layer_accumulates_in_place(monkeypatch):
     rng = random.Random(51)
     gens = window_gens(sm, -1, 1, range(0, 2))
     word = random_word_of(rng, gens, 4, min_len=4)
-    assert sm.q_sym(SymElement({word: ONE}))
+    assert sm.q_sym(SymElement({word: 1}))
     te = TensorElement()
     while not bider_tensor(sm.tau_0, te):  # draw until some pair contracts
-        a = SymElement({random_word_of(rng, gens, 3, min_len=3): ONE})
-        b = SymElement({random_word_of(rng, gens, 3, min_len=3): HScalar.of(Fraction(2, 3))})
+        a = SymElement({random_word_of(rng, gens, 3, min_len=3): 1})
+        b = SymElement({random_word_of(rng, gens, 3, min_len=3): sym_coeff(Fraction(2, 3))})
         te = TensorElement.of(a, b)
     assert exp_bider(sm.tau_0, te, IH) != te
     assert sm.moyal_mul(a, b) != mul(a, b)
@@ -779,7 +779,7 @@ def test_class_pairs_keeps_product_order_one_pair_per_class():
         assert [pairs[i] for i in sorted(first.values())] == kept
 
 
-# the six checks that quantify over translation classes
+# the ten checks that quantify over translation classes
 CLASS_CHECKS = (
     "pairing-shifted-symmetric",
     "pairing-unshifted-antisymmetric",
@@ -787,6 +787,10 @@ CLASS_CHECKS = (
     "pairing-dirac-trivializes",
     "pairing-unshifted-cochain",
     "cauchy-zeta-homotopy",
+    "causality-vanishing",
+    "causality-counterexample",
+    "time-ordered-half",
+    "time-ordered-half-counterexample",
 )
 
 
@@ -800,9 +804,10 @@ def _first_failure(cases):
 
 
 def per_pair_reference(bundle):
-    """The six checks over every case: every generator pair of the window,
-    the uncached d(tau) evaluators, and the full delta basis of the Cauchy
-    region.  Maps each identity to True or to its first witness."""
+    """The ten checks over every case: every generator pair of the window,
+    the uncached d(tau) evaluators, the full delta basis of the Cauchy
+    region, and every delta pair of the causality and time-ordering regions.
+    Maps each identity to True or to its first witness."""
     sm, model, lattice = bundle.sym, bundle.model, bundle.lattice
     gens = bundle.gens_window()
     pairs = list(itertools.product(gens, gens))
@@ -827,7 +832,44 @@ def per_pair_reference(bundle):
             lhs = (term1 + term2).scale(-1)
             yield lhs == psi - quasi_inverse_g(model, cutoff, psi) or suites._fmt_section(psi)
 
+    def delta_pairs(m, r1, r2):
+        return itertools.product(delta_basis(m, sorted(r1.points)), delta_basis(m, sorted(r2.points)))
+
+    def half_holds(m, psi1, psi2):
+        return tau_dirac(m, psi1, psi2) == tau_0(m, psi1, psi2) * Fraction(1, 2)
+
+    def vanishing():
+        r1, r2 = bundle.regions["disjoint_pair"]
+        yield suites.causally_disjoint(r1, r2) or "configured pair is not causally disjoint"
+        for psi1, psi2 in delta_pairs(model, r1, r2):
+            yield not tau_0(model, psi1, psi2) or suites._fmt_pair(psi1, psi2)
+
+    def vanishing_counter():
+        r1, r2 = bundle.regions["connected_pair"]
+        yield not suites.causally_disjoint(r1, r2) or "configured pair is causally disjoint"
+        yield any(tau_0(model, psi1, psi2) for psi1, psi2 in delta_pairs(model, r1, r2)) or (
+            "no nonzero pairing found across causally connected regions"
+        )
+
+    def half():
+        later, earlier = bundle.regions["stacked_pair"]
+        yield suites.is_time_ordered([later, earlier]) or "configured stacked pair is not time-ordered"
+        for psi1, psi2 in delta_pairs(model, later, earlier):
+            yield half_holds(model, psi1, psi2) or suites._fmt_pair(psi1, psi2)
+
+    def half_counter():
+        aux = klein_gordon(lattice, mass_sq=Fraction(1))
+        a, b = (suites.parse_region(lattice, lit) for lit in bundle.config["regions"]["nonordered_pair"])
+        yield not suites.is_time_ordered([a, b]) or "configured pair is time-ordered"
+        yield any(not half_holds(aux, psi1, psi2) for psi1, psi2 in delta_pairs(aux, a, b)) or (
+            "no violation found for the non-time-ordered pair"
+        )
+
     cases = {
+        "causality-vanishing": vanishing(),
+        "causality-counterexample": vanishing_counter(),
+        "time-ordered-half": half(),
+        "time-ordered-half-counterexample": half_counter(),
         "pairing-shifted-symmetric": symmetry(sm.tau_m1, 1),
         "pairing-unshifted-antisymmetric": symmetry(sm.tau_0, -1),
         "pairing-dirac-symmetric": symmetry(sm.tau_d, 1),
@@ -847,6 +889,19 @@ CAUSAL_WINDOWS = {
 }
 
 
+# causally connected regions given as the disjoint pair and non-ordered ones
+# as the stacked pair, with the region predicates forced true, so that the
+# causality and time-ordering loops fail at a delta pair
+FORCED_REGIONS = {
+    "model": "kg",
+    "model_params": {"mass_sq": "1"},
+    "regions": {
+        "disjoint_pair": DEFAULT_CONFIG["regions"]["connected_pair"],
+        "stacked_pair": DEFAULT_CONFIG["regions"]["nonordered_pair"],
+    },
+}
+
+
 @pytest.mark.parametrize(
     "override, failing",
     [
@@ -858,9 +913,17 @@ CAUSAL_WINDOWS = {
              "regions": {"slab": {"kind": "slab", "t": [-3, 3]}}},
             {"pairing-shifted-symmetric", "pairing-dirac-trivializes"},
         ),
+        (
+            FORCED_REGIONS,
+            {"causality-vanishing", "causality-counterexample", "time-ordered-half",
+             "time-ordered-half-counterexample"},
+        ),
     ],
 )
-def test_class_quantified_checks_match_per_pair_reference(override, failing):
+def test_class_quantified_checks_match_per_pair_reference(monkeypatch, override, failing):
+    if override is FORCED_REGIONS:
+        monkeypatch.setattr(suites, "causally_disjoint", lambda r1, r2: True)
+        monkeypatch.setattr(suites, "is_time_ordered", lambda regions: True)
     config = merge_config(merge_config(DEFAULT_CONFIG, CAUSAL_WINDOWS), override)
     records = {rec.identity: rec for rec in run_suites(config)}
     reference = per_pair_reference(ModelBundle(config))
@@ -921,7 +984,7 @@ def test_comparison_tuples_with_scrambled_listing():
         pools = [sm.generators_in_region(r) for r in regions]
         for n in (2, 3, 4):
             for _ in range(3):
-                elems = [SymElement({random_word_of(rng, pools[i], 2): ONE}) for i in range(n)]
+                elems = [SymElement({random_word_of(rng, pools[i], 2): 1}) for i in range(n)]
                 lhs = sm.time_ordering(tpfa_product(sm, regions[:n], elems))
                 rhs = fa_product(sm, regions[:n], [sm.time_ordering(e) for e in elems])
                 assert lhs == rhs
@@ -944,7 +1007,7 @@ def test_fa_all_orderings_agree_for_mutually_disjoint_triple():
     pools = [sm.generators_in_region(r) for r in regions]
     rng = random.Random(25)
     for _ in range(4):
-        elems = [SymElement({random_word_of(rng, pools[i], 2): ONE}) for i in range(3)]
+        elems = [SymElement({random_word_of(rng, pools[i], 2): 1}) for i in range(3)]
         results = {
             str(sorted(fa_product(sm, regions, elems, rho=rho).terms.items(),
                        key=lambda kv: kv[0]))

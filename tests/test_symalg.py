@@ -19,7 +19,7 @@ from latticebv.bvtheory import (
 from latticebv.lattice import Lattice, Point, make_cutoff
 from latticebv.models import klein_gordon, maxwell2d
 from latticebv.quantize import SymModel
-from latticebv.scalars import IH, HScalar, ONE
+from latticebv.scalars import IH, HScalar, sym_coeff, u_poly
 from latticebv.symalg import (
     PairingOracle,
     SymElement,
@@ -52,7 +52,7 @@ EVEN_B = (2, 3)
 def of_word(gens) -> SymElement:
     """The normalized word of the generators, with its Koszul sign."""
     w, sign = normalize(gens)
-    return SymElement() if w is None else SymElement({w: HScalar.of(sign)})
+    return SymElement() if w is None else SymElement({w: sym_coeff(sign)})
 
 
 def test_normalize_single_odd_transposition():
@@ -101,7 +101,7 @@ def test_mul_graded_commutative():
     gens, _ = abstract_space()
     for _ in range(60):
         w1, w2 = random_word(rng, gens, 3), random_word(rng, gens, 3)
-        a, b = SymElement({w1: ONE}), SymElement({w2: ONE})
+        a, b = SymElement({w1: 1}), SymElement({w2: 1})
         sign = -1 if (word_degree(w1) % 2) and (word_degree(w2) % 2) else 1
         assert mul(a, b) == mul(b, a).scale(sign)
 
@@ -186,7 +186,7 @@ def test_bider_second_slot_derivation_expansion():
                     word, s = normalize([w1, w2])
                     if word is None:
                         continue
-                    lhs = bider_apply(t, SymElement.of_gen(v), SymElement({word: ONE})).scale(s)
+                    lhs = bider_apply(t, SymElement.of_gen(v), SymElement({word: 1})).scale(s)
                     expected = TensorElement()
                     val1 = t(v, w1)
                     if val1:
@@ -215,7 +215,7 @@ def test_bider_symmetry_property():
     for t in (tau_even, tau_odd, tau_anti):
         for _ in range(60):
             w1, w2 = random_word(rng, gens, 3), random_word(rng, gens, 3)
-            a, b = SymElement({w1: ONE}), SymElement({w2: ONE})
+            a, b = SymElement({w1: 1}), SymElement({w2: 1})
             sign = -1 if (word_degree(w1) % 2) and (word_degree(w2) % 2) else 1
             lhs = tensor_braiding(bider_apply(t, b, a)).scale(sign)
             rhs = bider_apply(t, a, b).scale(t.symmetry)
@@ -227,7 +227,7 @@ def test_bider_lowers_length_by_one_each_side():
     gens, _, tau, _, _ = _pairings()
     for _ in range(40):
         w1, w2 = random_word(rng, gens, 4), random_word(rng, gens, 4)
-        te = bider_apply(tau, SymElement({w1: ONE}), SymElement({w2: ONE}))
+        te = bider_apply(tau, SymElement({w1: 1}), SymElement({w2: 1}))
         for (u1, u2) in te.terms:
             assert len(u1) == len(w1) - 1
             assert len(u2) == len(w2) - 1
@@ -245,7 +245,7 @@ def test_laplacian_small_cases():
             word, s = normalize([g, h])
             if word is None:
                 continue
-            got = laplacian_apply(tau, SymElement({word: ONE})).scale(s)
+            got = laplacian_apply(tau, SymElement({word: 1})).scale(s)
             val = tau(g, h)
             assert got == (SymElement({(): val}) if val else SymElement())
 
@@ -273,7 +273,7 @@ def test_laplacian_modified_leibniz():
         p = t.degree
         for _ in range(50):
             w1, w2 = random_word(rng, gens, 3), random_word(rng, gens, 3)
-            a, b = SymElement({w1: ONE}), SymElement({w2: ONE})
+            a, b = SymElement({w1: 1}), SymElement({w2: 1})
             lhs = laplacian_apply(t, mul(a, b))
             sign = -1 if (p % 2) and (word_degree(w1) % 2) else 1
             rhs = (
@@ -289,7 +289,7 @@ def test_laplacian_lowers_length_by_two():
     gens, _, tau, _, _ = _pairings()
     for _ in range(40):
         w = random_word(rng, gens, 5)
-        img = laplacian_apply(tau, SymElement({w: ONE}))
+        img = laplacian_apply(tau, SymElement({w: 1}))
         for u in img.terms:
             assert len(u) == len(w) - 2
 
@@ -352,7 +352,7 @@ def test_binomial_identity():
                     te = laplacian_tensor(tau, te)
                 for _ in range(n - k):
                     te = bider_tensor(tau, te)
-                rhs = rhs + tensor_mu(te).scale(HScalar.of(binom(n, k)))
+                rhs = rhs + tensor_mu(te).scale(sym_coeff(binom(n, k)))
             assert lhs == rhs
 
 
@@ -424,10 +424,11 @@ def test_bider_naturality_under_degree_zero_isomorphism():
 
 
 def _random_coeff(rng):
-    """A nonzero polynomial in u with non-integer rational coefficients."""
+    """A nonzero polynomial in u with non-integer rational coefficients, in
+    canonical form: a rational when it has no u term."""
     while True:
         n = rng.randint(1, 3)
-        c = HScalar(tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)))
+        c = u_poly(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n))
         if c:
             return c
 
@@ -443,9 +444,12 @@ def _random_terms(rng, keys, n, coeff):
 
 
 def assert_narrowed(elem):
-    """Every stored rational, a Section value or an HScalar coefficient, is
-    an int or a Fraction whose denominator is not 1."""
+    """Every stored value is canonical: an HScalar has at least two
+    coefficients (a constant is stored as a rational), and every rational, a
+    Section value or an HScalar coefficient, is an int or a Fraction whose
+    denominator is not 1."""
     for v in elem.terms.values():
+        assert type(v) is not HScalar or len(v.coeffs) >= 2, v
         for q in v.coeffs if type(v) is HScalar else (v,):
             assert type(q) is int or (type(q) is Fraction and q.denominator != 1), v
 
@@ -583,8 +587,8 @@ def reference_extend_derivation(dmap, degree, a):
             img = dmap(g)
             if img:
                 sign = -1 if (degree % 2) and (prefix_deg % 2) else 1
-                left = SymElement({w[:i]: ONE})
-                right = SymElement({w[i + 1 :]: ONE})
+                left = SymElement({w[:i]: 1})
+                right = SymElement({w[i + 1 :]: 1})
                 out = out + mul(left, mul(img, right)).scale(c if sign > 0 else -c)
             prefix_deg += g[0]
     return out
