@@ -15,7 +15,7 @@ exponential series truncate because the pairings shorten words by two.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import product
 from math import comb
 
@@ -59,6 +59,40 @@ def section_to_elem(section: Section) -> SymElement:
     return SymElement({(g,): c for g, c in section_to_combo(section).items()})
 
 
+def generators_at(model: FreeBVModel, points) -> list:
+    """The generators (every degree, fiber) over the given points."""
+    out = []
+    for p in points:
+        q = model.lattice.point(p.t, p.x)
+        for n in model.degrees():
+            for f in range(model.rank(n)):
+                out.append((n - 1, q.t, q.x, f))
+    return out
+
+
+def translation_class(n_sites: int, g1, g2) -> tuple:
+    """Translation class of a generator pair on a ring of n_sites: degrees,
+    fibers and the offset of g2 from g1 on the cylinder.  Q, W and the fiber
+    metric do not depend on the site and G± are unique, so every pairing of
+    two deltas takes one value per class."""
+    return g1[0], g1[3], g2[0], g2[3], g2[1] - g1[1], (g2[2] - g1[2]) % n_sites
+
+
+def class_pairs(n_sites: int, gens1, gens2):
+    """The pairs of product(gens1, gens2) in that order, skipping every pair
+    whose translation class has already appeared.  The pairings, Q and the
+    fiber metric take one value per class, so a check over these pairs
+    quantifies over the generator basis modulo translation: it decides what
+    the check over every pair decides, and its first failing pair is the
+    same."""
+    seen = set()
+    for g1, g2 in product(gens1, gens2):
+        key = translation_class(n_sites, g1, g2)
+        if key not in seen:
+            seen.add(key)
+            yield g1, g2
+
+
 class SymModel:
     """A free field complex together with its symmetric-algebra structure:
     pairing oracles, the Sym differential, both deformations and the
@@ -66,7 +100,7 @@ class SymModel:
 
     def __init__(self, model: FreeBVModel):
         self.model = model
-        key = self._translation_class
+        key = self.class_key = partial(translation_class, model.lattice.n_sites)
         self.tau_m1 = PairingOracle(1, 1, self._ev_m1, name="tau_m1", key=key)
         self.tau_0 = PairingOracle(0, -1, self._ev_0, name="tau_0", key=key)
         self.tau_d = PairingOracle(0, 1, self._ev_d, name="tau_D", key=key)
@@ -77,30 +111,6 @@ class SymModel:
     # -- pairing evaluators (delta pairs; Green kernels translated) ------
     # The pairings are rational, and so are their values in the Sym algebra:
     # a constant Sym coefficient is a plain rational.
-
-    def _translation_class(self, g1, g2) -> tuple:
-        """Cache key of a generator pair.  Q, W and the fiber metric do not
-        depend on the site and G± are unique, so every pairing of two deltas
-        depends only on their degrees, fibers and the offset of g2 from g1 on
-        the cylinder."""
-        return (
-            g1[0], g1[3], g2[0], g2[3], g2[1] - g1[1],
-            (g2[2] - g1[2]) % self.model.lattice.n_sites,
-        )
-
-    def class_pairs(self, gens1, gens2):
-        """The pairs of product(gens1, gens2) in that order, skipping every
-        pair whose translation class has already appeared.  The pairings, Q
-        and the fiber metric take one value per class, so a check over these
-        pairs quantifies over the generator basis modulo translation: it
-        decides what the check over every pair decides, and its first failing
-        pair is the same."""
-        seen = set()
-        for g1, g2 in product(gens1, gens2):
-            key = self._translation_class(g1, g2)
-            if key not in seen:
-                seen.add(key)
-                yield g1, g2
 
     def _ev_m1(self, g1, g2):
         return tau_minus1(self.model, gen_to_section(g1), gen_to_section(g2))
@@ -132,7 +142,7 @@ class SymModel:
     def _lambda_sums(self, g1, g2) -> tuple:
         """_lambda_values once per translation class, shared by tau_0 and
         tau_D."""
-        key = self._translation_class(g1, g2)
+        key = self.class_key(g1, g2)
         sums = self._lambda_cache.get(key)
         if sums is None:
             sums = self._lambda_cache[key] = self._lambda_values(g1, g2)
@@ -199,17 +209,8 @@ class SymModel:
 
     # -- generator pools -----------------------------------------------------
 
-    def generators_at(self, points) -> list:
-        out = []
-        for p in points:
-            q = self.model.lattice.point(p.t, p.x)
-            for n in self.model.degrees():
-                for f in range(self.model.rank(n)):
-                    out.append((n - 1, q.t, q.x, f))
-        return out
-
     def generators_in_region(self, region: Region) -> list:
-        return self.generators_at(sorted(region.points))
+        return generators_at(self.model, sorted(region.points))
 
 
 # -- n-ary tensor machinery -------------------------------------------------

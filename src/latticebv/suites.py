@@ -47,11 +47,13 @@ from .lattice import (
 from .models import build_model, klein_gordon
 from .quantize import (
     SymModel,
+    class_pairs,
     dirac_nary,
     eta_gen_map,
     fa_product,
     filtration_defects,
     gen_to_section,
+    generators_at,
     q_hbar_tensor,
     quasi_inverse_gen_map,
     sym_power_homotopy_defect,
@@ -295,7 +297,7 @@ class ModelBundle:
         return window_points(t_lo, t_hi, range(x_lo, x_hi + 1))
 
     def gens_window(self):
-        return self.sym.generators_at(self.basis_points())
+        return generators_at(self.model, self.basis_points())
 
 
 # -- witnesses and shrinking ---------------------------------------------------
@@ -772,7 +774,7 @@ def suite_structures(bundle: ModelBundle) -> list:
 
     def check_pair_symmetry(tau, expected_s):
         # tau o gamma = s tau: koszul * tau(g2, g1) = s * tau(g1, g2)
-        for g1, g2 in sm.class_pairs(gens, gens):
+        for g1, g2 in class_pairs(bundle.lattice.n_sites, gens, gens):
             base = tau(g1, g2)
             rhs = base if expected_s > 0 else -base
             lhs = tau(g2, g1)
@@ -786,14 +788,14 @@ def suite_structures(bundle: ModelBundle) -> list:
 
     def check_d_tau_d():
         d_tau = boundary_pairing(sm.tau_d, sm.qgen).evaluate
-        for g1, g2 in sm.class_pairs(gens, gens):
+        for g1, g2 in class_pairs(bundle.lattice.n_sites, gens, gens):
             yield d_tau(g1, g2) == sm.tau_m1(g1, g2) or f"{g1} | {g2}"
 
     run.check("pairing-dirac-trivializes", check_d_tau_d)
 
     def check_d_tau_0():
         d_tau = boundary_pairing(sm.tau_0, sm.qgen).evaluate
-        for g1, g2 in sm.class_pairs(gens, gens):
+        for g1, g2 in class_pairs(bundle.lattice.n_sites, gens, gens):
             yield not d_tau(g1, g2) or f"{g1} | {g2}"
 
     run.check("pairing-unshifted-cochain", check_d_tau_0)
@@ -825,12 +827,12 @@ def suite_structures(bundle: ModelBundle) -> list:
 # -- theorems suite -----------------------------------------------------------------
 
 
-def _delta_pairs(sm: SymModel, r1: Region, r2: Region):
+def _delta_pairs(model, r1: Region, r2: Region):
     """The (delta in r1, delta in r2) pairs of the model's sections, the first
-    of each translation class in product order (SymModel.class_pairs): the
+    of each translation class in product order (quantize.class_pairs): the
     section-level pairings of two deltas take one value per class."""
-    gens1, gens2 = sm.generators_in_region(r1), sm.generators_in_region(r2)
-    for g1, g2 in sm.class_pairs(gens1, gens2):
+    gens1, gens2 = (generators_at(model, sorted(r.points)) for r in (r1, r2))
+    for g1, g2 in class_pairs(model.lattice.n_sites, gens1, gens2):
         yield gen_to_section(g1), gen_to_section(g2)
 
 
@@ -842,7 +844,7 @@ def suite_theorems(bundle: ModelBundle) -> list:
     def check_causality():
         r1, r2 = bundle.regions["disjoint_pair"]
         yield causally_disjoint(r1, r2) or "configured pair is not causally disjoint"
-        for psi1, psi2 in _delta_pairs(bundle.sym, r1, r2):
+        for psi1, psi2 in _delta_pairs(model, r1, r2):
             yield not tau_0(model, psi1, psi2) or _fmt_pair(psi1, psi2)
 
     run.check("causality-vanishing", check_causality)
@@ -850,7 +852,7 @@ def suite_theorems(bundle: ModelBundle) -> list:
     def check_causality_counter():
         r1, r2 = bundle.regions["connected_pair"]
         yield not causally_disjoint(r1, r2) or "configured pair is causally disjoint"
-        yield any(tau_0(model, psi1, psi2) for psi1, psi2 in _delta_pairs(bundle.sym, r1, r2)) or (
+        yield any(tau_0(model, psi1, psi2) for psi1, psi2 in _delta_pairs(model, r1, r2)) or (
             "no nonzero pairing found across causally connected regions"
         )
 
@@ -902,7 +904,7 @@ def suite_theorems(bundle: ModelBundle) -> list:
     def check_half():
         later, earlier = bundle.regions["stacked_pair"]
         yield is_time_ordered([later, earlier]) or "configured stacked pair is not time-ordered"
-        for psi1, psi2 in _delta_pairs(bundle.sym, later, earlier):
+        for psi1, psi2 in _delta_pairs(model, later, earlier):
             yield half_holds(model, psi1, psi2) or _fmt_pair(psi1, psi2)
 
     run.check("time-ordered-half", check_half)
@@ -913,7 +915,7 @@ def suite_theorems(bundle: ModelBundle) -> list:
         aux = klein_gordon(lattice, mass_sq=Fraction(1))
         a, b = (parse_region(lattice, lit) for lit in bundle.config["regions"]["nonordered_pair"])
         yield not is_time_ordered([a, b]) or "configured pair is time-ordered"
-        pairs = _delta_pairs(SymModel(aux), a, b)
+        pairs = _delta_pairs(aux, a, b)
         yield any(not half_holds(aux, psi1, psi2) for psi1, psi2 in pairs) or (
             "no violation found for the non-time-ordered pair"
         )
@@ -1069,7 +1071,7 @@ def suite_quantization(bundle: ModelBundle) -> list:
 
     def check_dirac_not_chain():
         # a field/antifield pair at one point pairs nontrivially under tau_m1
-        pool = sm.generators_at([Point(0, 0)])
+        pool = generators_at(sm.model, [Point(0, 0)])
         yield any(breaks_leibniz(g1, g2) for g1, g2 in product(pool, pool)) or (
             "no witness pair found"
         )
@@ -1093,7 +1095,7 @@ def suite_quantization(bundle: ModelBundle) -> list:
         check_cutoff_in_region(bundle.model, cutoff, region)
         eta_fn = eta_gen_map(sm, cutoff)
         fg_fn = quasi_inverse_gen_map(sm, cutoff)
-        ambient = sm.generators_at(bundle.homotopy_points())
+        ambient = generators_at(sm.model, bundle.homotopy_points())
         slab_gens = [g for g in ambient if region.contains(Point(g[1], g[2]))]
         for p in range(1, bundle.config["p_max"] + 1):
             for pool in (ambient, slab_gens):

@@ -12,11 +12,13 @@ from latticebv.lattice import Lattice, Point, Region, causal_hull, causally_disj
 from latticebv.models import klein_gordon, maxwell2d
 from latticebv.quantize import (
     SymModel,
+    class_pairs,
     dirac_nary,
     eta_gen_map,
     fa_product,
     filtration_defects,
     gen_to_section,
+    generators_at,
     q_hbar_tensor,
     quasi_inverse_gen_map,
     sym_power_homotopy,
@@ -48,7 +50,7 @@ def sym_mw():
 
 
 def window_gens(sm, t_lo, t_hi, xs):
-    return sm.generators_at([Point(t, x) for t in range(t_lo, t_hi + 1) for x in xs])
+    return generators_at(sm.model, [Point(t, x) for t in range(t_lo, t_hi + 1) for x in xs])
 
 
 def random_word_of(rng, gens, max_len, min_len=1):
@@ -767,15 +769,16 @@ def test_class_pairs_keeps_product_order_one_pair_per_class():
         gens1 = window_gens(sm, -1, 1, range(19, 23))
         gens2 = window_gens(sm, 0, 2, range(-1, 2))
         pairs = list(itertools.product(gens1, gens2))
-        kept = list(sm.class_pairs(gens1, gens2))
-        keys = [sm._translation_class(g1, g2) for g1, g2 in kept]
+        lattice = sm.model.lattice
+        kept = list(class_pairs(lattice.n_sites, gens1, gens2))
+        keys = [_translation_class(lattice, g1, g2) for g1, g2 in kept]
         assert len(set(keys)) == len(keys)
-        assert set(keys) == {sm._translation_class(g1, g2) for g1, g2 in pairs}
+        assert set(keys) == {_translation_class(lattice, g1, g2) for g1, g2 in pairs}
         assert len(kept) < len(pairs)
         # kept pairs appear in product order, each the first of its class
         first = {}
         for i, (g1, g2) in enumerate(pairs):
-            first.setdefault(sm._translation_class(g1, g2), i)
+            first.setdefault(_translation_class(lattice, g1, g2), i)
         assert [pairs[i] for i in sorted(first.values())] == kept
 
 
