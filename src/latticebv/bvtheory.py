@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .lattice import Lattice, Point, Region, CutoffData
 from .scalars import Combination, rational
@@ -73,6 +74,37 @@ class Section(Combination):
         return all(region.contains(p) for p in self.support_points())
 
 
+def _integer_form(items):
+    """(d, pairs): the (key, rational) pairs of items as (key, integer
+    numerator) pairs over d, their least common denominator; items itself
+    when d is 1.  items must be iterable twice."""
+    den = 1
+    for _, v in items:
+        if type(v) is not int:
+            den = lcm(den, v.denominator)
+    if den == 1:
+        return 1, items
+    return den, tuple((k, v.numerator * (den // v.denominator)) for k, v in items)
+
+
+def _section_over(numerators: dict, den: int) -> Section:
+    """The Section {key: n / den} of the integer numerators n, each value
+    narrowed as :func:`rational` narrows it and the zero keys dropped; it
+    takes ownership of numerators."""
+    out = Section.__new__(Section)
+    if den == 1:
+        if 0 in numerators.values():
+            numerators = {k: n for k, n in numerators.items() if n}
+        out.terms = numerators
+    else:
+        out.terms = {
+            k: n // den if n % den == 0 else Fraction(n, den)
+            for k, n in numerators.items()
+            if n
+        }
+    return out
+
+
 @dataclass(frozen=True)
 class StencilEntry:
     dt: int
@@ -90,6 +122,10 @@ class Stencil:
         e.coeff * phi(n, (t + e.dt, x + e.dx), e.fin).
 
     Coefficients are merged per offset and narrowed by :func:`rational`.
+    :meth:`apply` accumulates integer numerators: the coefficients are kept
+    once more as (degree, fin) tables of numerators over one denominator,
+    the input's values go over theirs, and each output value is one
+    rational, so the result is the exact sum, as with ``Fraction`` terms.
     """
 
     def __init__(self, degree_shift: int, entries: dict):
@@ -107,6 +143,13 @@ class Stencil:
             )
             if cleaned:
                 self.entries[n] = cleaned
+        # (degree, fin) -> [(dt, dx, fout, numerator), ...] over self._den
+        self._den, numerators = _integer_form(
+            tuple(((n, e), e.coeff) for n, es in self.entries.items() for e in es)
+        )
+        self._table: dict = {}
+        for (n, e), c in numerators:
+            self._table.setdefault((n, e.fin), []).append((e.dt, e.dx, e.fout, c))
 
     def __eq__(self, other):
         return (
@@ -126,16 +169,16 @@ class Stencil:
         return r
 
     def apply(self, section: Section, lattice: Lattice) -> Section:
+        den, items = _integer_form(section.items())
         out: dict = {}
         shift = self.degree_shift
         n_sites = lattice.n_sites
-        for (n, t, x, fin), val in section.items():
-            for e in self.entries.get(n, ()):
-                if e.fin != fin:
-                    continue
-                key = (n + shift, t - e.dt, (x - e.dx) % n_sites, e.fout)
-                out[key] = out.get(key, 0) + val * e.coeff
-        return Section(out)
+        table = self._table
+        for (n, t, x, fin), a in items:
+            for dt, dx, fout, c in table.get((n, fin), ()):
+                key = (n + shift, t - dt, (x - dx) % n_sites, fout)
+                out[key] = out.get(key, 0) + a * c
+        return _section_over(out, den * self._den)
 
     def compose(self, other: "Stencil") -> "Stencil":
         """self after other."""
@@ -361,6 +404,10 @@ class GreenSolver:
     are unique, so G± of any source is a translate-and-sum of one kernel per
     (degree, fiber): the solution for a unit delta at (t, x) = (0, 0), kept
     as slices {t: {(x, fout): value}} and time-marched on demand.
+    :meth:`apply` sums integer numerators: each slice's values go once over
+    their least common denominator, all of one call's over the least common
+    multiple of those, and each output value is one rational, so the result
+    is the exact sum, as with ``Fraction`` terms.
     """
 
     def __init__(self, model: FreeBVModel, direction: int):
@@ -369,6 +416,8 @@ class GreenSolver:
         self.model = model
         self.direction = direction
         self._kernels: dict = {}
+        # (degree, fiber) -> {t: the _integer_form of that kernel slice}
+        self._slice_forms: dict = {}
 
     def kernel(self, degree: int, fiber: int, t: int) -> dict:
         """The slices of the (degree, fiber) kernel, solved through time
@@ -425,19 +474,34 @@ class GreenSolver:
         """The solution of P psi = source with supp(psi) in J^±(supp source),
         evaluated on the time window [t_lo, t_hi]."""
         n_sites = self.model.lattice.n_sites
+        den, items = _integer_form(source.items())
         out: dict = {}
-        for (n, ts, xs, f), v in source.items():
+        scale = 1  # out holds numerators over den * scale
+        for (n, ts, xs, f), a in items:
             lo, hi = t_lo - ts, t_hi - ts
             slices = self.kernel(n, f, hi if self.direction > 0 else lo)
+            forms = self._slice_forms.get((n, f))
+            if forms is None:
+                forms = self._slice_forms[(n, f)] = {}
             for off in range(lo, hi + 1):
-                sl = slices.get(off)
-                if not sl:
-                    continue
+                form = forms.get(off)
+                if form is None:
+                    sl = slices.get(off)
+                    if not sl:
+                        continue
+                    form = forms[off] = _integer_form(sl.items())
+                d, sl_items = form
+                if scale % d:
+                    m = lcm(scale, d) // scale
+                    scale *= m
+                    for key in out:
+                        out[key] *= m
+                b = a * (scale // d)
                 t = ts + off
-                for (x, fout), kv in sl.items():
+                for (x, fout), c in sl_items:
                     key = (n, t, (x + xs) % n_sites, fout)
-                    out[key] = out.get(key, 0) + v * kv
-        return Section(out)
+                    out[key] = out.get(key, 0) + b * c
+        return _section_over(out, den * scale)
 
     def value_at(self, source: Section, degree: int, point: Point, fiber: int):
         """Single solved value; avoids materializing window sections."""
@@ -553,21 +617,31 @@ def _cut_translate_sum(model: FreeBVModel, cutoff: CutoffData, psi: Section, tab
     """A linear map of psi that commutes with x-translation and depends on
     time only through t - t0: the translate-and-sum of its values on deltas
     at x = 0, solved by solve(model, cutoff, delta) once per (degree,
-    t - t0, fiber) and kept in table with times relative to the cut."""
+    t - t0, fiber) and kept in table, with times relative to the cut, as
+    integer numerators over one denominator (see GreenSolver.apply)."""
     n_sites = model.lattice.n_sites
     t0 = cutoff.t0
+    den, items = _integer_form(psi.items())
     out: dict = {}
-    for (n, t, xs, f), v in psi.items():
+    scale = 1  # out holds numerators over den * scale
+    for (n, t, xs, f), a in items:
         sol = table.get((n, t - t0, f))
         if sol is None:
             delta = Section.delta(n, Point(t, 0), f)
-            sol = table[(n, t - t0, f)] = tuple(
-                (m, s - t0, x, g, w) for (m, s, x, g), w in solve(model, cutoff, delta).items()
+            sol = table[(n, t - t0, f)] = _integer_form(
+                tuple(((m, s - t0, x, g), w) for (m, s, x, g), w in solve(model, cutoff, delta).items())
             )
-        for m, s, x, g, w in sol:
+        d, sol_items = sol
+        if scale % d:
+            k = lcm(scale, d) // scale
+            scale *= k
+            for key in out:
+                out[key] *= k
+        b = a * (scale // d)
+        for (m, s, x, g), c in sol_items:
             key = (m, s + t0, (x + xs) % n_sites, g)
-            out[key] = out.get(key, 0) + v * w
-    return Section(out)
+            out[key] = out.get(key, 0) + b * c
+    return _section_over(out, den * scale)
 
 
 def _g_of_delta(model: FreeBVModel, cutoff: CutoffData, delta: Section) -> Section:

@@ -2,7 +2,10 @@
 
 Stencils, fiber metrics, sections, Green values and the three pairings are
 rational: they are plain Python numbers, an ``int`` or a ``Fraction`` whose
-denominator is not 1 (see :func:`rational`).  The formal deformation
+denominator is not 1 (see :func:`rational`).  The stencil and Green
+translate-and-sum loops accumulate integer numerators over one common
+denominator and build one rational per output key: the same exact values as
+a sum of ``Fraction`` terms, at a fraction of the cost.  The formal deformation
 parameter h enters the Sym algebra only through i*h (Q_h = Q + i*h*Delta_BV,
 the exponents (i*h/2)<-,-> and i*h*Delta_D), so every Sym coefficient is a
 polynomial in u = i*h over Q.  A constant one is a plain rational too; only a

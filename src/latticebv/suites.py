@@ -587,24 +587,24 @@ def suite_green(bundle: ModelBundle) -> list:
 
     def check_witness_selfadj():
         b = delta_basis(model, window_points(-2, 2, range(-2, 3)))
-        for s1 in b:
+        wb = [w_op.apply(s, lattice) for s in b]
+        for s1, w1 in zip(b, wb):
             n1 = next(iter(s1.degrees()))
-            w1 = w_op.apply(s1, lattice)
-            for s2 in b:
+            for s2, w2 in zip(b, wb):
                 lhs = pair(w1, s2)
-                rhs = pair(s1, w_op.apply(s2, lattice))
+                rhs = pair(s1, w2)
                 yield lhs == (-rhs if n1 % 2 else rhs) or _fmt_pair(s1, s2)
 
     run.check("witness-self-adjoint", check_witness_selfadj)
 
     def check_metric_compat():
         b = delta_basis(model, window_points(-2, 2, range(-2, 3)))
-        for s1 in b:
+        qb = [q_op.apply(s, lattice) for s in b]
+        for s1, q1 in zip(b, qb):
             n1 = next(iter(s1.degrees()))
-            q1 = q_op.apply(s1, lattice)
-            for s2 in b:
+            for s2, q2 in zip(b, qb):
                 acc = pair(q1, s2)
-                term = pair(s1, q_op.apply(s2, lattice))
+                term = pair(s1, q2)
                 acc = acc + (-term if n1 % 2 else term)
                 yield not acc or _fmt_pair(s1, s2)
 
@@ -694,15 +694,13 @@ def suite_green(bundle: ModelBundle) -> list:
         for psi1, psi2 in _random_pairs(bundle, "green-skew"):
             lo1, hi1 = psi1.min_t(), psi1.max_t()
             lo2, hi2 = psi2.min_t(), psi2.max_t()
-            g12 = model.green(1).apply(psi2, lo1, hi1) - model.green(-1).apply(psi2, lo1, hi1)
-            g21 = model.green(1).apply(psi1, lo2, hi2) - model.green(-1).apply(psi1, lo2, hi2)
-            yield pair(psi1, g12) == -pair(g21, psi2) or _fmt_pair(psi1, psi2)
-            gd12 = (
-                model.green(1).apply(psi2, lo1, hi1) + model.green(-1).apply(psi2, lo1, hi1)
-            ).scale(Fraction(1, 2))
-            gd21 = (
-                model.green(1).apply(psi1, lo2, hi2) + model.green(-1).apply(psi1, lo2, hi2)
-            ).scale(Fraction(1, 2))
+            gp2 = model.green(1).apply(psi2, lo1, hi1)
+            gm2 = model.green(-1).apply(psi2, lo1, hi1)
+            gp1 = model.green(1).apply(psi1, lo2, hi2)
+            gm1 = model.green(-1).apply(psi1, lo2, hi2)
+            yield pair(psi1, gp2 - gm2) == -pair(gp1 - gm1, psi2) or _fmt_pair(psi1, psi2)
+            gd12 = (gp2 + gm2).scale(Fraction(1, 2))
+            gd21 = (gp1 + gm1).scale(Fraction(1, 2))
             yield pair(psi1, gd12) == pair(gd21, psi2) or _fmt_pair(psi1, psi2)
 
     run.check("green-skew", check_skew)

@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -22,6 +23,8 @@ from latticebv.bvtheory import (
     tau_dirac,
     tau_minus1,
     window_points,
+    _eta_of_delta,
+    _g_of_delta,
 )
 from latticebv.lattice import Lattice, Point, causal_hull, causally_disjoint, is_time_ordered, make_cutoff, slab
 from latticebv.models import klein_gordon, maxwell2d
@@ -39,8 +42,9 @@ def pure_time(mass_sq=Fraction(0)):
     return klein_gordon(Lattice(1), kappa=Fraction(0), mass_sq=mass_sq)
 
 
-def brute_apply(stencil, section, lattice):
-    """Pointwise oracle: scan all candidate output sites explicitly."""
+def reference_stencil_apply(stencil, section, lattice):
+    """The Fraction route for Stencil.apply: one product and one sum of
+    rationals per (input term, stencil entry), scanning every entry."""
     out = {}
     for (n, t, x, fin), val in section.items():
         for e in stencil.entries.get(n, ()):
@@ -89,7 +93,7 @@ def test_kg_stencil_on_delta_matches_hand_sum():
         + Section.delta(1, Point(0, 1), 0, -2)
     )
     assert img == expected
-    assert img == brute_apply(model.q_op, s, model.lattice)
+    assert img == reference_stencil_apply(model.q_op, s, model.lattice)
 
 
 def test_stencil_apply_matches_brute_on_random_sections():
@@ -99,7 +103,7 @@ def test_stencil_apply_matches_brute_on_random_sections():
         for _ in range(20):
             s = random_section(rng, model, pts)
             for op in (model.q_op, model.w_op, model.p_op):
-                assert op.apply(s, model.lattice) == brute_apply(op, s, model.lattice)
+                assert op.apply(s, model.lattice) == reference_stencil_apply(op, s, model.lattice)
 
 
 def test_q_squares_to_zero_as_stencil():
@@ -880,12 +884,14 @@ def _is_narrow_rational(v):
 
 def test_rational_solver_oracle_on_fractional_sources():
     # P(G± s) = s exactly on the window for sources with non-integer
-    # coefficients; every stored kernel value, every solved value and every
-    # pairing is a narrowed rational (int, or Fraction with denominator > 1),
-    # never an HScalar.  The maxwell2d kernels are integral (integer P, unit
-    # top block), so its Fractions come from the solved values.
+    # coefficients; every stored kernel value, every solved value, every
+    # stencil image, every eta and g value and every pairing is a narrowed
+    # rational (int, or Fraction with denominator > 1), never an HScalar.
+    # The maxwell2d kernels are integral (integer P, unit top block), so its
+    # Fractions come from the solved values.
     rng = random.Random(41)
     pts = window_points(-2, 2, range(-2, 3))
+    cutoff = make_cutoff(0)
     for model in (kg21(kappa=Fraction(1, 2), mass_sq=Fraction(1)), mw21()):
         r = model.p_op.time_radius()
         solved = []
@@ -904,6 +910,10 @@ def test_rational_solver_oracle_on_fractional_sources():
                     -10 + r, 10 - r
                 )
                 solved.extend(v for _, v in sol.items())
+            for op in (model.q_op, model.w_op, model.p_op):
+                solved.extend(v for _, v in op.apply(source, model.lattice).items())
+            for cut_map in (homotopy_eta, quasi_inverse_g):
+                solved.extend(v for _, v in cut_map(model, cutoff, source).items())
             psi = random_section(rng, model, pts)
             for value in (
                 tau_minus1(model, psi, source),
@@ -921,3 +931,131 @@ def test_rational_solver_oracle_on_fractional_sources():
         ]
         assert stored and all(_is_narrow_rational(v) for v in stored + solved)
         assert any(type(v) is Fraction for v in stored + solved)
+
+
+# -- integer-numerator loops against their Fraction routes ---------------------
+
+
+def reference_translate_sum(solver, source, t_lo, t_hi):
+    """The Fraction route for GreenSolver.apply: one product and one sum of
+    rationals per (source term, kernel value) over the stored slices."""
+    n_sites = solver.model.lattice.n_sites
+    out = {}
+    for (n, ts, xs, f), v in source.items():
+        lo, hi = t_lo - ts, t_hi - ts
+        slices = solver.kernel(n, f, hi if solver.direction > 0 else lo)
+        for off in range(lo, hi + 1):
+            for (x, fout), kv in slices.get(off, {}).items():
+                key = (n, ts + off, (x + xs) % n_sites, fout)
+                out[key] = out.get(key, 0) + v * kv
+    return Section(out)
+
+
+def reference_cut_sum(model, cutoff, psi, solve):
+    """The Fraction route for the translate-and-sum of eta and g: each
+    source term times the solution of its delta moved to x = 0, shifted back."""
+    n_sites = model.lattice.n_sites
+    out = {}
+    for (n, t, xs, f), v in psi.items():
+        for (m, s, x, g), w in solve(model, cutoff, Section.delta(n, Point(t, 0), f)).items():
+            key = (m, s, (x + xs) % n_sites, g)
+            out[key] = out.get(key, 0) + v * w
+    return Section(out)
+
+
+def _typed(section):
+    # keys in order, with the type of each value: int and Fraction(2, 1)
+    # compare equal, a narrowed section never holds the second
+    return [(k, type(v), v) for k, v in section.items()]
+
+
+def _oracle_models():
+    # power-of-2 kernel denominators, powers of 3, and all-int kernels
+    return (
+        kg21(kappa=Fraction(1, 2), mass_sq=Fraction(1)),
+        kg21(kappa=Fraction(1, 3)),
+        mw21(),
+    )
+
+
+def _integer_routes(model, cutoff):
+    """(name, integer route, Fraction route) of each loop, as maps of a section."""
+    lattice = model.lattice
+    routes = [
+        (f"stencil {name}", lambda s, op=op: op.apply(s, lattice),
+         lambda s, op=op: reference_stencil_apply(op, s, lattice))
+        for name, op in (("q", model.q_op), ("w", model.w_op), ("p", model.p_op))
+    ]
+    routes += [
+        (f"green {d}", lambda s, d=d: model.green(d).apply(s, -6, 6),
+         lambda s, d=d: reference_translate_sum(model.green(d), s, -6, 6))
+        for d in (1, -1)
+    ]
+    routes += [
+        ("eta", lambda s: homotopy_eta(model, cutoff, s),
+         lambda s: reference_cut_sum(model, cutoff, s, _eta_of_delta)),
+        ("g", lambda s: quasi_inverse_g(model, cutoff, s),
+         lambda s: reference_cut_sum(model, cutoff, s, _g_of_delta)),
+    ]
+    return routes
+
+
+def test_integer_loops_match_fraction_routes_on_mixed_denominators():
+    # random sources whose coefficients mix denominators 1..7, and all-int
+    # sources: same keys in the same order, same values, same types
+    rng = random.Random(1300)
+    pts = window_points(-2, 2, range(-2, 3))
+    cutoff = make_cutoff(0)
+    for model in _oracle_models():
+        routes = _integer_routes(model, cutoff)
+        seen_fraction = set()
+        for trial in range(6):
+            source = Section()
+            for _ in range(5):
+                p = rng.choice(pts)
+                n = rng.choice(model.degrees())
+                den = 1 if trial % 3 == 0 else rng.randint(1, 7)
+                c = Fraction(rng.choice((-7, -3, -2, -1, 1, 2, 3, 7)), den)
+                point = model.lattice.point(p.t, p.x)
+                source = source + Section.delta(n, point, rng.randrange(model.rank(n)), c)
+            assert source
+            for name, route, reference in routes:
+                got = route(source)
+                assert _typed(got) == _typed(reference(source)), (model.name, name)
+                if any(type(v) is Fraction for _, v in got.items()):
+                    seen_fraction.add(name)
+        assert seen_fraction == {name for name, _, _ in routes}, model.name
+
+
+def test_integer_loops_drop_cancelled_keys():
+    # a two-term source whose images cancel exactly on one output key: that
+    # key is absent from the integer route, as from the Fraction route.  Only
+    # kg's W (pointwise) has no two deltas with overlapping images.
+    cutoff = make_cutoff(0)
+    for model in _oracle_models():
+        lattice = model.lattice
+        routes = _integer_routes(model, cutoff)
+        checked = set()
+        for name, route, reference in routes:
+            # the first pair of deltas of one degree, near each other and the
+            # cut, whose images overlap
+            for n, t, (dt, dx) in itertools.product(
+                model.degrees(), (0, -1, 1, -2), ((0, 1), (0, 2), (1, 1))
+            ):
+                d1 = Section.delta(n, lattice.point(t, 0), 0, Fraction(1, 3))
+                d2 = Section.delta(n, lattice.point(t + dt, dx), 0, 1)
+                img1, img2 = reference(d1), reference(d2)
+                common = [k for k in img1.data if k in img2.data]
+                if common:
+                    break
+            else:
+                continue
+            key = common[0]
+            source = d1.scale(img2.data[key]) - d2.scale(img1.data[key])
+            assert len(source.data) == 2
+            got = route(source)
+            assert key not in got.data, (model.name, name)
+            assert _typed(got) == _typed(reference(source)), (model.name, name)
+            checked.add(name)
+        missed = {name for name, _, _ in routes} - checked
+        assert missed <= ({"stencil w"} if model.name == "kg" else set()), model.name
