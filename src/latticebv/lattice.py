@@ -136,10 +136,14 @@ def causal_hull(lattice: Lattice, seeds) -> Region:
 
 
 def slab(lattice: Lattice, t_lo: int, t_hi: int) -> Region:
-    """Causally convex slab t_lo <= t <= t_hi (hull of two full slices)."""
+    """Causally convex slab t_lo <= t <= t_hi, the hull of its two end slices."""
     if t_lo > t_hi:
         raise ValueError("t_lo > t_hi")
-    return causal_hull(lattice, lattice.slice_points(t_lo) + lattice.slice_points(t_hi))
+    seeds = tuple(lattice.slice_points(t_lo) + lattice.slice_points(t_hi))
+    pts = set()
+    for t in range(t_lo, t_hi + 1):
+        pts.update(lattice.slice_points(t))
+    return Region(lattice, "hull", frozenset(pts), seeds)
 
 
 def _meets_future(r_past: Region, r_future: Region) -> bool:

@@ -410,6 +410,7 @@ def suite_algebra(bundle: ModelBundle) -> list:
     tau_even = random_pairing(gens, 0, 1, seed=10)
     tau_odd = random_pairing(gens, 1, 1, seed=11)
     tau_odd2 = random_pairing(gens, 1, 1, seed=13)
+    tau_even2 = random_pairing(gens, 0, 1, seed=14)
     tau_anti = random_pairing(gens, 0, -1, seed=12)
     n_elems = cfg["algebra_elements"]
     max_len = cfg["algebra_max_len"]
@@ -482,7 +483,7 @@ def suite_algebra(bundle: ModelBundle) -> list:
 
     def check_laplacian_commutation():
         rng = bundle.rng("algebra-commutation")
-        combos = [(tau_even, tau_odd, 1), (tau_odd, tau_odd2, -1), (tau_even, tau_even, 1)]
+        combos = [(tau_even, tau_odd, 1), (tau_odd, tau_odd2, -1), (tau_even, tau_even2, 1)]
         for t1, t2, sign in combos:
             for _ in range(100):
                 a = random_element(rng, gens, max_len, 2)
@@ -1020,7 +1021,7 @@ def suite_quantization(bundle: ModelBundle) -> list:
         rng = bundle.rng("quant-einstein")
         r1, r2 = bundle.regions["disjoint_pair"]
         g1s, g2s = sm.generators_in_region(r1), sm.generators_in_region(r2)
-        for g1, g2 in product(g1s, g2s):
+        for g1, g2 in class_pairs(bundle.lattice.n_sites, g1s, g2s):
             yield not commutator(g1, g2) or f"{g1} | {g2}"
         for _ in range(6):
             a = SymElement({random_word(rng, g1s, 3): 1})

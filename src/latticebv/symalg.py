@@ -8,8 +8,9 @@ are never stored; the empty word is the algebra unit.
 
 Pairings tau of degree p extend to a biderivation on Sym(V) (x) Sym(V) and,
 when symmetric, to a Laplacian on Sym(V).  Both closed forms are implemented
-directly; the property-based recursions they must satisfy are kept alongside
-as independent oracles (`bider_recursive`, `laplacian_recursive`).
+directly and skip the pairs that the degree of tau forbids; the recursions
+they must satisfy ask tau for every pair and are kept alongside as
+independent oracles (`bider_recursive`, `laplacian_recursive`).
 
 Sign conventions (|.| is the generator degree, V_<i = sum of degrees before
 position i, etc.):
@@ -145,7 +146,11 @@ class PairingOracle:
     """(Anti-)symmetric pairing of homogeneous degree p on generators.
 
     evaluate(g1, g2) must satisfy tau(g2, g1) = s * (-1)^{|g1||g2|} tau(g1, g2)
-    and vanish unless |g1| + |g2| + p = 0; both are spot-tested by the suites.
+    and vanish unless |g1| + |g2| + p = 0.  The closed forms `_bider_words`
+    and `laplacian_apply` skip the pairs the degree rule forbids; the
+    recursions do not, so the closed-vs-recursive checks catch a pairing that
+    breaks it.  The Tier-1 test_lattice_pairings_vanish_off_degree checks the
+    rule for the lattice pairings, the structures suite their symmetry.
 
     Values are cached under key(g1, g2), or under the pair itself when key is
     None.  A key may merge pairs that the pairing cannot tell apart, such as
@@ -272,7 +277,10 @@ def _bider_words(tau: PairingOracle, w1: Word, w2: Word) -> TensorElement:
     for i in range(n):
         v_before = prefix1[i]
         v_after = total1 - prefix1[i + 1]
+        want = -p - deg1[i]
         for j in range(m):
+            if deg2[j] != want:
+                continue
             val = tau(w1[i], w2[j])
             if not val:
                 continue
@@ -378,7 +386,10 @@ def laplacian_apply(tau: PairingOracle, a: SymElement) -> SymElement:
         for d in degs:
             prefix.append(prefix[-1] + d)
         for i in range(n):
+            want = -p - degs[i]
             for j in range(i + 1, n):
+                if degs[j] != want:
+                    continue
                 val = tau(w[i], w[j])
                 if not val:
                     continue

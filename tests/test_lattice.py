@@ -193,6 +193,19 @@ def test_slab_is_full_block():
     assert s.is_causally_convex()
 
 
+@pytest.mark.parametrize("n_sites", [1, 2, 5, 21])
+def test_slab_is_the_hull_of_its_two_slices(n_sites):
+    # slab builds its points directly; the hull of the two full slices is
+    # the reference, points and seeds alike
+    for slope in (1, 2, 3):
+        lattice = Lattice(n_sites, slope)
+        for t_lo, t_hi in ((0, 0), (-1, 1), (-4, 4), (2, 5)):
+            seeds = lattice.slice_points(t_lo) + lattice.slice_points(t_hi)
+            s, hull = slab(lattice, t_lo, t_hi), causal_hull(lattice, seeds)
+            assert s == hull
+            assert (s.points, s.seeds) == (hull.points, hull.seeds)
+
+
 def test_cutoff_partition():
     cut = make_cutoff(0)
     assert isinstance(cut, CutoffData)

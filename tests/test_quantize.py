@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from latticebv import bvtheory, suites
+from latticebv.abstractspace import random_word
 from latticebv.bvtheory import delta_basis, homotopy_eta, quasi_inverse_g, tau_0, tau_dirac, tau_minus1
 from latticebv.lattice import Lattice, Point, Region, causal_hull, causally_disjoint, make_cutoff, slab
 from latticebv.models import klein_gordon, maxwell2d
@@ -706,6 +707,42 @@ def test_gen_oracles_match_section_level_pairings():
             assert set(counts.values()) == {1}
 
 
+# the flipped-metric failure-injection config of the benchmark's probe
+FLIPPED_METRIC_PROBE = {
+    "model": "kg",
+    "seed": 11,
+    "model_params": {"metric_flip": True},
+    "regions": {"slab": {"kind": "slab", "t": [-3, 3]}},
+}
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"model": "kg"},
+        {"model": "kg", "model_params": {"kappa": "1/2", "mass_sq": "1"}},
+        {"model": "maxwell2d"},
+        FLIPPED_METRIC_PROBE,
+    ],
+)
+def test_lattice_pairings_vanish_off_degree(override):
+    # the degree rule that the closed-form biderivation and Laplacian rely on
+    # when they skip pairs: tau of degree p vanishes on g1, g2 unless
+    # |g1| + |g2| + p = 0, on every class pair of the basis window
+    bundle = ModelBundle(merge_config(DEFAULT_CONFIG, override))
+    sm, gens = bundle.sym, bundle.gens_window()
+    for tau in (sm.tau_m1, sm.tau_0, sm.tau_d):
+        off = nonzero = 0
+        for g1, g2 in class_pairs(bundle.lattice.n_sites, gens, gens):
+            val = tau(g1, g2)
+            if g1[0] + g2[0] + tau.degree != 0:
+                off += 1
+                assert not val, (tau.name, g1, g2)
+            else:
+                nonzero += bool(val)
+        assert off and nonzero, tau.name
+
+
 def test_pairing_and_cut_solves_once_per_translation_class(monkeypatch):
     # Deterministic, no timing: maxwell2d structures and theorems suites on
     # the benchmark's causal windows (3x3 basis window, 3-slice slab).  Each
@@ -782,7 +819,7 @@ def test_class_pairs_keeps_product_order_one_pair_per_class():
         assert [pairs[i] for i in sorted(first.values())] == kept
 
 
-# the ten checks that quantify over translation classes
+# the eleven checks that quantify over translation classes
 CLASS_CHECKS = (
     "pairing-shifted-symmetric",
     "pairing-unshifted-antisymmetric",
@@ -794,6 +831,7 @@ CLASS_CHECKS = (
     "causality-counterexample",
     "time-ordered-half",
     "time-ordered-half-counterexample",
+    "einstein-causality",
 )
 
 
@@ -807,9 +845,10 @@ def _first_failure(cases):
 
 
 def per_pair_reference(bundle):
-    """The ten checks over every case: every generator pair of the window,
-    the uncached d(tau) evaluators, the full delta basis of the Cauchy
-    region, and every delta pair of the causality and time-ordering regions.
+    """The eleven checks over every case: every generator pair of the
+    window, the uncached d(tau) evaluators, the full delta basis of the
+    Cauchy region, every delta pair of the causality and time-ordering
+    regions, and every generator pair of the Einstein-causality regions.
     Maps each identity to True or to its first witness."""
     sm, model, lattice = bundle.sym, bundle.model, bundle.lattice
     gens = bundle.gens_window()
@@ -868,6 +907,18 @@ def per_pair_reference(bundle):
             "no violation found for the non-time-ordered pair"
         )
 
+    def einstein():
+        rng = bundle.rng("quant-einstein")
+        r1, r2 = bundle.regions["disjoint_pair"]
+        g1s, g2s = sm.generators_in_region(r1), sm.generators_in_region(r2)
+        for g1, g2 in itertools.product(g1s, g2s):
+            commutator = sm.star_commutator(SymElement.of_gen(g1), SymElement.of_gen(g2))
+            yield not commutator or f"{g1} | {g2}"
+        for _ in range(6):
+            a = SymElement({random_word(rng, g1s, 3): 1})
+            b = SymElement({random_word(rng, g2s, 3): 1})
+            yield not sm.star_commutator(a, b) or f"{suites._fmt_elem(a)} | {suites._fmt_elem(b)}"
+
     cases = {
         "causality-vanishing": vanishing(),
         "causality-counterexample": vanishing_counter(),
@@ -881,12 +932,13 @@ def per_pair_reference(bundle):
         ),
         "pairing-unshifted-cochain": (not d_tau_0(g1, g2) or f"{g1} | {g2}" for g1, g2 in pairs),
         "cauchy-zeta-homotopy": zeta(),
+        "einstein-causality": einstein(),
     }
     return {identity: _first_failure(c) for identity, c in cases.items()}
 
 
 CAUSAL_WINDOWS = {
-    "suites": ["structures", "theorems"],
+    "suites": ["structures", "theorems", "quantization"],
     "windows": {"basis_t": [-1, 1], "basis_x": [-1, 1], "homotopy_t": [-1, 1]},
     "regions": {"slab": {"kind": "slab", "t": [-1, 1]}},
 }
@@ -894,7 +946,8 @@ CAUSAL_WINDOWS = {
 
 # causally connected regions given as the disjoint pair and non-ordered ones
 # as the stacked pair, with the region predicates forced true, so that the
-# causality and time-ordering loops fail at a delta pair
+# causality and time-ordering loops fail at a delta pair and the
+# Einstein-causality loop at a generator pair
 FORCED_REGIONS = {
     "model": "kg",
     "model_params": {"mass_sq": "1"},
@@ -903,6 +956,11 @@ FORCED_REGIONS = {
         "stacked_pair": DEFAULT_CONFIG["regions"]["nonordered_pair"],
     },
 }
+# the same on maxwell2d, whose connected pair has six noncommuting generator
+# pairs where kg has one, so that the order of the loop shows in the witness
+FORCED_REGIONS_MAXWELL = {"model": "maxwell2d", "regions": FORCED_REGIONS["regions"]}
+FORCED_FAILING = {"causality-vanishing", "causality-counterexample", "time-ordered-half",
+                  "time-ordered-half-counterexample", "einstein-causality"}
 
 
 @pytest.mark.parametrize(
@@ -911,20 +969,13 @@ FORCED_REGIONS = {
         ({"model": "kg", "model_params": {"kappa": "1/2", "mass_sq": "1"}}, set()),
         ({"model": "maxwell2d"}, set()),
         # the flipped-metric probe: the same failing pairs as every pair gives
-        (
-            {"model": "kg", "seed": 11, "model_params": {"metric_flip": True},
-             "regions": {"slab": {"kind": "slab", "t": [-3, 3]}}},
-            {"pairing-shifted-symmetric", "pairing-dirac-trivializes"},
-        ),
-        (
-            FORCED_REGIONS,
-            {"causality-vanishing", "causality-counterexample", "time-ordered-half",
-             "time-ordered-half-counterexample"},
-        ),
+        (FLIPPED_METRIC_PROBE, {"pairing-shifted-symmetric", "pairing-dirac-trivializes"}),
+        (FORCED_REGIONS, FORCED_FAILING),
+        (FORCED_REGIONS_MAXWELL, FORCED_FAILING),
     ],
 )
 def test_class_quantified_checks_match_per_pair_reference(monkeypatch, override, failing):
-    if override is FORCED_REGIONS:
+    if failing is FORCED_FAILING:
         monkeypatch.setattr(suites, "causally_disjoint", lambda r1, r2: True)
         monkeypatch.setattr(suites, "is_time_ordered", lambda regions: True)
     config = merge_config(merge_config(DEFAULT_CONFIG, CAUSAL_WINDOWS), override)

@@ -621,3 +621,104 @@ def test_derivation_matches_product_form_on_q(model):
         assert got == reference_extend_derivation(sm.qgen, 1, a), a
         nonzero += bool(got)
     assert nonzero >= 30
+
+
+# -- the sieved closed forms against their unsieved loops --------------------------
+
+
+def reference_bider_words(tau, w1, w2):
+    """The closed-form biderivation of two words, asking tau for every pair
+    of positions instead of skipping the degree-forbidden ones."""
+    p = tau.degree
+    out = TensorElement()
+    deg1 = [g[0] for g in w1]
+    deg2 = [g[0] for g in w2]
+    for i in range(len(w1)):
+        v_before, v_after = sum(deg1[:i]), sum(deg1[i + 1 :])
+        for j in range(len(w2)):
+            val = tau(w1[i], w2[j])
+            if not val:
+                continue
+            exp = (deg1[i] + p) * sum(deg2[:j]) + deg2[j] * v_after + p * v_before
+            c = val if exp % 2 == 0 else -val
+            out.add_term((w1[:i] + w1[i + 1 :], w2[:j] + w2[j + 1 :]), c)
+    return out
+
+
+def reference_bider(tau, a, b):
+    out = TensorElement()
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            out.add_scaled(reference_bider_words(tau, w1, w2), c1 * c2)
+    return out
+
+
+def reference_laplacian(tau, a):
+    """The closed-form Laplacian, asking tau for every pair of positions."""
+    p = tau.degree
+    out = SymElement()
+    for w, c in a.items():
+        degs = [g[0] for g in w]
+        for i in range(len(w)):
+            for j in range(i + 1, len(w)):
+                val = tau(w[i], w[j])
+                if not val:
+                    continue
+                exp = p * sum(degs[:i]) + degs[j] * sum(degs[i + 1 : j])
+                cc = c * val
+                out.add_term(w[:i] + w[i + 1 : j] + w[j + 1 :], -cc if exp % 2 else cc)
+    return out
+
+
+def assert_same_terms(got, want):
+    """Equal keys in the same order, equal values of the same types."""
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert [type(v) for v in got.terms.values()] == [type(v) for v in want.terms.values()]
+
+
+def _sieve_case(case):
+    """Generators and pairings: the abstract ones, or the three lattice
+    pairings of a model on a 3x3 window."""
+    if case == "abstract":
+        gens, _, *taus = _pairings()
+        return gens, taus
+    lattice = Lattice(21)
+    if case == "maxwell2d":
+        model = maxwell2d(lattice)
+    else:
+        model = klein_gordon(lattice, kappa=Fraction(1, 2), mass_sq=Fraction(1))
+    sm = SymModel(model)
+    gens = generators_at(model, [Point(t, x) for t in (-1, 0, 1) for x in (-1, 0, 1)])
+    return gens, [sm.tau_m1, sm.tau_0, sm.tau_d]
+
+
+@pytest.mark.parametrize("case", ["abstract", "kg-massive", "maxwell2d"])
+def test_sieved_closed_forms_match_unsieved_loops(case):
+    gens, taus = _sieve_case(case)
+    rng = random.Random(44)
+    for tau in taus:
+        nonzero = 0
+        for _ in range(40):
+            a = random_element(rng, gens, 4)
+            b = random_element(rng, gens, 4)
+            got = bider_apply(tau, a, b)
+            assert_same_terms(got, reference_bider(tau, a, b))
+            nonzero += bool(got)
+            if tau.symmetry == 1:
+                got = laplacian_apply(tau, a)
+                assert_same_terms(got, reference_laplacian(tau, a))
+                nonzero += bool(got)
+        assert nonzero >= 10, tau.name
+
+
+def test_off_degree_pairing_splits_closed_forms_from_recursions():
+    # one nonzero value on a degree-forbidden pair: the closed forms skip it,
+    # the recursions ask for it, so the closed-vs-recursive checks fail
+    gens, _, tau_even, _, _ = _pairings()
+    g, h = gens[4], gens[5]
+    assert g[0] + h[0] + tau_even.degree != 0
+    bad = {(g, h): Fraction(1), (h, g): Fraction(1)}
+    tau = PairingOracle(0, 1, lambda x, y: bad.get((x, y)) or tau_even.evaluate(x, y))
+    a, b = SymElement.of_gen(g), SymElement.of_gen(h)
+    assert bider_apply(tau, a, b) != bider_recursive(tau, a, b)
+    assert laplacian_apply(tau, mul(a, b)) != laplacian_recursive(tau, mul(a, b))
