@@ -546,25 +546,11 @@ def lambda_dirac(model: FreeBVModel, psi: Section, t_lo: int, t_hi: int) -> Sect
     return out
 
 
-def _shifted_sign(n: int) -> int:
-    # (-1)^(shifted degree) for bundle degree n
-    return -1 if (n - 1) % 2 else 1
-
-
 def tau_minus1(model: FreeBVModel, psi1: Section, psi2: Section):
-    """(-1)^{|psi1|} <<psi1, psi2>> per homogeneous part (shifted degrees)."""
-    acc = 0
-    by_deg: dict = {}
-    for k, v in psi1.items():
-        part = by_deg.get(k[0])
-        if part is None:
-            part = by_deg[k[0]] = Section()
-        part.add_term(k, v)
-    for n, part in by_deg.items():
-        val = model.int_pairing(part, psi2)
-        if val:
-            acc += val if _shifted_sign(n) > 0 else -val
-    return rational(acc)
+    """(-1)^{|psi1|} <<psi1, psi2>> per homogeneous part; the shifted degree
+    of bundle degree n is n - 1, so the parts of even n change sign."""
+    signed = Section({k: v if k[0] % 2 else -v for k, v in psi1.items()})
+    return model.int_pairing(signed, psi2)
 
 
 def _pair_window(psi1: Section):

@@ -10,17 +10,13 @@ distance from x to x' is at most slope*(t' - t).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 
 class Point(NamedTuple):
     t: int
     x: int
-
-
-class UnsupportedInput(ValueError):
-    pass
 
 
 class Lattice:
@@ -70,47 +66,26 @@ class Lattice:
 
 @dataclass(frozen=True)
 class Region:
-    """A subset of the ambient cylinder: 'all', or a finite causal hull.
+    """A finite, nonempty, causally convex set of points of the cylinder.
 
-    Causally convex hulls are constructed through :func:`causal_hull`, which
-    tags the region so convexity is known by construction (and testable via
-    :meth:`is_causally_convex`).
+    Built only by :func:`causal_hull` and :func:`slab`, so convexity holds by
+    construction (and is testable via :meth:`is_causally_convex`).
     """
 
     lattice: Lattice
-    kind: str  # "all" | "hull"
-    points: Optional[frozenset] = None
-    seeds: tuple = field(default=())
-
-    @staticmethod
-    def all_of(lattice: Lattice) -> "Region":
-        return Region(lattice, "all")
-
-    @property
-    def is_finite(self) -> bool:
-        return self.points is not None
+    points: frozenset
 
     def contains(self, p: Point) -> bool:
-        if self.kind == "all":
-            return True
         return p in self.points
 
     def contains_region(self, other: "Region") -> bool:
-        if self.kind == "all":
-            return True
-        if not other.is_finite:
-            return False
         return other.points <= self.points
 
     def time_range(self):
-        if not self.is_finite or not self.points:
-            raise UnsupportedInput("time_range needs a nonempty finite region")
         ts = [p.t for p in self.points]
         return min(ts), max(ts)
 
     def is_causally_convex(self) -> bool:
-        if self.kind == "all":
-            return True
         return causal_hull(self.lattice, self.points).points == self.points
 
 
@@ -122,7 +97,7 @@ def causal_hull(lattice: Lattice, seeds) -> Region:
     """
     seeds = [lattice.point(*p) for p in seeds]
     if not seeds:
-        raise UnsupportedInput("causal_hull needs a nonempty seed set")
+        raise ValueError("causal_hull needs a nonempty seed set")
     t_lo = min(p.t for p in seeds)
     t_hi = max(p.t for p in seeds)
     pts = set()
@@ -132,42 +107,27 @@ def causal_hull(lattice: Lattice, seeds) -> Region:
                 lattice.in_past_of(s, q) for s in seeds
             ):
                 pts.add(q)
-    return Region(lattice, "hull", frozenset(pts), tuple(seeds))
+    return Region(lattice, frozenset(pts))
 
 
 def slab(lattice: Lattice, t_lo: int, t_hi: int) -> Region:
     """Causally convex slab t_lo <= t <= t_hi, the hull of its two end slices."""
     if t_lo > t_hi:
         raise ValueError("t_lo > t_hi")
-    seeds = tuple(lattice.slice_points(t_lo) + lattice.slice_points(t_hi))
     pts = set()
     for t in range(t_lo, t_hi + 1):
         pts.update(lattice.slice_points(t))
-    return Region(lattice, "hull", frozenset(pts), seeds)
+    return Region(lattice, frozenset(pts))
 
 
 def _meets_future(r_past: Region, r_future: Region) -> bool:
-    """J^+(r_past) intersects r_future?  At least one region must be finite."""
+    """J^+(r_past) intersects r_future?"""
     lattice = r_past.lattice
-    if r_past.is_finite and r_future.is_finite:
-        return any(
-            lattice.in_future_of(p, q) for p in r_past.points for q in r_future.points
-        )
-    if not r_past.is_finite and not r_future.is_finite:
-        raise UnsupportedInput("need at least one finite region")
-    # One region is 'all': its cone meets anything nonempty.
-    fin = r_past if r_past.is_finite else r_future
-    return bool(fin.points)
+    return any(lattice.in_future_of(p, q) for p in r_past.points for q in r_future.points)
 
 
 def causally_disjoint(r1: Region, r2: Region) -> bool:
     """No causal curve connects the regions: (J^+ u J^-)(r1) misses r2."""
-    if not r1.is_finite and not r2.is_finite:
-        raise UnsupportedInput("causally_disjoint needs a finite region")
-    if (r1.is_finite and not r1.points) or (r2.is_finite and not r2.points):
-        return True
-    if not r1.is_finite or not r2.is_finite:
-        return False  # the 'all' region meets everything
     return not (_meets_future(r1, r2) or _meets_future(r2, r1))
 
 
@@ -192,7 +152,7 @@ def find_time_ordering(regions) -> Optional[tuple]:
     n = len(rs)
     for i in range(n):
         for j in range(i + 1, n):
-            if rs[i].is_finite and rs[j].is_finite and rs[i].points & rs[j].points:
+            if rs[i].points & rs[j].points:
                 raise ValueError("overlapping regions in tuple")
     # edge j -> i when i must be placed after j
     succ = [[] for _ in range(n)]
@@ -217,21 +177,20 @@ def find_time_ordering(regions) -> Optional[tuple]:
     return tuple(order)
 
 
-def factorize_tuple(regions, target: Region):
+def factorize_tuple(regions):
     """Split a time-ordered tuple (n >= 2) as (hull of the first n-1, last).
 
     Returns (hull_region, inner_regions, outer_pair) where the inner tuple
-    lives inside the hull, (hull, last) is a time-ordered pair in the target,
-    and the inclusions compose to the original ones.
+    lives inside the hull, (hull, last) is a time-ordered pair, and the
+    inclusions compose to the original ones.
     """
     rs = list(regions)
     if len(rs) < 2:
         raise ValueError("factorization needs length >= 2")
     if not is_time_ordered(rs):
         raise ValueError("tuple is not time-ordered")
-    lattice = target.lattice
     seeds = [p for r in rs[:-1] for p in r.points]
-    hull = causal_hull(lattice, seeds)
+    hull = causal_hull(rs[0].lattice, seeds)
     for r in rs[:-1]:
         assert hull.contains_region(r)
     outer = [hull, rs[-1]]
@@ -264,12 +223,8 @@ def make_cutoff(t0: int) -> CutoffData:
 def validate_ring_size(lattice: Lattice, regions) -> None:
     """Reject configs where the compact ring wraps the cones of the test
     regions: require n_sites > 2*slope*(joint time extent)."""
-    finite = [r for r in regions if r.is_finite and r.points]
-    if not finite:
-        return
-    t_lo = min(r.time_range()[0] for r in finite)
-    t_hi = max(r.time_range()[1] for r in finite)
-    extent = t_hi - t_lo + 1
+    ranges = [r.time_range() for r in regions]
+    extent = max(hi for _, hi in ranges) - min(lo for lo, _ in ranges) + 1
     if lattice.n_sites <= 2 * lattice.slope * extent:
         raise ValueError(
             f"ring size {lattice.n_sites} too small for regions spanning "

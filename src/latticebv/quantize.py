@@ -233,6 +233,18 @@ def _check_supports(regions, elems):
                     raise ValueError("input not supported in its region")
 
 
+def _fold_words(te: TensorElement, product) -> SymElement:
+    """Sum of c * (w_1 product w_2 product ... w_n), folded from the left, over
+    the words (w_1, ..., w_n) and coefficients c of te."""
+    result = SymElement()
+    for words, c in te.items():
+        prod = SymElement({words[0]: 1})
+        for w in words[1:]:
+            prod = product(prod, SymElement({w: 1}))
+        result.add_scaled(prod, c)
+    return result
+
+
 def tpfa_product(sm: SymModel, regions, elems) -> SymElement:
     """Time-ordered product of the BV quantization: push forward and multiply.
 
@@ -264,14 +276,7 @@ def fa_product(sm: SymModel, regions, elems, rho=None) -> SymElement:
             raise ValueError("tuple is not time-orderable")
     if not elems:
         return SymElement.unit()
-    te = TensorElement.of(*elems).permute(tuple(rho))
-    result = SymElement()
-    for words, c in te.items():
-        prod = SymElement({words[0]: 1})
-        for w in words[1:]:
-            prod = sm.moyal_mul(prod, SymElement({w: 1}))
-        result.add_scaled(prod, c)
-    return result
+    return _fold_words(TensorElement.of(*elems).permute(tuple(rho)), sm.moyal_mul)
 
 
 def dirac_nary(sm: SymModel, elems) -> SymElement:
@@ -279,13 +284,7 @@ def dirac_nary(sm: SymModel, elems) -> SymElement:
     elems = list(elems)
     if not elems:
         return SymElement.unit()
-    result = SymElement()
-    for words, c in TensorElement.of(*elems).items():
-        prod = SymElement({words[0]: 1})
-        for w in words[1:]:
-            prod = sm.dirac_mul(prod, SymElement({w: 1}))
-        result.add_scaled(prod, c)
-    return result
+    return _fold_words(TensorElement.of(*elems), sm.dirac_mul)
 
 
 # -- constructive time-slice data -------------------------------------------

@@ -16,6 +16,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 from .abstractspace import abstract_space, random_element, random_pairing, random_word
 from .bvtheory import (
@@ -59,7 +60,7 @@ from .quantize import (
     sym_power_homotopy_defect,
     tpfa_product,
 )
-from .reporting import CATALOG, CheckRecord, digest_inputs
+from .reporting import CATALOG, SUITE_NAMES, CheckRecord, digest_inputs
 from .scalars import IH, coeff_text
 from .symalg import (
     PairingOracle,
@@ -68,7 +69,6 @@ from .symalg import (
     bider_apply,
     bider_recursive,
     bider_tensor,
-    binom,
     boundary_pairing,
     extend_derivation,
     laplacian_apply,
@@ -91,9 +91,7 @@ DEFAULT_CONFIG = {
     "model": "kg",
     "model_params": {"kappa": "1", "mass_sq": "0"},
     "lattice": {"n_sites": 21, "slope": 1},
-    "suites": list(
-        ("algebra", "green", "structures", "theorems", "quantization", "comparison")
-    ),
+    "suites": list(SUITE_NAMES),
     "p_max": 3,
     "cutoff_t0": 0,
     "windows": {
@@ -206,6 +204,14 @@ def validate_config(config: dict) -> None:
             if key not in known:
                 name = f"{section}.{key}"
                 raise ValueError(f"unknown key {name!r}; valid keys: {sorted(known)}")
+    suites = config["suites"]
+    if not isinstance(suites, list) or not suites:
+        raise ValueError(f"suites must be a nonempty list of suite names, got {suites!r}")
+    for name in suites:
+        if name not in SUITE_NAMES:
+            raise ValueError(f"suites: unknown suite {name!r}; choose from {list(SUITE_NAMES)}")
+    if len(set(suites)) != len(suites):
+        raise ValueError(f"suites must name each suite once, got {suites!r}")
     if not isinstance(config["model"], str):
         raise ValueError(f"model must be a string, got {config['model']!r}")
     params = config["model_params"]
@@ -509,7 +515,7 @@ def suite_algebra(bundle: ModelBundle) -> list:
                         te = laplacian_tensor(tau_even, te)
                     for _ in range(n - k):
                         te = bider_tensor(tau_even, te)
-                    rhs.add_scaled(tensor_mu(te), binom(n, k))
+                    rhs.add_scaled(tensor_mu(te), comb(n, k))
                 yield lhs == rhs or f"n={n}: {_fmt_elem(a)} | {_fmt_elem(b)}"
 
     run.check("laplacian-binomial", check_binomial)
@@ -586,30 +592,20 @@ def suite_green(bundle: ModelBundle) -> list:
 
     run.check("witness-p-commutes", check_p_commutes)
 
-    def check_witness_selfadj():
-        b = delta_basis(model, window_points(-2, 2, range(-2, 3)))
-        wb = [w_op.apply(s, lattice) for s in b]
-        for s1, w1 in zip(b, wb):
-            n1 = next(iter(s1.degrees()))
-            for s2, w2 in zip(b, wb):
-                lhs = pair(w1, s2)
-                rhs = pair(s1, w2)
-                yield lhs == (-rhs if n1 % 2 else rhs) or _fmt_pair(s1, s2)
+    def graded_adjoint(op, sign):
+        # <op s1, s2> = sign * (-1)^|s1| <s1, op s2> on the 5x5 delta window
+        def check():
+            b = delta_basis(model, window_points(-2, 2, range(-2, 3)))
+            ob = [op.apply(s, lattice) for s in b]
+            for s1, o1 in zip(b, ob):
+                sgn = -sign if next(iter(s1.degrees())) % 2 else sign
+                for s2, o2 in zip(b, ob):
+                    yield pair(o1, s2) == sgn * pair(s1, o2) or _fmt_pair(s1, s2)
 
-    run.check("witness-self-adjoint", check_witness_selfadj)
+        return check
 
-    def check_metric_compat():
-        b = delta_basis(model, window_points(-2, 2, range(-2, 3)))
-        qb = [q_op.apply(s, lattice) for s in b]
-        for s1, q1 in zip(b, qb):
-            n1 = next(iter(s1.degrees()))
-            for s2, q2 in zip(b, qb):
-                acc = pair(q1, s2)
-                term = pair(s1, q2)
-                acc = acc + (-term if n1 % 2 else term)
-                yield not acc or _fmt_pair(s1, s2)
-
-    run.check("metric-compatibility", check_metric_compat)
+    run.check("witness-self-adjoint", graded_adjoint(w_op, 1))
+    run.check("metric-compatibility", graded_adjoint(q_op, -1))
 
     run.check(
         "metric-antisymmetry",
@@ -1141,7 +1137,6 @@ def suite_comparison(bundle: ModelBundle) -> list:
         rng = bundle.rng("comp-tuples")
         regions_all = bundle.regions["stacked_tuple"]
         pools = [sm.generators_in_region(r) for r in regions_all]
-        ambient = Region.all_of(bundle.lattice)
         for n in range(0, 5):
             regions = regions_all[:n]
             reps = cfg["tuple_reps"] if n else 1
@@ -1151,7 +1146,7 @@ def suite_comparison(bundle: ModelBundle) -> list:
                 rhs = fa_product(sm, regions, [sm.time_ordering(e) for e in elems])
                 yield lhs == rhs or f"n={n}: " + " | ".join(_fmt_elem(e) for e in elems)
                 if n >= 3:
-                    hull, inner, outer = factorize_tuple(regions, ambient)
+                    hull, inner, outer = factorize_tuple(regions)
                     inner_prod = tpfa_product(sm, inner, elems[:-1])
                     via = tpfa_product(sm, [hull, regions[-1]], [inner_prod, elems[-1]])
                     yield via == tpfa_product(sm, regions, elems) or (
@@ -1233,12 +1228,8 @@ def run_suites(config: dict, workers: int = 1, on_record=None) -> list:
     if type(workers) is not int or workers != 1:
         raise ValueError(f"workers must be 1 (suites run serially), got {workers!r}")
     validate_config(config)
-    names = list(config["suites"])
-    for name in names:
-        if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     bundle = ModelBundle(config, on_record)
     records = []
-    for name in names:
+    for name in config["suites"]:
         records.extend(SUITES[name](bundle))
     return records

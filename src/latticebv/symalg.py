@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
 from typing import Callable
 
 from .scalars import Combination, HScalar, sym_coeff, u_coeffs
@@ -425,33 +424,30 @@ def _laplacian_rec_word(tau: PairingOracle, w: Word, p: int) -> SymElement:
     return out
 
 
-def exp_bider(tau: PairingOracle, te: TensorElement, prefactor: HScalar) -> TensorElement:
-    """exp(prefactor * <-,->_tau) applied to a tensor element; the series
-    truncates because each application shortens both slots."""
-    total = TensorElement()
-    term = te
+def _exp_series(step, x, prefactor):
+    """exp(prefactor * step) applied to x: the sum over k of
+    prefactor^k / k! * step^k(x), which truncates because step shortens words."""
+    total = type(x)()
+    term = x
     k = 0
     while term:
         total.add_scaled(term)
         k += 1
-        term = bider_tensor(tau, term)
+        term = step(term)
         if term:
             term = term.scale(prefactor * Fraction(1, k))
     return total
+
+
+def exp_bider(tau: PairingOracle, te: TensorElement, prefactor: HScalar) -> TensorElement:
+    """exp(prefactor * <-,->_tau) applied to a tensor element; the series
+    truncates because each application shortens both slots."""
+    return _exp_series(lambda t: bider_tensor(tau, t), te, prefactor)
 
 
 def exp_laplacian(tau: PairingOracle, a: SymElement, prefactor: HScalar) -> SymElement:
     """exp(prefactor * Delta_tau) applied to an element (truncating series)."""
-    total = SymElement()
-    term = a
-    k = 0
-    while term:
-        total.add_scaled(term)
-        k += 1
-        term = laplacian_apply(tau, term)
-        if term:
-            term = term.scale(prefactor * Fraction(1, k))
-    return total
+    return _exp_series(lambda t: laplacian_apply(tau, t), a, prefactor)
 
 
 def laplacian_tensor(tau: PairingOracle, te: TensorElement) -> TensorElement:
@@ -468,7 +464,3 @@ def laplacian_tensor(tau: PairingOracle, te: TensorElement) -> TensorElement:
             cc = c * c2
             out.add_term((w1, u2), cc if sign > 0 else -cc)
     return out
-
-
-def binom(n: int, k: int) -> Fraction:
-    return Fraction(factorial(n), factorial(k) * factorial(n - k))

@@ -194,6 +194,10 @@ def test_run_rejects_bad_config(tmp_path, capsys):
         ({"model_params": {"kapa": "1/2"}}, "unknown key 'model_params.kapa'"),
         ({"model_params": {"kappa": "abc"}}, "model_params.kappa"),
         ({"model_params": {"mass_sq": "1/0"}}, "model_params.mass_sq"),
+        ({"suites": []}, "suites"),
+        ({"suites": 5}, "suites"),
+        ({"suites": [["green"]]}, "suites"),
+        ({"suites": ["algebra", "algebra"]}, "suites"),
     ],
 )
 def test_run_rejects_invalid_config_values(tmp_path, capsys, extra, field):

@@ -4,8 +4,6 @@ from latticebv.lattice import (
     CutoffData,
     Lattice,
     Point,
-    Region,
-    UnsupportedInput,
     causal_hull,
     causally_disjoint,
     factorize_tuple,
@@ -97,12 +95,6 @@ def test_not_disjoint_with_self_or_cone():
     assert not causally_disjoint(r1, r2)
 
 
-def test_disjoint_requires_finite():
-    lattice = Lattice(9)
-    with pytest.raises(UnsupportedInput):
-        causally_disjoint(Region.all_of(lattice), Region.all_of(lattice))
-
-
 def test_time_ordering_of_stacked_pair():
     lattice = Lattice(21)
     later = causal_hull(lattice, [(5, 0)])
@@ -155,7 +147,7 @@ def test_factorize_pair():
     lattice = Lattice(21)
     later = causal_hull(lattice, [(5, 0)])
     earlier = causal_hull(lattice, [(0, 0)])
-    hull, inner, outer = factorize_tuple([later, earlier], Region.all_of(lattice))
+    hull, inner, outer = factorize_tuple([later, earlier])
     assert hull.points == later.points
     assert outer[0] is hull and outer[1] is earlier
     assert is_time_ordered(outer)
@@ -168,7 +160,7 @@ def test_factorize_stacked_triple():
         causal_hull(lattice, [(4, 3)]),
         causal_hull(lattice, [(0, 0)]),
     ]
-    hull, inner, outer = factorize_tuple(rs, Region.all_of(lattice))
+    hull, inner, outer = factorize_tuple(rs)
     assert is_time_ordered(inner)
     assert is_time_ordered(outer)
     for r in inner:
@@ -179,7 +171,7 @@ def test_factorize_inside_common_diamond():
     lattice = Lattice(21)
     big = causal_hull(lattice, [(0, 0), (6, 0)])
     rs = [causal_hull(lattice, [(4, 0)]), causal_hull(lattice, [(2, 0)]), causal_hull(lattice, [(0, 5)])]
-    hull, inner, outer = factorize_tuple(rs, Region.all_of(lattice))
+    hull, inner, outer = factorize_tuple(rs)
     # the hull is that of the first two regions' union, not any ambient slab
     assert hull.points == causal_hull(lattice, [(4, 0), (2, 0)]).points
     assert big.contains_region(hull)
@@ -196,14 +188,13 @@ def test_slab_is_full_block():
 @pytest.mark.parametrize("n_sites", [1, 2, 5, 21])
 def test_slab_is_the_hull_of_its_two_slices(n_sites):
     # slab builds its points directly; the hull of the two full slices is
-    # the reference, points and seeds alike
+    # the reference
     for slope in (1, 2, 3):
         lattice = Lattice(n_sites, slope)
         for t_lo, t_hi in ((0, 0), (-1, 1), (-4, 4), (2, 5)):
             seeds = lattice.slice_points(t_lo) + lattice.slice_points(t_hi)
             s, hull = slab(lattice, t_lo, t_hi), causal_hull(lattice, seeds)
             assert s == hull
-            assert (s.points, s.seeds) == (hull.points, hull.seeds)
 
 
 def test_cutoff_partition():

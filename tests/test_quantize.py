@@ -9,7 +9,7 @@ import pytest
 from latticebv import bvtheory, suites
 from latticebv.abstractspace import random_word
 from latticebv.bvtheory import delta_basis, homotopy_eta, quasi_inverse_g, tau_0, tau_dirac, tau_minus1
-from latticebv.lattice import Lattice, Point, Region, causal_hull, causally_disjoint, make_cutoff, slab
+from latticebv.lattice import Lattice, Point, causal_hull, causally_disjoint, make_cutoff, slab
 from latticebv.models import klein_gordon, maxwell2d
 from latticebv.quantize import (
     SymModel,
@@ -506,10 +506,9 @@ def test_comparison_tuples_match_factorized_route():
 
     regions = _regions_stacked(lattice, (8, 0), (4, 3), (0, 0))
     pools = [sm.generators_in_region(r) for r in regions]
-    ambient = Region.all_of(lattice)
     for _ in range(5):
         elems = [SymElement({random_word_of(rng, pools[i], 2): 1}) for i in range(3)]
-        hull, inner, outer = factorize_tuple(regions, ambient)
+        hull, inner, outer = factorize_tuple(regions)
         inner_prod = tpfa_product(sm, inner, elems[:-1])
         via_fact = tpfa_product(sm, [hull, regions[-1]], [inner_prod, elems[-1]])
         direct = tpfa_product(sm, regions, elems)

@@ -1,6 +1,7 @@
 import copy
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -27,7 +28,6 @@ from latticebv.symalg import (
     bider_apply,
     bider_recursive,
     bider_tensor,
-    binom,
     boundary_pairing,
     extend_derivation,
     exp_bider,
@@ -352,7 +352,7 @@ def test_binomial_identity():
                     te = laplacian_tensor(tau, te)
                 for _ in range(n - k):
                     te = bider_tensor(tau, te)
-                rhs = rhs + tensor_mu(te).scale(sym_coeff(binom(n, k)))
+                rhs = rhs + tensor_mu(te).scale(sym_coeff(comb(n, k)))
             assert lhs == rhs
 
 
