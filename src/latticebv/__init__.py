@@ -22,7 +22,6 @@ from .lattice import (
     factorize_tuple,
     find_time_ordering,
     is_time_ordered,
-    make_cutoff,
     slab,
 )
 from .bvtheory import (

@@ -171,12 +171,12 @@ class Stencil:
     def apply(self, section: Section, lattice: Lattice) -> Section:
         den, items = _integer_form(section.items())
         out: dict = {}
-        shift = self.degree_shift
-        n_sites = lattice.n_sites
+        dn = self.degree_shift
+        shift = lattice.shift
         table = self._table
         for (n, t, x, fin), a in items:
             for dt, dx, fout, c in table.get((n, fin), ()):
-                key = (n + shift, t - dt, (x - dx) % n_sites, fout)
+                key = (n + dn, t - dt, shift(x, -dx), fout)
                 out[key] = out.get(key, 0) + a * c
         return _section_over(out, den * self._den)
 
@@ -329,6 +329,17 @@ class FreeBVModel:
     def rank(self, degree: int) -> int:
         return self.ranks.get(degree, 0)
 
+    def delta_keys(self, points):
+        """The keys (degree, t, x, fiber) of the delta sections over the
+        points: per point, every degree, then every fiber.  Points are
+        reduced to canonical ring coordinates here, so windows may be
+        specified with negative x offsets."""
+        for p in points:
+            t, x = self.lattice.point(p.t, p.x)
+            for n in self.degrees():
+                for f in range(self.rank(n)):
+                    yield n, t, x, f
+
     def solve_data(self, degree: int) -> _DegreeSolveData:
         data = self._solve_data.get(degree)
         if data is None:
@@ -342,7 +353,7 @@ class FreeBVModel:
             raise NotGreenHyperbolic(f"P vanishes in degree {degree}")
         d_plus = max(e.dt for e in entries)
         d_minus = -min(e.dt for e in entries)
-        slope = self.lattice.slope
+        within_slope = self.lattice.within_slope
 
         def block(dt_sel):
             mat = [[0] * rank for _ in range(rank)]
@@ -363,10 +374,10 @@ class FreeBVModel:
         lower = tuple(e for e in entries if e.dt < d_plus)
         upper = tuple(e for e in entries if e.dt > -d_minus)
         for e in lower:
-            if abs(e.dx) > slope * (d_plus - e.dt):
+            if not within_slope(e.dx, d_plus - e.dt):
                 raise NotGreenHyperbolic("retarded propagation leaves the causal cone")
         for e in upper:
-            if abs(e.dx) > slope * (e.dt + d_minus):
+            if not within_slope(e.dx, e.dt + d_minus):
                 raise NotGreenHyperbolic("advanced propagation leaves the causal cone")
         return _DegreeSolveData(d_plus, d_minus, top_inv, bot_inv, lower, upper)
 
@@ -440,7 +451,7 @@ class GreenSolver:
         else:
             reach, entries, inv = -data.d_minus, data.upper_entries, data.bot_inv
         eq_t = step * len(slices)
-        n_sites = self.model.lattice.n_sites
+        shift = self.model.lattice.shift
         rank = self.model.rank(degree)
         ranks = range(rank)
         while (t - eq_t - reach) * step >= 0:
@@ -452,7 +463,7 @@ class GreenSolver:
                 dx, fin, fout, coeff = e.dx, e.fin, e.fout, e.coeff
                 for (y, g), val in known.items():
                     if g == fin:
-                        row = rhs.get(x := (y - dx) % n_sites)
+                        row = rhs.get(x := shift(y, -dx))
                         if row is None:
                             row = rhs[x] = [0] * rank
                         row[fout] -= val * coeff
@@ -473,7 +484,7 @@ class GreenSolver:
     def apply(self, source: Section, t_lo: int, t_hi: int) -> Section:
         """The solution of P psi = source with supp(psi) in J^±(supp source),
         evaluated on the time window [t_lo, t_hi]."""
-        n_sites = self.model.lattice.n_sites
+        shift = self.model.lattice.shift
         den, items = _integer_form(source.items())
         out: dict = {}
         scale = 1  # out holds numerators over den * scale
@@ -499,13 +510,13 @@ class GreenSolver:
                 b = a * (scale // d)
                 t = ts + off
                 for (x, fout), c in sl_items:
-                    key = (n, t, (x + xs) % n_sites, fout)
+                    key = (n, t, shift(x, xs), fout)
                     out[key] = out.get(key, 0) + b * c
         return _section_over(out, den * scale)
 
     def value_at(self, source: Section, degree: int, point: Point, fiber: int):
         """Single solved value; avoids materializing window sections."""
-        n_sites = self.model.lattice.n_sites
+        shift = self.model.lattice.shift
         acc = 0
         for (n, ts, xs, f), v in source.items():
             if n != degree:
@@ -513,7 +524,7 @@ class GreenSolver:
             off = point.t - ts
             sl = self.kernel(n, f, off).get(off)
             if sl:
-                kv = sl.get(((point.x - xs) % n_sites, fiber))
+                kv = sl.get((shift(point.x, -xs), fiber))
                 if kv:
                     acc += v * kv
         return rational(acc)
@@ -578,18 +589,9 @@ def tau_dirac(model: FreeBVModel, psi1: Section, psi2: Section):
 
 
 def delta_basis(model: FreeBVModel, points) -> list:
-    """All delta sections (every degree, fiber) over the given points.
-
-    Points are reduced to canonical ring coordinates here, so windows may be
-    specified with negative x offsets.
-    """
-    out = []
-    for p in points:
-        q = model.lattice.point(p.t, p.x)
-        for n in model.degrees():
-            for f in range(model.rank(n)):
-                out.append(Section.delta(n, q, f))
-    return out
+    """All delta sections (every degree, fiber) over the given points, in
+    the order of :meth:`FreeBVModel.delta_keys`."""
+    return [Section({key: 1}) for key in model.delta_keys(points)]
 
 
 def window_points(t_lo: int, t_hi: int, xs) -> list:
@@ -605,7 +607,7 @@ def _cut_translate_sum(model: FreeBVModel, cutoff: CutoffData, psi: Section, tab
     at x = 0, solved by solve(model, cutoff, delta) once per (degree,
     t - t0, fiber) and kept in table, with times relative to the cut, as
     integer numerators over one denominator (see GreenSolver.apply)."""
-    n_sites = model.lattice.n_sites
+    shift = model.lattice.shift
     t0 = cutoff.t0
     den, items = _integer_form(psi.items())
     out: dict = {}
@@ -625,7 +627,7 @@ def _cut_translate_sum(model: FreeBVModel, cutoff: CutoffData, psi: Section, tab
                 out[key] *= k
         b = a * (scale // d)
         for (m, s, x, g), c in sol_items:
-            key = (m, s + t0, (x + xs) % n_sites, g)
+            key = (m, s + t0, shift(x, xs), g)
             out[key] = out.get(key, 0) + b * c
     return _section_over(out, den * scale)
 

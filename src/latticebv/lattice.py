@@ -2,15 +2,16 @@
 spatial ring Z_N, with slope-bounded causal cones.
 
 The ambient cylinder is fixed; "spacetime regions" are its causally convex
-subsets and morphisms are inclusions (plus time translations).  A point
-(t', x') lies in the causal future of (t, x) iff t' >= t and the ring
-distance from x to x' is at most slope*(t' - t).
+subsets and morphisms are inclusions and translations.  A point (t', x')
+lies in the causal future of (t, x) iff the ring distance from x to x' is at
+most slope*(t' - t).
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import product
 from typing import NamedTuple, Optional
 
 
@@ -19,41 +20,47 @@ class Point(NamedTuple):
     x: int
 
 
+@dataclass(frozen=True)
 class Lattice:
-    """Spatial ring of n_sites with a causal cone of the given slope."""
+    """Spatial ring Z_N of n_sites with a causal cone of the given slope.
 
-    def __init__(self, n_sites: int, slope: int = 1):
-        if n_sites < 1:
+    The lattice owns its translation group, so no other module reduces
+    modulo n_sites: :meth:`shift` moves a site along the ring,
+    :meth:`within_slope` is the one cone rule, and :meth:`class_key` and
+    :meth:`class_pairs` sort generator pairs into translation classes.
+    """
+
+    n_sites: int
+    slope: int = 1
+
+    def __post_init__(self):
+        if self.n_sites < 1:
             raise ValueError("n_sites must be >= 1")
-        if slope < 1:
+        if self.slope < 1:
             raise ValueError("slope must be >= 1")
-        self.n_sites = n_sites
-        self.slope = slope
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Lattice)
-            and self.n_sites == other.n_sites
-            and self.slope == other.slope
-        )
-
-    def __repr__(self):
-        return f"Lattice(n_sites={self.n_sites}, slope={self.slope})"
+    def shift(self, x: int, a: int) -> int:
+        """The site x translated by a along the ring."""
+        return (x + a) % self.n_sites
 
     def point(self, t: int, x: int) -> Point:
         return Point(t, x % self.n_sites)
 
     def ring_dist(self, x1: int, x2: int) -> int:
-        d = (x1 - x2) % self.n_sites
+        d = self.shift(x1, -x2)
         return min(d, self.n_sites - d)
+
+    def within_slope(self, dx: int, dt: int) -> bool:
+        """|dx| <= slope * dt: a spatial offset dx reachable in dt >= 0 time
+        steps; false for every dx when dt < 0."""
+        return abs(dx) <= self.slope * dt
 
     def in_future_of(self, base: Point, q: Point) -> bool:
         """q in J^+(base)."""
-        dt = q.t - base.t
-        return dt >= 0 and self.ring_dist(q.x, base.x) <= self.slope * dt
+        return self.within_slope(self.ring_dist(q.x, base.x), q.t - base.t)
 
     def in_past_of(self, base: Point, q: Point) -> bool:
-        return self.in_future_of(Point(-base.t, base.x), Point(-q.t, q.x))
+        return self.in_future_of(q, base)
 
     def in_cone(self, base: Point, q: Point, direction: int) -> bool:
         if direction > 0:
@@ -63,13 +70,35 @@ class Lattice:
     def slice_points(self, t: int) -> list[Point]:
         return [Point(t, x) for x in range(self.n_sites)]
 
+    def class_key(self, g1, g2) -> tuple:
+        """Translation class of a generator pair (degree, t, x, fiber):
+        degrees, fibers and the offset of g2 from g1 on the cylinder.  Q, W
+        and the fiber metric do not depend on the site and G± are unique, so
+        every pairing of two deltas takes one value per class."""
+        return g1[0], g1[3], g2[0], g2[3], g2[1] - g1[1], (g2[2] - g1[2]) % self.n_sites
+
+    def class_pairs(self, gens1, gens2):
+        """The pairs of product(gens1, gens2) in that order, skipping every
+        pair whose translation class has already appeared.  The pairings, Q
+        and the fiber metric take one value per class, so a check over these
+        pairs quantifies over the generator basis modulo translation: it
+        decides what the check over every pair decides, and its first
+        failing pair is the same."""
+        seen = set()
+        for g1, g2 in product(gens1, gens2):
+            key = self.class_key(g1, g2)
+            if key not in seen:
+                seen.add(key)
+                yield g1, g2
+
 
 @dataclass(frozen=True)
 class Region:
     """A finite, nonempty, causally convex set of points of the cylinder.
 
     Built only by :func:`causal_hull` and :func:`slab`, so convexity holds by
-    construction (and is testable via :meth:`is_causally_convex`).
+    construction.  Hashable, as its lattice is: equal regions are one dict
+    key.
     """
 
     lattice: Lattice
@@ -84,9 +113,6 @@ class Region:
     def time_range(self):
         ts = [p.t for p in self.points]
         return min(ts), max(ts)
-
-    def is_causally_convex(self) -> bool:
-        return causal_hull(self.lattice, self.points).points == self.points
 
 
 def causal_hull(lattice: Lattice, seeds) -> Region:
@@ -214,10 +240,6 @@ class CutoffData:
 
     def chi_minus(self, t: int) -> int:
         return 1 - self.chi_plus(t)
-
-
-def make_cutoff(t0: int) -> CutoffData:
-    return CutoffData(t0)
 
 
 def validate_ring_size(lattice: Lattice, regions) -> None:

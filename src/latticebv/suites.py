@@ -34,6 +34,7 @@ from .bvtheory import (
     window_points,
 )
 from .lattice import (
+    CutoffData,
     Lattice,
     Point,
     Region,
@@ -41,14 +42,12 @@ from .lattice import (
     causally_disjoint,
     factorize_tuple,
     is_time_ordered,
-    make_cutoff,
     slab,
     validate_ring_size,
 )
 from .models import build_model, klein_gordon
 from .quantize import (
     SymModel,
-    class_pairs,
     dirac_nary,
     eta_gen_map,
     fa_product,
@@ -284,7 +283,7 @@ class ModelBundle:
         # time-ordering of stacked regions cannot wrap (cones only move forward)
         validate_ring_size(self.lattice, self.regions["disjoint_pair"])
         # the Cauchy-slab checks need the cut band inside the slab
-        check_cutoff_in_region(self.model, make_cutoff(config["cutoff_t0"]), self.regions["slab"])
+        check_cutoff_in_region(self.model, CutoffData(config["cutoff_t0"]), self.regions["slab"])
 
     def rng(self, suite: str) -> random.Random:
         return random.Random((self.config["seed"], suite).__repr__())
@@ -769,7 +768,7 @@ def suite_structures(bundle: ModelBundle) -> list:
 
     def check_pair_symmetry(tau, expected_s):
         # tau o gamma = s tau: koszul * tau(g2, g1) = s * tau(g1, g2)
-        for g1, g2 in class_pairs(bundle.lattice.n_sites, gens, gens):
+        for g1, g2 in bundle.lattice.class_pairs(gens, gens):
             base = tau(g1, g2)
             rhs = base if expected_s > 0 else -base
             lhs = tau(g2, g1)
@@ -783,14 +782,14 @@ def suite_structures(bundle: ModelBundle) -> list:
 
     def check_d_tau_d():
         d_tau = boundary_pairing(sm.tau_d, sm.qgen).evaluate
-        for g1, g2 in class_pairs(bundle.lattice.n_sites, gens, gens):
+        for g1, g2 in bundle.lattice.class_pairs(gens, gens):
             yield d_tau(g1, g2) == sm.tau_m1(g1, g2) or f"{g1} | {g2}"
 
     run.check("pairing-dirac-trivializes", check_d_tau_d)
 
     def check_d_tau_0():
         d_tau = boundary_pairing(sm.tau_0, sm.qgen).evaluate
-        for g1, g2 in class_pairs(bundle.lattice.n_sites, gens, gens):
+        for g1, g2 in bundle.lattice.class_pairs(gens, gens):
             yield not d_tau(g1, g2) or f"{g1} | {g2}"
 
     run.check("pairing-unshifted-cochain", check_d_tau_0)
@@ -824,10 +823,10 @@ def suite_structures(bundle: ModelBundle) -> list:
 
 def _delta_pairs(model, r1: Region, r2: Region):
     """The (delta in r1, delta in r2) pairs of the model's sections, the first
-    of each translation class in product order (quantize.class_pairs): the
+    of each translation class in product order (Lattice.class_pairs): the
     section-level pairings of two deltas take one value per class."""
     gens1, gens2 = (generators_at(model, sorted(r.points)) for r in (r1, r2))
-    for g1, g2 in class_pairs(model.lattice.n_sites, gens1, gens2):
+    for g1, g2 in model.lattice.class_pairs(gens1, gens2):
         yield gen_to_section(g1), gen_to_section(g2)
 
 
@@ -854,7 +853,7 @@ def suite_theorems(bundle: ModelBundle) -> list:
     run.check("causality-counterexample", check_causality_counter)
 
     region = bundle.regions["slab"]
-    cutoff = make_cutoff(bundle.config["cutoff_t0"])
+    cutoff = CutoffData(bundle.config["cutoff_t0"])
 
     def check_eta():
         check_cutoff_in_region(model, cutoff, region)
@@ -1017,7 +1016,7 @@ def suite_quantization(bundle: ModelBundle) -> list:
         rng = bundle.rng("quant-einstein")
         r1, r2 = bundle.regions["disjoint_pair"]
         g1s, g2s = sm.generators_in_region(r1), sm.generators_in_region(r2)
-        for g1, g2 in class_pairs(bundle.lattice.n_sites, g1s, g2s):
+        for g1, g2 in bundle.lattice.class_pairs(g1s, g2s):
             yield not commutator(g1, g2) or f"{g1} | {g2}"
         for _ in range(6):
             a = SymElement({random_word(rng, g1s, 3): 1})
@@ -1086,7 +1085,7 @@ def suite_quantization(bundle: ModelBundle) -> list:
     def check_time_slice():
         rng = bundle.rng("quant-timeslice")
         region = bundle.regions["slab"]
-        cutoff = make_cutoff(bundle.config["cutoff_t0"])
+        cutoff = CutoffData(bundle.config["cutoff_t0"])
         check_cutoff_in_region(bundle.model, cutoff, region)
         eta_fn = eta_gen_map(sm, cutoff)
         fg_fn = quasi_inverse_gen_map(sm, cutoff)

@@ -26,7 +26,7 @@ from latticebv.bvtheory import (
     _eta_of_delta,
     _g_of_delta,
 )
-from latticebv.lattice import Lattice, Point, causal_hull, causally_disjoint, is_time_ordered, make_cutoff, slab
+from latticebv.lattice import CutoffData, Lattice, Point, causal_hull, causally_disjoint, is_time_ordered, slab
 from latticebv.models import klein_gordon, maxwell2d
 
 
@@ -731,7 +731,7 @@ def test_quasi_inverse_fixes_sections_at_the_cut():
     # section back in the sectors where W is the identity (KG antifields);
     # in W-degenerate sectors g is only homotopic to the identity (see the
     # eta/zeta tests), and there it annihilates deltas
-    cutoff = make_cutoff(0)
+    cutoff = CutoffData(0)
     for model in (kg21(), kg21(mass_sq=Fraction(2, 3))):
         for t in (0, 1):
             for x in range(-1, 2):
@@ -745,7 +745,7 @@ def test_quasi_inverse_lands_in_slab():
     for model in (kg21(), mw21()):
         lattice = model.lattice
         region = slab(lattice, -4, 4)
-        cutoff = make_cutoff(0)
+        cutoff = CutoffData(0)
         check_cutoff_in_region(model, cutoff, region)
         for psi in delta_basis(model, window_points(-7, 7, range(0, 2))):
             out = quasi_inverse_g(model, cutoff, psi)
@@ -754,7 +754,7 @@ def test_quasi_inverse_lands_in_slab():
 
 def test_eta_homotopy_identity():
     for model in (kg21(), mw21()):
-        cutoff = make_cutoff(0)
+        cutoff = CutoffData(0)
         for psi in delta_basis(model, window_points(-3, 3, range(-1, 2))):
             assert not _eta_boundary_defect(model, cutoff, psi)
 
@@ -764,7 +764,7 @@ def test_zeta_homotopy_identity():
     for model in (kg21(), mw21()):
         lattice = model.lattice
         region = slab(lattice, -4, 4)
-        cutoff = make_cutoff(0)
+        cutoff = CutoffData(0)
         q = model.q_op
         for psi in delta_basis(model, window_points(-3, 3, range(0, 2))):
             assert psi.supported_in(region)
@@ -779,7 +779,7 @@ def test_zeta_homotopy_identity():
 def test_zeta_requires_slab_support():
     model = kg21()
     region = slab(model.lattice, -2, 2)
-    cutoff = make_cutoff(0)
+    cutoff = CutoffData(0)
     outside = Section.delta(0, Point(5, 0))
     with pytest.raises(ValueError):
         homotopy_zeta(model, cutoff, region, outside)
@@ -832,7 +832,7 @@ def test_cut_maps_match_direct_solve(n_sites):
         degrees = model.degrees()
         nonzero = set()
         for t0 in (0, 2, -1):
-            cutoff = make_cutoff(t0)
+            cutoff = CutoffData(t0)
             for _ in range(4):
                 source = Section()
                 while len(source.data) < 4:
@@ -855,7 +855,7 @@ def test_cutoff_outside_region_rejected():
     model = kg21()
     region = slab(model.lattice, -1, 1)
     with pytest.raises(ValueError):
-        check_cutoff_in_region(model, make_cutoff(5), region)
+        check_cutoff_in_region(model, CutoffData(5), region)
 
 
 def test_tau0_kills_p_exact_sources():
@@ -891,7 +891,7 @@ def test_rational_solver_oracle_on_fractional_sources():
     # Fractions come from the solved values.
     rng = random.Random(41)
     pts = window_points(-2, 2, range(-2, 3))
-    cutoff = make_cutoff(0)
+    cutoff = CutoffData(0)
     for model in (kg21(kappa=Fraction(1, 2), mass_sq=Fraction(1)), mw21()):
         r = model.p_op.time_radius()
         solved = []
@@ -1005,7 +1005,7 @@ def test_integer_loops_match_fraction_routes_on_mixed_denominators():
     # sources: same keys in the same order, same values, same types
     rng = random.Random(1300)
     pts = window_points(-2, 2, range(-2, 3))
-    cutoff = make_cutoff(0)
+    cutoff = CutoffData(0)
     for model in _oracle_models():
         routes = _integer_routes(model, cutoff)
         seen_fraction = set()
@@ -1031,7 +1031,7 @@ def test_integer_loops_drop_cancelled_keys():
     # a two-term source whose images cancel exactly on one output key: that
     # key is absent from the integer route, as from the Fraction route.  Only
     # kg's W (pointwise) has no two deltas with overlapping images.
-    cutoff = make_cutoff(0)
+    cutoff = CutoffData(0)
     for model in _oracle_models():
         lattice = model.lattice
         routes = _integer_routes(model, cutoff)

@@ -9,11 +9,10 @@ import pytest
 from latticebv import bvtheory, suites
 from latticebv.abstractspace import random_word
 from latticebv.bvtheory import delta_basis, homotopy_eta, quasi_inverse_g, tau_0, tau_dirac, tau_minus1
-from latticebv.lattice import Lattice, Point, causal_hull, causally_disjoint, make_cutoff, slab
+from latticebv.lattice import CutoffData, Lattice, Point, causal_hull, causally_disjoint, slab
 from latticebv.models import klein_gordon, maxwell2d
 from latticebv.quantize import (
     SymModel,
-    class_pairs,
     dirac_nary,
     eta_gen_map,
     fa_product,
@@ -553,7 +552,7 @@ def test_sym_power_homotopies_certify_time_slice():
     for sm in (sym_kg(), sym_mw()):
         lattice = sm.model.lattice
         region = slab(lattice, -4, 4)
-        cutoff = make_cutoff(0)
+        cutoff = CutoffData(0)
         eta_fn = eta_gen_map(sm, cutoff)
         fg_fn = quasi_inverse_gen_map(sm, cutoff)
         ambient_gens = window_gens(sm, -3, 3, range(0, 2))
@@ -599,7 +598,7 @@ def test_sym_power_homotopy_matches_permutation_sum(model):
     else:
         sm = sym_kg(kappa=Fraction(1, 2), mass_sq=Fraction(1))
     rng = random.Random(31)
-    cutoff = make_cutoff(0)
+    cutoff = CutoffData(0)
     eta_fn = eta_gen_map(sm, cutoff)
     fg_fn = quasi_inverse_gen_map(sm, cutoff)
     gens = window_gens(sm, -3, 3, range(0, 2))
@@ -641,7 +640,7 @@ def test_sym_layer_accumulates_in_place(monkeypatch):
         te = TensorElement.of(a, b)
     assert exp_bider(sm.tau_0, te, IH) != te
     assert sm.moyal_mul(a, b) != mul(a, b)
-    cutoff = make_cutoff(0)
+    cutoff = CutoffData(0)
     eta_fn = eta_gen_map(sm, cutoff)
     fg_fn = quasi_inverse_gen_map(sm, cutoff)
     word = random_word_of(rng, window_gens(sm, -3, 3, range(0, 2)), 3, min_len=3)
@@ -732,7 +731,7 @@ def test_lattice_pairings_vanish_off_degree(override):
     sm, gens = bundle.sym, bundle.gens_window()
     for tau in (sm.tau_m1, sm.tau_0, sm.tau_d):
         off = nonzero = 0
-        for g1, g2 in class_pairs(bundle.lattice.n_sites, gens, gens):
+        for g1, g2 in bundle.lattice.class_pairs(gens, gens):
             val = tau(g1, g2)
             if g1[0] + g2[0] + tau.degree != 0:
                 off += 1
@@ -799,14 +798,21 @@ def test_pairing_and_cut_solves_once_per_translation_class(monkeypatch):
     assert totals[0].keys() == {"tau_m1", "tau_0", "tau_D", "L", "eta", "g"}
 
 
-def test_class_pairs_keeps_product_order_one_pair_per_class():
-    # a window that straddles the ring seam, paired with a window elsewhere
+def _class_pair_windows():
+    # on 21 sites, a window that straddles the ring seam paired with a window
+    # elsewhere; on 5 sites, windows 11 and 8 sites wide, which wrap the ring
+    # more than once
     for sm in (sym_kg(), sym_mw()):
-        gens1 = window_gens(sm, -1, 1, range(19, 23))
-        gens2 = window_gens(sm, 0, 2, range(-1, 2))
+        yield sm, window_gens(sm, -1, 1, range(19, 23)), window_gens(sm, 0, 2, range(-1, 2))
+    sm = SymModel(klein_gordon(Lattice(5)))
+    yield sm, window_gens(sm, -1, 1, range(-3, 8)), window_gens(sm, 0, 1, range(2, 10))
+
+
+def test_class_pairs_keeps_product_order_one_pair_per_class():
+    for sm, gens1, gens2 in _class_pair_windows():
         pairs = list(itertools.product(gens1, gens2))
         lattice = sm.model.lattice
-        kept = list(class_pairs(lattice.n_sites, gens1, gens2))
+        kept = list(lattice.class_pairs(gens1, gens2))
         keys = [_translation_class(lattice, g1, g2) for g1, g2 in kept]
         assert len(set(keys)) == len(keys)
         assert set(keys) == {_translation_class(lattice, g1, g2) for g1, g2 in pairs}
@@ -816,6 +822,15 @@ def test_class_pairs_keeps_product_order_one_pair_per_class():
         for i, (g1, g2) in enumerate(pairs):
             first.setdefault(_translation_class(lattice, g1, g2), i)
         assert [pairs[i] for i in sorted(first.values())] == kept
+
+
+def test_class_key_agrees_with_translation_class():
+    # class_key is the oracle's class with its cylinder offset flattened
+    for sm, gens1, gens2 in _class_pair_windows():
+        lattice = sm.model.lattice
+        for g1, g2 in itertools.product(gens1, gens2):
+            *labels, offset = _translation_class(lattice, g1, g2)
+            assert lattice.class_key(g1, g2) == (*labels, *offset)
 
 
 # the eleven checks that quantify over translation classes
@@ -864,7 +879,7 @@ def per_pair_reference(bundle):
     d_tau_d = boundary_pairing(sm.tau_d, sm.qgen).evaluate
     d_tau_0 = boundary_pairing(sm.tau_0, sm.qgen).evaluate
     region = bundle.regions["slab"]
-    cutoff = make_cutoff(bundle.config["cutoff_t0"])
+    cutoff = CutoffData(bundle.config["cutoff_t0"])
 
     def zeta():
         for psi in delta_basis(model, sorted(region.points)):

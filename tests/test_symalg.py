@@ -17,7 +17,7 @@ from latticebv.bvtheory import (
     tau_dirac,
     tau_minus1,
 )
-from latticebv.lattice import Lattice, Point, make_cutoff
+from latticebv.lattice import CutoffData, Lattice, Point
 from latticebv.models import klein_gordon, maxwell2d
 from latticebv.quantize import SymModel, generators_at
 from latticebv.scalars import IH, HScalar, sym_coeff, u_poly
@@ -556,7 +556,7 @@ def test_operations_leave_operands_unchanged():
     assert a.scale(Fraction(3, 2)).terms == {
         (0, 0, 0, 0): Fraction(3, 4), (1, 1, 0, 0): 1, (0, -1, 1, 0): Fraction(3, 2)
     }
-    cutoff = make_cutoff(0)
+    cutoff = CutoffData(0)
     results = [a + b, a - b, a.scale(Fraction(3, 2)), a.scale(0)]
     for psi in (a, b):
         results += [

@@ -30,3 +30,4 @@ def test_traced_child_run_sees_the_green_layer():
     layers = out["layers"]
     assert layers["bvtheory.green.calls"] > 0
     assert layers["bvtheory.green.distinct_sources"] > 0
+    assert layers["lattice.calls"] > 0
