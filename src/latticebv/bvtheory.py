@@ -19,9 +19,9 @@ with <<phi, psi>> the pointwise fiber metric summed over the lattice
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .lattice import Lattice, Point, Region, CutoffData
 from .scalars import Combination, rational
@@ -105,8 +105,7 @@ def _section_over(numerators: dict, den: int) -> Section:
     return out
 
 
-@dataclass(frozen=True)
-class StencilEntry:
+class StencilEntry(NamedTuple):
     dt: int
     dx: int
     fin: int
@@ -290,8 +289,7 @@ class NotGreenHyperbolic(ValueError):
     pass
 
 
-@dataclass
-class _DegreeSolveData:
+class _DegreeSolveData(NamedTuple):
     d_plus: int
     d_minus: int
     top_inv: tuple

@@ -10,7 +10,6 @@ most slope*(t' - t).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple, Optional
 
@@ -20,7 +19,6 @@ class Point(NamedTuple):
     x: int
 
 
-@dataclass(frozen=True)
 class Lattice:
     """Spatial ring Z_N of n_sites with a causal cone of the given slope.
 
@@ -28,16 +26,39 @@ class Lattice:
     modulo n_sites: :meth:`shift` moves a site along the ring,
     :meth:`within_slope` is the one cone rule, and :meth:`class_key` and
     :meth:`class_pairs` sort generator pairs into translation classes.
+
+    A validated, immutable value: equal to and hashed as its
+    (n_sites, slope), and equal to no other type.
     """
 
-    n_sites: int
-    slope: int = 1
+    __slots__ = ("n_sites", "slope")
 
-    def __post_init__(self):
-        if self.n_sites < 1:
+    def __init__(self, n_sites: int, slope: int = 1):
+        if n_sites < 1:
             raise ValueError("n_sites must be >= 1")
-        if self.slope < 1:
+        if slope < 1:
             raise ValueError("slope must be >= 1")
+        object.__setattr__(self, "n_sites", n_sites)
+        object.__setattr__(self, "slope", slope)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __repr__(self):
+        return f"Lattice(n_sites={self.n_sites!r}, slope={self.slope!r})"
+
+    def __eq__(self, other):
+        if type(other) is not Lattice:
+            return NotImplemented
+        return self.n_sites == other.n_sites and self.slope == other.slope
+
+    def __hash__(self):
+        return hash((self.n_sites, self.slope))
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the validating constructor, since
+        # __setattr__ refuses the slot-by-slot restore they would otherwise use
+        return Lattice, (self.n_sites, self.slope)
 
     def shift(self, x: int, a: int) -> int:
         """The site x translated by a along the ring."""
@@ -92,8 +113,7 @@ class Lattice:
                 yield g1, g2
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     """A finite, nonempty, causally convex set of points of the cylinder.
 
     Built only by :func:`causal_hull` and :func:`slab`, so convexity holds by
@@ -224,8 +244,7 @@ def factorize_tuple(regions):
     return hull, rs[:-1], outer
 
 
-@dataclass(frozen=True)
-class CutoffData:
+class CutoffData(NamedTuple):
     """Partition of unity {chi_+, chi_-} subordinate to the two-sided cover
     around a cut time: chi_+ = [t >= t0+1], chi_- = [t <= t0].
 

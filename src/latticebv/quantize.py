@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import comb
+from math import factorial
 
 from .bvtheory import (
     FreeBVModel,
@@ -284,14 +284,21 @@ def quasi_inverse_gen_map(sm: SymModel, cutoff):
     return fn
 
 
+def _slot_weight(sign: int, p: int, k: int) -> int:
+    """p! times the weight of a term of H_p with k slots on F: of the p!
+    orders of the word, k!(p-1-k)! put those k slots first and eta's next."""
+    return sign * factorial(k) * factorial(p - 1 - k)
+
+
 def sym_power_homotopy(sm: SymModel, eta_fn, f_fn, word) -> SymElement:
-    """H_p(word) for the symmetrized tensor-power homotopy built from a
-    homotopy eta (d eta = id - F) and the degree-0 map F.
+    """p! H_p(word), for the symmetrized tensor-power homotopy H_p built from
+    a homotopy eta (d eta = id - F) and the degree-0 map F; the factor p!
+    makes every weight an integer.
 
     Sym is graded-commutative, so the symmetrizing sum over the p! orders
     of the word collapses to a sum over the slot j that takes eta and the
     set S of other slots that take F, each map applied in place.  A term
-    weighs |S|!(p-1-|S|)!/p! (the orders that put S first, then j) and has
+    weighs |S|!(p-1-|S|)! (the orders that put S first, then j) and has
     the sign of moving eta, of degree -1, past word[:j]."""
     p = len(word)
     out = SymElement()
@@ -308,21 +315,27 @@ def sym_power_homotopy(sm: SymModel, eta_fn, f_fn, word) -> SymElement:
                 prod = mul(prod, factor)
                 if not prod:
                     break
-            out.add_scaled(prod, Fraction(sign, p * comb(p - 1, sum(takes_f))))
+            out.add_scaled(prod, _slot_weight(sign, p, sum(takes_f)))
     return out
 
 
 def sym_power_homotopy_defect(sm: SymModel, eta_fn, f_fn, word) -> SymElement:
-    """d(H_p) - (id - Sym^p F) evaluated on a basis word; zero iff the
-    constructive quasi-isomorphism certificate holds there."""
+    """p! (d(H_p) - (id - Sym^p F)) evaluated on a basis word of length p;
+    zero iff the constructive quasi-isomorphism certificate holds there.
+
+    :func:`sym_power_homotopy` returns p! H_p, whose weights are integers,
+    so integral eta and F images give an integral defect.  Q keeps word
+    length, so each H_p here is on a word of length p and carries the same
+    factor."""
+    scale = factorial(len(word))
     elem = SymElement({word: 1})
     h_of_w = sym_power_homotopy(sm, eta_fn, f_fn, word)
     q_w = sm.q_sym(elem)
     defect = sm.q_sym(h_of_w)
     for w2, c in q_w.items():
         defect.add_scaled(sym_power_homotopy(sm, eta_fn, f_fn, w2), c)
-    defect.add_scaled(elem, -1)
-    defect.add_scaled(sym_map(f_fn, elem))
+    defect.add_scaled(elem, -scale)
+    defect.add_scaled(sym_map(f_fn, elem), scale)
     return defect
 
 

@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 SCHEMA_VERSION = 1
 
 
-@dataclass
-class IdentityInfo:
+class IdentityInfo(NamedTuple):
     statement: str
     strategy: str
     suite: str
@@ -349,8 +347,7 @@ def catalog_for_suite(suite: str) -> list:
     return [key for key, info in CATALOG.items() if info.suite == suite]
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(NamedTuple):
     identity: str
     passed: bool
     inputs_digest: str

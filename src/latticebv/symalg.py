@@ -26,7 +26,6 @@ position i, etc.):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -140,7 +139,6 @@ def sym_map(fmap: Callable, a: SymElement) -> SymElement:
 # -- pairings --------------------------------------------------------------
 
 
-@dataclass
 class PairingOracle:
     """(Anti-)symmetric pairing of homogeneous degree p on generators.
 
@@ -157,12 +155,14 @@ class PairingOracle:
     key, and every later pair with that key reads its value.
     """
 
-    degree: int
-    symmetry: int  # +1 symmetric, -1 anti-symmetric
-    evaluate: Callable
-    name: str = ""
-    key: Callable | None = None
-    _cache: dict = field(default_factory=dict, repr=False)
+    def __init__(self, degree: int, symmetry: int, evaluate: Callable, name: str = "",
+                 key: Callable | None = None):
+        self.degree = degree
+        self.symmetry = symmetry  # +1 symmetric, -1 anti-symmetric
+        self.evaluate = evaluate
+        self.name = name
+        self.key = key
+        self._cache: dict = {}
 
     def __call__(self, g1, g2):
         key = (g1, g2) if self.key is None else self.key(g1, g2)

@@ -401,6 +401,23 @@ def test_cli_import_loads_every_module():
     assert modules - set(loaded) == set()
 
 
+def test_import_loads_no_code_introspection():
+    # every report pays for `import latticebv` in a fresh process; dataclasses
+    # alone would load inspect, ast, dis and tokenize, which no check needs.
+    # Module sets, not times: -S keeps site's own imports out of the picture
+    import latticebv
+
+    pkg = Path(latticebv.__file__).parent
+    probe = "import sys; before = set(sys.modules); import latticebv; print(*set(sys.modules) - before)"
+    env = dict(os.environ, PYTHONPATH=str(pkg.parent))
+    added = subprocess.run(
+        [sys.executable, "-S", "-c", probe], cwd=pkg.parent, env=env,
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert "latticebv.suites" in added
+    assert {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(added) == set()
+
+
 def test_witness_text_of_sym_coefficients():
     # witnesses print Sym coefficients as h-polynomials over Q(i), lowest
     # order first; the element covers u^0..u^3 (u = i*h), so all four powers

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from latticebv.lattice import (
@@ -245,3 +248,14 @@ def test_lattice_is_a_validated_frozen_value():
     # the cone rule admits |dx| <= slope * dt and nothing when dt < 0
     assert [d for d in range(-6, 7) if lattice.within_slope(d, 2)] == list(range(-4, 5))
     assert not any(lattice.within_slope(d, -1) for d in range(-6, 7))
+
+
+def test_lattice_and_regions_survive_copy_and_pickle():
+    # copies of a frozen value are equal values of the same type, and a
+    # region copied or pickled with its lattice is still the same dict key
+    lattice = Lattice(5, slope=2)
+    region = causal_hull(lattice, [(0, 0), (2, 1)])
+    for clone in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        assert (type(clone(lattice)), clone(lattice)) == (Lattice, lattice)
+        assert clone(region) == region and hash(clone(region)) == hash(region)
+        assert clone(region).lattice == lattice

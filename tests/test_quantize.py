@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from latticebv import bvtheory, suites
+from latticebv import bvtheory, quantize, suites
 from latticebv.abstractspace import random_word
 from latticebv.bvtheory import delta_basis, homotopy_eta, quasi_inverse_g, tau_0, tau_dirac, tau_minus1
 from latticebv.lattice import CutoffData, Lattice, Point, causal_hull, causally_disjoint, slab
@@ -36,6 +36,7 @@ from latticebv.symalg import (
     exp_bider,
     mul,
     normalize,
+    sym_map,
     tensor_mu,
     word_degree,
 )
@@ -591,8 +592,8 @@ def reference_sym_power_homotopy(eta_fn, f_fn, word):
 
 @pytest.mark.parametrize("model", ["kg-massive", "maxwell2d"])
 def test_sym_power_homotopy_matches_permutation_sum(model):
-    # the collapsed sum over (eta slot, F slots) against the p!-term
-    # symmetrization it replaces, up to p = 4
+    # the collapsed sum over (eta slot, F slots), which returns p! H_p,
+    # against p! times the p!-term symmetrization it replaces, up to p = 4
     if model == "maxwell2d":
         sm = sym_mw()
     else:
@@ -607,9 +608,55 @@ def test_sym_power_homotopy_matches_permutation_sum(model):
         for _ in range(6):
             w = random_word_of(rng, gens, p, min_len=p)
             h = sym_power_homotopy(sm, eta_fn, fg_fn, w)
-            assert h == reference_sym_power_homotopy(eta_fn, fg_fn, w), w
+            assert h == reference_sym_power_homotopy(eta_fn, fg_fn, w).scale(math.factorial(p)), w
             nonzero += bool(h)
     assert nonzero >= 12
+
+
+def unscaled_sym_power_defect(sm, eta_fn, f_fn, word):
+    """d(H_p) - (id - Sym^p F) on a word, from the permutation-sum H_p."""
+    elem = SymElement({word: 1})
+    out = sm.q_sym(reference_sym_power_homotopy(eta_fn, f_fn, word))
+    for w2, c in sm.q_sym(elem).items():
+        out = out + reference_sym_power_homotopy(eta_fn, f_fn, w2).scale(c)
+    return out - elem + sym_map(f_fn, elem)
+
+
+@pytest.mark.parametrize("model", ["kg", "kg-massive", "maxwell2d"])
+def test_scaled_sym_power_defect_is_p_factorial_times_unscaled(model):
+    # the certificate checks p! times the defect, with integer weights; with
+    # F = 2 f g in place of f g the defect does not vanish, so the factor shows
+    sm = {"kg": sym_kg, "maxwell2d": sym_mw,
+          "kg-massive": lambda: sym_kg(kappa=Fraction(1, 2), mass_sq=Fraction(1))}[model]()
+    rng = random.Random(33)
+    cutoff = CutoffData(0)
+    eta_fn = eta_gen_map(sm, cutoff)
+    fg_fn = quasi_inverse_gen_map(sm, cutoff)
+    gens = window_gens(sm, -3, 3, range(0, 2))
+    nonzero = 0
+    for p in (1, 2, 3, 4):
+        w = random_word_of(rng, gens, p, min_len=p)
+        for f_fn in (fg_fn, lambda g: fg_fn(g).scale(2)):
+            scaled = sym_power_homotopy_defect(sm, eta_fn, f_fn, w)
+            assert scaled == unscaled_sym_power_defect(sm, eta_fn, f_fn, w).scale(math.factorial(p)), w
+            nonzero += bool(scaled)
+        assert not sym_power_homotopy_defect(sm, eta_fn, fg_fn, w)
+    assert nonzero >= 3
+
+
+@pytest.mark.parametrize("model", ["kg", "maxwell2d"])
+def test_time_slice_check_fails_with_a_wrong_weight(monkeypatch, model):
+    # the weight 1/p in place of |S|!(p-1-|S|)! (over p!) breaks H_p for
+    # p >= 2, and time-slice-sym-powers, the one check that uses H_p, fails
+    config = merge_config(DEFAULT_CONFIG, {
+        "model": model, "suites": ["quantization"],
+        "windows": {"homotopy_t": [-2, 2]}, "samples": {"timeslice_words": 2},
+    })
+    assert all(rec.passed for rec in run_suites(config))
+    monkeypatch.setattr(quantize, "_slot_weight", lambda sign, p, k: Fraction(sign, p))
+    broken = [rec for rec in run_suites(config) if not rec.passed]
+    assert [rec.identity for rec in broken] == ["time-slice-sym-powers"]
+    assert broken[0].witness.startswith("p=2: ")
 
 
 def test_sym_layer_accumulates_in_place(monkeypatch):
