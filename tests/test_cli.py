@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from latticebv.cli import main
+from latticebv.cli import check_report_path, main
 from latticebv.reporting import CATALOG, make_report, render_report, strip_timing
-from latticebv.suites import DEFAULT_CONFIG, SuiteRunner, merge_config, run_suites
+from latticebv.suites import DEFAULT_CONFIG, SuiteRunner, merge_config, run_suites, validate_config
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -198,6 +198,8 @@ def test_run_rejects_bad_config(tmp_path, capsys):
         ({"suites": 5}, "suites"),
         ({"suites": [["green"]]}, "suites"),
         ({"suites": ["algebra", "algebra"]}, "suites"),
+        ({"model": "maxwell2d", "model_params": {"kappa": "2"}}, "model_params.kappa"),
+        ({"model": "maxwell2d", "model_params": {"mass_sq": "1"}}, "model_params.mass_sq"),
     ],
 )
 def test_run_rejects_invalid_config_values(tmp_path, capsys, extra, field):
@@ -217,7 +219,7 @@ def test_run_rejects_unwritable_report_path(tmp_path, capsys, monkeypatch):
         raise AssertionError("suites ran before the report path was checked")
 
     monkeypatch.setattr("latticebv.cli.run_suites", no_run)
-    for path in (tmp_path / "no" / "such" / "r.json", tmp_path):
+    for path in (tmp_path / "no" / "such" / "r.json", tmp_path, ""):
         code = main(["run", "--suite", "comparison", "--report-out", str(path)])
         assert code == 2
         captured = capsys.readouterr()
@@ -226,6 +228,26 @@ def test_run_rejects_unwritable_report_path(tmp_path, capsys, monkeypatch):
         assert "--report-out" in lines[0]
         assert not captured.out
     assert not (tmp_path / "no").exists()
+
+
+def test_maxwell2d_accepts_the_kg_defaults_as_any_equal_rational():
+    # kappa and mass_sq are compared as rationals, not as strings
+    params = {"kappa": "2/2", "mass_sq": "0/5"}
+    validate_config(merge_config(DEFAULT_CONFIG, {"model": "maxwell2d", "model_params": params}))
+
+
+def test_report_path_check_rejects_a_read_only_file(tmp_path, monkeypatch):
+    # the folder is writable, the file is not; os.access stands in for the
+    # permission bits, which a superuser would bypass
+    out = tmp_path / "report.json"
+    out.write_text("{}")
+    real_access = os.access
+    monkeypatch.setattr(
+        "latticebv.cli.os.access",
+        lambda p, mode: False if str(p) == str(out) else real_access(p, mode),
+    )
+    with pytest.raises(ValueError, match="--report-out"):
+        check_report_path(str(out))
 
 
 def test_run_rejects_wrapping_ring(tmp_path, capsys):
@@ -416,6 +438,34 @@ def test_import_loads_no_code_introspection():
     ).stdout.split()
     assert "latticebv.suites" in added
     assert {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(added) == set()
+
+
+def test_run_loads_no_openssl():
+    # digest_inputs runs in every SuiteRunner and in make_report, so a lazy
+    # `import hashlib` would escape the import-time test above; hashlib loads
+    # OpenSSL's _hashlib, about 3.6 MiB of resident memory
+    import latticebv
+
+    pkg = Path(latticebv.__file__).parent
+    probe = (
+        "import json, sys\n"
+        "from latticebv.reporting import make_report, render_report\n"
+        "from latticebv.suites import run_suites\n"
+        "for config in json.loads(sys.argv[1]):\n"
+        "    render_report(make_report(config, run_suites(config)))\n"
+        "print(*sorted({'hashlib', '_hashlib', 'ssl'} & set(sys.modules)))\n"
+    )
+    small = merge_config(DEFAULT_CONFIG, SMALL)
+    configs = [
+        merge_config(small, {"model": "kg", "suites": ["comparison"]}),
+        merge_config(small, {"model": "maxwell2d", "suites": ["structures"]}),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(pkg.parent))
+    loaded = subprocess.run(
+        [sys.executable, "-S", "-c", probe, json.dumps(configs)], cwd=pkg.parent, env=env,
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert loaded == []
 
 
 def test_witness_text_of_sym_coefficients():
