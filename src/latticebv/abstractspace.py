@@ -2,16 +2,33 @@
 
 The algebra suite exercises the symmetric-algebra layer away from any
 lattice model: a direct sum of two-term complexes with mixed-parity degrees
-and random (anti-)symmetric pairings of prescribed degree.
+and random (anti-)symmetric pairings of prescribed degree.  Every integer
+draw of the package is one :func:`randbelow` call.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 
 from .scalars import rational
 from .symalg import PairingOracle, SymElement, normalize
+
+
+def randbelow(rng: random.Random, n: int) -> int:
+    """rng.randrange(n) in one call: the getrandbits calls of randrange."""
+    if n < 1:
+        raise ValueError(f"empty range for randbelow({n})")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+# the narrowed rational n/d of a drawn pair (n, d), built once per pair
+drawn_rational = cache(lambda n, d: rational(Fraction(n, d)))
 
 
 def abstract_space(n_pairs: int = 20, seed: int = 3):
@@ -26,7 +43,7 @@ def abstract_space(n_pairs: int = 20, seed: int = 3):
         a = (d, 2 * i)
         b = (d + 1, 2 * i + 1)
         gens.extend([a, b])
-        c = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+        c = drawn_rational(1 + randbelow(rng, 4), 1 + randbelow(rng, 3))
         dmap_data[a] = SymElement.of_gen(b, c)
         dmap_data[b] = SymElement()
 
@@ -47,13 +64,13 @@ def random_pairing(gens, degree: int, symmetry: int, seed: int = 0, density: flo
                 continue
             if rng.random() > density:
                 continue
-            val = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            val = drawn_rational(-4 + randbelow(rng, 9), 1 + randbelow(rng, 3))
             if not val:
                 continue
             koszul = -1 if (g[0] % 2) and (h[0] % 2) else 1
             if g == h and symmetry * koszul == -1:
                 continue  # diagonal forced to vanish
-            table[(g, h)] = val = rational(val)
+            table[(g, h)] = val
             table[(h, g)] = val if symmetry * koszul == 1 else -val
 
     def ev(g, h):
@@ -65,8 +82,8 @@ def random_pairing(gens, degree: int, symmetry: int, seed: int = 0, density: flo
 def random_word(rng, gens, max_len: int, min_len: int = 1):
     """A normalized random word (resampling the rare all-odd collisions)."""
     while True:
-        length = rng.randint(min_len, max_len)
-        w, _ = normalize([rng.choice(gens) for _ in range(length)])
+        length = min_len + randbelow(rng, max_len - min_len + 1)
+        w, _ = normalize([gens[randbelow(rng, len(gens))] for _ in range(length)])
         if w is not None:
             return w
 
@@ -75,7 +92,7 @@ def random_element(rng, gens, max_len: int, n_words: int = 3) -> SymElement:
     out = SymElement()
     for _ in range(n_words):
         w = random_word(rng, gens, max_len, min_len=0)
-        coeff = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        coeff = drawn_rational(-3 + randbelow(rng, 7), 1 + randbelow(rng, 2))
         if coeff:
             out.add_term(w, coeff)
     return out

@@ -148,10 +148,15 @@ def causal_hull(lattice: Lattice, seeds) -> Region:
     t_hi = max(p.t for p in seeds)
     pts = set()
     for t in range(t_lo, t_hi + 1):
-        for q in lattice.slice_points(t):
-            if any(lattice.in_future_of(s, q) for s in seeds) and any(
-                lattice.in_past_of(s, q) for s in seeds
-            ):
+        # J^+(S) at t: sites within slope*(t - s.t) of a seed s; ring distances are <= n/2
+        reach = set()
+        for s in seeds:
+            if s.t <= t:
+                r = min(lattice.slope * (t - s.t), lattice.n_sites // 2)
+                reach.update(lattice.shift(s.x, dx) for dx in range(-r, r + 1))
+        for x in reach:
+            q = Point(t, x)
+            if any(lattice.in_past_of(s, q) for s in seeds):
                 pts.add(q)
     return Region(lattice, frozenset(pts))
 
@@ -237,10 +242,11 @@ def factorize_tuple(regions):
         raise ValueError("tuple is not time-ordered")
     seeds = [p for r in rs[:-1] for p in r.points]
     hull = causal_hull(rs[0].lattice, seeds)
-    for r in rs[:-1]:
-        assert hull.contains_region(r)
+    if not all(hull.contains_region(r) for r in rs[:-1]):
+        raise ValueError("hull misses an inner region")
     outer = [hull, rs[-1]]
-    assert is_time_ordered(outer)
+    if not is_time_ordered(outer):
+        raise ValueError("hull and last region are not time-ordered")
     return hull, rs[:-1], outer
 
 

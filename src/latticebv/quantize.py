@@ -209,7 +209,7 @@ def _fold_words(te: TensorElement, product) -> SymElement:
     """Sum of c * (w_1 product w_2 product ... w_n), folded from the left, over
     the words (w_1, ..., w_n) and coefficients c of te."""
     result = SymElement()
-    for words, c in te.items():
+    for words, c in te.terms.items():
         prod = SymElement({words[0]: 1})
         for w in words[1:]:
             prod = product(prod, SymElement({w: 1}))

@@ -165,7 +165,7 @@ def u_poly(coeffs):
 def sym_coeff(value):
     """A caller's Sym coefficient in canonical form: an HScalar as it is, an
     int or a Fraction as a narrowed rational."""
-    if type(value) is HScalar:
+    if type(value) is int or type(value) is HScalar:
         return value
     if not isinstance(value, _FRACTION_LIKE):
         raise TypeError(f"not a Sym coefficient: {value!r}")

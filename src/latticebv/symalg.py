@@ -37,26 +37,27 @@ EMPTY_WORD: Word = ()
 
 
 def word_degree(w: Word) -> int:
-    return sum(g[0] for g in w)
+    d = 0
+    for g in w:
+        d += g[0]
+    return d
 
 
 def normalize(gens) -> tuple:
-    """Sort a raw generator list; return (word, sign) or (None, 0) when a
-    repeated odd generator forces the word to vanish."""
-    gens = list(gens)
+    """Sort a raw generator sequence; return (word, sign) or (None, 0) when a
+    repeated odd generator forces the word to vanish.  Only odd generators
+    anticommute: the sign is (-1)^{# inversions among them}."""
+    odd = [g for g in gens if g[0] % 2]
+    if len(odd) < 2:
+        return tuple(sorted(gens)), 1
+    if len(set(odd)) < len(odd):
+        return None, 0
     sign = 1
-    # insertion sort; each adjacent swap of odd-degree pairs flips the sign
-    for i in range(1, len(gens)):
-        j = i
-        while j > 0 and gens[j - 1] > gens[j]:
-            if gens[j - 1][0] % 2 and gens[j][0] % 2:
+    for i, g in enumerate(odd):
+        for h in odd[i + 1 :]:
+            if g > h:
                 sign = -sign
-            gens[j - 1], gens[j] = gens[j], gens[j - 1]
-            j -= 1
-    for a, b in zip(gens, gens[1:]):
-        if a == b and a[0] % 2:
-            return None, 0
-    return tuple(gens), sign
+    return tuple(sorted(gens)), sign
 
 
 class SymElement(Combination):
@@ -67,19 +68,17 @@ class SymElement(Combination):
 
     @staticmethod
     def unit(coeff=1) -> "SymElement":
-        c = sym_coeff(coeff)
-        return SymElement({EMPTY_WORD: c} if c else {})
+        return SymElement({EMPTY_WORD: coeff})
 
     @staticmethod
     def of_gen(g, coeff=1) -> "SymElement":
-        c = sym_coeff(coeff)
-        return SymElement({(g,): c} if c else {})
+        return SymElement({(g,): coeff})
 
     def homogeneous_parts(self) -> dict:
         parts: dict = {}
         for w, c in self.terms.items():
             parts.setdefault(word_degree(w), {})[w] = c
-        return {d: SymElement(t) for d, t in parts.items()}
+        return {d: self._with_terms(t) for d, t in parts.items()}
 
     def coeff_at_order(self, k: int) -> "SymElement":
         """The u^k coefficient of each word, a rational.  The coefficient of
@@ -92,8 +91,8 @@ class SymElement(Combination):
 def mul(a: SymElement, b: SymElement) -> SymElement:
     """Graded-commutative product: concatenate and normalize."""
     out = SymElement()
-    for w1, c1 in a.items():
-        for w2, c2 in b.items():
+    for w1, c1 in a.terms.items():
+        for w2, c2 in b.terms.items():
             w, sign = normalize(w1 + w2)
             if w is None:
                 continue
@@ -107,14 +106,14 @@ def extend_derivation(dmap: Callable, degree: int, a: SymElement) -> SymElement:
     graded derivation: each image word u replaces v_i in place, and sorting
     v_1 ... u ... v_n supplies its Koszul sign."""
     out = SymElement()
-    for w, c in a.items():
+    for w, c in a.terms.items():
         prefix_deg = 0
         for i, g in enumerate(w):
             img = dmap(g)
             if img:
                 cg = -c if (degree % 2) and (prefix_deg % 2) else c
                 left, right = w[:i], w[i + 1 :]
-                for u, cu in img.items():
+                for u, cu in img.terms.items():
                     word, sign = normalize(left + u + right)
                     if word is not None:
                         cc = cu * cg
@@ -126,7 +125,7 @@ def extend_derivation(dmap: Callable, degree: int, a: SymElement) -> SymElement:
 def sym_map(fmap: Callable, a: SymElement) -> SymElement:
     """Algebra-map extension of a degree-0 generator map (gen -> SymElement)."""
     out = SymElement()
-    for w, c in a.items():
+    for w, c in a.terms.items():
         acc = SymElement.unit()
         for g in w:
             acc = mul(acc, fmap(g))
@@ -180,10 +179,10 @@ def boundary_pairing(tau: PairingOracle, dmap: Callable, name: str = "") -> Pair
 
     def ev(g1, g2):
         acc = 0
-        for (h1,), c in dmap(g1).items():
+        for (h1,), c in dmap(g1).terms.items():
             acc = acc + tau(h1, g2) * c
         sign1 = -1 if g1[0] % 2 else 1
-        for (h2,), c in dmap(g2).items():
+        for (h2,), c in dmap(g2).terms.items():
             v = tau(g1, h2) * c
             acc = acc + (v if sign1 > 0 else -v)
         outer = -1 if tau.degree % 2 else 1
@@ -203,9 +202,9 @@ class TensorElement(Combination):
     def of(*elems: SymElement) -> "TensorElement":
         """elems[0] (x) elems[1] (x) ... (at least one factor)."""
         first, *rest = elems
-        terms = {(w,): c for w, c in first.items()}
+        terms = {(w,): c for w, c in first.terms.items()}
         for e in rest:
-            terms = {k + (w,): c * cw for k, c in terms.items() for w, cw in e.items()}
+            terms = {k + (w,): c * cw for k, c in terms.items() for w, cw in e.terms.items()}
         return TensorElement(terms)
 
     def permute(self, rho) -> "TensorElement":
@@ -230,7 +229,7 @@ class TensorElement(Combination):
             prefix = sum(word_degree(w) for w in words[:index])
             sign = -1 if (fdeg % 2) and (prefix % 2) else 1
             img = fn(SymElement({words[index]: 1}))
-            for w, cw in img.items():
+            for w, cw in img.terms.items():
                 key = words[:index] + (w,) + words[index + 1 :]
                 cc = c * cw
                 out.add_term(key, cc if sign > 0 else -cc)
@@ -240,7 +239,7 @@ class TensorElement(Combination):
 def tensor_mu(te: TensorElement) -> SymElement:
     """Multiply all tensor slots together."""
     out = SymElement()
-    for words, c in te.items():
+    for words, c in te.terms.items():
         w, sign = normalize(sum(words, ()))
         if w is None:
             continue
@@ -251,7 +250,7 @@ def tensor_mu(te: TensorElement) -> SymElement:
 def tensor_braiding(te: TensorElement) -> TensorElement:
     """gamma(a (x) b) = (-1)^{|a||b|} b (x) a on homogeneous words."""
     out = TensorElement()
-    for (w1, w2), c in te.items():
+    for (w1, w2), c in te.terms.items():
         sign = -1 if (word_degree(w1) % 2) and (word_degree(w2) % 2) else 1
         out.add_term((w2, w1), c if sign > 0 else -c)
     return out
@@ -261,39 +260,34 @@ def _bider_words(tau: PairingOracle, w1: Word, w2: Word) -> TensorElement:
     """Closed-form biderivation on a pair of normalized words."""
     p = tau.degree
     out = TensorElement()
-    n, m = len(w1), len(w2)
-    if n == 0 or m == 0:
+    if not w1 or not w2:
         return out
-    deg1 = [g[0] for g in w1]
     deg2 = [g[0] for g in w2]
-    total1 = sum(deg1)
-    prefix2 = [0]
-    for d in deg2:
-        prefix2.append(prefix2[-1] + d)
-    prefix1 = [0]
-    for d in deg1:
-        prefix1.append(prefix1[-1] + d)
-    for i in range(n):
-        v_before = prefix1[i]
-        v_after = total1 - prefix1[i + 1]
-        want = -p - deg1[i]
-        for j in range(m):
-            if deg2[j] != want:
-                continue
-            val = tau(w1[i], w2[j])
-            if not val:
-                continue
-            exp = (deg1[i] + p) * prefix2[j] + deg2[j] * v_after + p * v_before
-            c = val if exp % 2 == 0 else -val
-            out.add_term((w1[:i] + w1[i + 1 :], w2[:j] + w2[j + 1 :]), c)
+    v_after = word_degree(w1)
+    v_before = 0
+    for i, g in enumerate(w1):
+        d1 = g[0]
+        v_after -= d1
+        want = -p - d1
+        if want in deg2:
+            rest1 = w1[:i] + w1[i + 1 :]
+            w_before = 0
+            for j, d2 in enumerate(deg2):
+                if d2 == want:
+                    val = tau(g, w2[j])
+                    if val:
+                        exp = (d1 + p) * w_before + d2 * v_after + p * v_before
+                        out.add_term((rest1, w2[:j] + w2[j + 1 :]), val if exp % 2 == 0 else -val)
+                w_before += d2
+        v_before += d1
     return out
 
 
 def bider_apply(tau: PairingOracle, a: SymElement, b: SymElement) -> TensorElement:
     """<a, b>_tau in Sym V (x) Sym V (closed form)."""
     out = TensorElement()
-    for w1, c1 in a.items():
-        for w2, c2 in b.items():
+    for w1, c1 in a.terms.items():
+        for w2, c2 in b.terms.items():
             out.add_scaled(_bider_words(tau, w1, w2), c1 * c2)
     return out
 
@@ -301,7 +295,7 @@ def bider_apply(tau: PairingOracle, a: SymElement, b: SymElement) -> TensorEleme
 def bider_tensor(tau: PairingOracle, te: TensorElement) -> TensorElement:
     """The biderivation as an endomorphism of Sym V (x) Sym V."""
     out = TensorElement()
-    for (w1, w2), c in te.items():
+    for (w1, w2), c in te.terms.items():
         out.add_scaled(_bider_words(tau, w1, w2), c)
     return out
 
@@ -311,8 +305,8 @@ def bider_recursive(tau: PairingOracle, a: SymElement, b: SymElement) -> TensorE
     only — the generator-pair base case, the second-slot derivation rule, and
     (anti-)symmetry to shorten the first slot."""
     out = TensorElement()
-    for w1, c1 in a.items():
-        for w2, c2 in b.items():
+    for w1, c1 in a.terms.items():
+        for w2, c2 in b.terms.items():
             out.add_scaled(_bider_rec_words(tau, w1, w2), c1 * c2)
     return out
 
@@ -321,7 +315,7 @@ def _module_left(b_word: Word, te: TensorElement) -> TensorElement:
     """(1 (x) b) * te with Koszul sign past the first slot."""
     out = TensorElement()
     bdeg = word_degree(b_word)
-    for (u1, u2), c in te.items():
+    for (u1, u2), c in te.terms.items():
         sign = -1 if (bdeg % 2) and (word_degree(u1) % 2) else 1
         w, s2 = normalize(b_word + u2)
         if w is None:
@@ -336,7 +330,7 @@ def _module_left(b_word: Word, te: TensorElement) -> TensorElement:
 def _module_right(te: TensorElement, c_word: Word) -> TensorElement:
     """te * (1 (x) c); the unit in the first slot passes with no sign."""
     out = TensorElement()
-    for (u1, u2), c in te.items():
+    for (u1, u2), c in te.terms.items():
         w, s2 = normalize(u2 + c_word)
         if w is None:
             continue
@@ -376,27 +370,28 @@ def laplacian_apply(tau: PairingOracle, a: SymElement) -> SymElement:
         raise ValueError("laplacian needs a symmetric pairing")
     p = tau.degree
     out = SymElement()
-    for w, c in a.items():
+    for w, c in a.terms.items():
         n = len(w)
         if n < 2:
             continue
         degs = [g[0] for g in w]
-        prefix = [0]
-        for d in degs:
-            prefix.append(prefix[-1] + d)
-        for i in range(n):
-            want = -p - degs[i]
-            for j in range(i + 1, n):
-                if degs[j] != want:
-                    continue
-                val = tau(w[i], w[j])
-                if not val:
-                    continue
-                exp = p * prefix[i] + degs[j] * (prefix[j] - prefix[i + 1])
-                cc = c * val
-                if exp % 2:
-                    cc = -cc
-                out.add_term(w[:i] + w[i + 1 : j] + w[j + 1 :], cc)
+        before = 0  # V_<i
+        for i in range(n - 1):
+            di = degs[i]
+            want = -p - di
+            if want in degs[i + 1 :]:
+                between = 0  # V_(i,j)
+                for j in range(i + 1, n):
+                    dj = degs[j]
+                    if dj == want:
+                        val = tau(w[i], w[j])
+                        if val:
+                            cc = c * val
+                            if (p * before + dj * between) % 2:
+                                cc = -cc
+                            out.add_term(w[:i] + w[i + 1 : j] + w[j + 1 :], cc)
+                    between += dj
+            before += di
     return out
 
 
@@ -406,7 +401,7 @@ def laplacian_recursive(tau: PairingOracle, a: SymElement) -> SymElement:
     words of length < 2, using the recursive biderivation."""
     p = tau.degree
     out = SymElement()
-    for w, c in a.items():
+    for w, c in a.terms.items():
         out.add_scaled(_laplacian_rec_word(tau, w, p), c)
     return out
 
@@ -454,13 +449,13 @@ def laplacian_tensor(tau: PairingOracle, te: TensorElement) -> TensorElement:
     """Delta_{tau,(x)} = Delta (x) id + id (x) Delta on Sym V (x) Sym V."""
     p = tau.degree
     out = TensorElement()
-    for (w1, w2), c in te.items():
+    for (w1, w2), c in te.terms.items():
         left = laplacian_apply(tau, SymElement({w1: 1}))
-        for u1, c1 in left.items():
+        for u1, c1 in left.terms.items():
             out.add_term((u1, w2), c * c1)
         sign = -1 if (p % 2) and (word_degree(w1) % 2) else 1
         right = laplacian_apply(tau, SymElement({w2: 1}))
-        for u2, c2 in right.items():
+        for u2, c2 in right.terms.items():
             cc = c * c2
             out.add_term((w1, u2), cc if sign > 0 else -cc)
     return out

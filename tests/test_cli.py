@@ -6,9 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from latticebv import suites
 from latticebv.cli import check_report_path, main
+from latticebv.quantize import SymModel
 from latticebv.reporting import CATALOG, make_report, render_report, strip_timing
 from latticebv.suites import DEFAULT_CONFIG, SuiteRunner, merge_config, run_suites, validate_config
+from latticebv.symalg import SymElement, mul
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -64,6 +67,26 @@ def test_run_small_config_passes(tmp_path, capsys):
     assert report["n_checks"] >= 2
     text = capsys.readouterr().out
     assert "[PASS] structures/pairing-dirac-trivializes" in text
+
+
+def test_failing_checks_print_the_elements_as_drawn(monkeypatch):
+    # Three injected failures.  The algebra suite computes on its drawn
+    # elements, d and pairings times fixed integers, yet prints, and shrinks,
+    # each element as drawn: the expected texts are what the same checks
+    # print when they compute on the drawn values themselves.
+    # moyal-associative prints three elements of random_element unshrunk.
+    monkeypatch.setattr(suites, "laplacian_recursive", lambda tau, a: SymElement())
+    monkeypatch.setattr(suites, "boundary_pairing", lambda tau, dmap: tau)
+    monkeypatch.setattr(SymModel, "moyal_mul", lambda sm, a, b: mul(a, b) + a)
+    config = merge_config(DEFAULT_CONFIG, merge_config(SMALL, {"model": "kg", "suites": ["algebra", "quantization"]}))
+    witness = {rec.identity: rec.witness for rec in run_suites(config) if not rec.passed}
+    assert witness["laplacian-closed-vs-recursive"] == "(-1,34)*(0,3): 1 + 0*i"
+    assert witness["laplacian-boundary"] == "(0,4)*(0,36)*(1,21)*(1,37): -1 + 0*i"
+    assert witness["moyal-associative"] == (
+        "(-1,1,0,0)*(0,0,1,0): 1/2 + 0*i; (0,-1,1,0): 3/2 + 0*i"
+        " | (-1,0,0,0): -1 + 0*i; (0,-1,1,0)*(0,0,20,0)*(0,0,20,0): 1/2 + 0*i"
+        " | (-1,-1,1,0)*(-1,0,20,0)*(0,0,1,0): 3 + 0*i; (-1,0,20,0)*(-1,1,1,0)*(-1,1,20,0): -2 + 0*i"
+    )
 
 
 def test_run_suites_hands_each_record_to_the_callback_in_run_order(monkeypatch):

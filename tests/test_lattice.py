@@ -1,12 +1,15 @@
 import copy
 import pickle
+import random
 
 import pytest
 
+from latticebv import lattice as lattice_module
 from latticebv.lattice import (
     CutoffData,
     Lattice,
     Point,
+    Region,
     causal_hull,
     causally_disjoint,
     factorize_tuple,
@@ -75,6 +78,31 @@ def test_hull_diamond_frozen():
             ):
                 brute.add(q)
     assert r.points == brute
+
+
+def brute_hull(lattice, seeds):
+    """The definition: the points of the seeds' time span that lie in the
+    causal future of one seed and the causal past of one, found by testing
+    every site of every slice."""
+    bases = [lattice.point(*s) for s in seeds]
+    return {
+        q
+        for t in range(min(b.t for b in bases), max(b.t for b in bases) + 1)
+        for q in lattice.slice_points(t)
+        if any(lattice.in_future_of(b, q) for b in bases)
+        and any(lattice.in_past_of(b, q) for b in bases)
+    }
+
+
+@pytest.mark.parametrize("n_sites, slope", [(1, 1), (2, 1), (5, 1), (6, 2), (9, 2), (21, 1), (21, 3)])
+def test_hull_matches_the_definition_on_random_seeds(n_sites, slope):
+    # causal_hull tests only the sites of each slice's future cone; the
+    # scan of every site is the reference, cones that wrap the ring included
+    lattice = Lattice(n_sites, slope)
+    rng = random.Random(100 * n_sites + slope)
+    for _ in range(40):
+        seeds = [(rng.randint(-3, 3), rng.randint(-n_sites, 2 * n_sites)) for _ in range(rng.randint(1, 4))]
+        assert causal_hull(lattice, seeds).points == brute_hull(lattice, seeds), seeds
 
 
 def test_hull_idempotent_and_convex():
@@ -183,6 +211,33 @@ def test_factorize_inside_common_diamond():
     assert hull.points == causal_hull(lattice, [(4, 0), (2, 0)]).points
     assert big.contains_region(hull)
     assert len(hull.points) < len(big.points)
+
+
+def _stacked_triple():
+    lattice = Lattice(21)
+    return [causal_hull(lattice, [(t, x)]) for t, x in ((8, 0), (4, 3), (0, 0))]
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        # drop the earliest point, a seed of the second region
+        (lambda points: points - {min(points)}, "misses an inner region"),
+        # add a point in the past of the last region, which J^+ of the hull then meets
+        (lambda points: points | {Point(-1, 0)}, "not time-ordered"),
+    ],
+)
+def test_factorize_raises_when_the_hull_breaks_an_invariant(monkeypatch, spoil, message):
+    # the invariants are checked with a raise, so they still hold under python -O
+    rs = _stacked_triple()
+    hull = lattice_module.causal_hull
+
+    def spoiled_hull(lattice, seeds):
+        return Region(lattice, frozenset(spoil(hull(lattice, seeds).points)))
+
+    monkeypatch.setattr(lattice_module, "causal_hull", spoiled_hull)
+    with pytest.raises(ValueError, match=message):
+        factorize_tuple(rs)
 
 
 def test_slab_is_full_block():

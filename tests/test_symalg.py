@@ -1,6 +1,7 @@
 import copy
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -79,6 +80,40 @@ def test_normalize_idempotent():
         w = random_word(rng, gens, 5)
         w2, s2 = normalize(w)
         assert w2 == w and s2 == 1
+
+
+def insertion_normalize(gens):
+    """Reference normal form: insertion sort, flipping the sign at each
+    adjacent swap of two odd-degree generators, then the odd-repeat test on
+    the sorted word."""
+    gens = list(gens)
+    sign = 1
+    for i in range(1, len(gens)):
+        j = i
+        while j > 0 and gens[j - 1] > gens[j]:
+            if gens[j - 1][0] % 2 and gens[j][0] % 2:
+                sign = -sign
+            gens[j - 1], gens[j] = gens[j], gens[j - 1]
+            j -= 1
+    for a, b in zip(gens, gens[1:]):
+        if a == b and a[0] % 2:
+            return None, 0
+    return tuple(gens), sign
+
+
+def test_normalize_matches_insertion_sort_on_every_short_word():
+    # every word of length 0-5, repeats included, over six generators of
+    # mixed parity, with two odd generators of one degree and an odd and an
+    # even one at one index
+    gens = [(-1, 0), (0, 0), (1, 2), (1, 3), (2, 1), (-3, 5)]
+    vanishing = 0
+    for n in range(6):
+        for word in product(gens, repeat=n):
+            got = normalize(word)
+            assert got == insertion_normalize(word), word
+            assert normalize(list(word)) == got
+            vanishing += got[0] is None
+    assert vanishing > 1000
 
 
 def test_mul_unit_and_odd_square():
@@ -505,6 +540,41 @@ def test_add_scaled_matches_plain_dict_reference(c):
     assert shared and only_a and only_b
     if c in (None, Fraction(3, 2)):
         assert integral  # some non-integral value of a summed to an integer
+
+
+def test_coefficients_are_stored_canonical():
+    w = (ODD_A, EVEN_A)
+    e = SymElement({w: Fraction(4, 2), (ODD_B,): 0, (): Fraction(0, 3), (EVEN_B,): True})
+    assert e.terms == {w: 2, (EVEN_B,): 1}
+    assert all(type(v) is int for v in e.terms.values())
+    assert type(TensorElement({(w, ()): Fraction(6, 3)}).terms[(w, ())]) is int
+    assert SymElement({w: HScalar((1, 1))}).terms[w] == HScalar((1, 1))
+    # a Section is over Q: a coefficient with a u term is refused
+    with pytest.raises(TypeError):
+        Section({(0, 0, 0, 0): IH})
+    for c in (True, Fraction(2, 2), Fraction(3, 2), Fraction(2, 3), IH, HScalar((Fraction(1, 2), 2))):
+        acc = SymElement({w: Fraction(1, 2), (): 1})
+        acc.add_scaled(SymElement({w: 1, (ODD_B,): Fraction(3, 2), (EVEN_B,): 2}), c)
+        assert_narrowed(acc)
+        assert all(v for v in acc.terms.values())
+    acc = SymElement({w: 1})
+    acc.add_scaled(SymElement({w: 1}), True)
+    assert acc.terms == {w: 2} and type(acc.terms[w]) is int
+
+
+def test_homogeneous_parts_split_by_degree():
+    rng = random.Random(45)
+    gens, _ = abstract_space()
+    for _ in range(30):
+        a = random_element(rng, gens, 4, 4).scale(IH + Fraction(1, 3))
+        parts = a.homogeneous_parts()
+        total = SymElement()
+        for d, part in parts.items():
+            assert type(part) is SymElement and part
+            assert all(word_degree(w) == d for w in part.terms)
+            total.add_scaled(part)
+        assert total == a
+        assert_narrowed(total)
 
 
 def test_add_scaled_cancels_to_empty():
