@@ -14,6 +14,7 @@ import json
 import os
 import sys
 
+from .models import MODEL_BUILDERS
 from .reporting import CATALOG, SUITE_NAMES, catalog_for_suite, make_report, render_report
 from .suites import DEFAULT_CONFIG, merge_config, run_suites
 
@@ -53,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help="suite to run (repeatable); 'all' selects every suite",
     )
-    run_p.add_argument("--model", choices=["kg", "maxwell2d"], help="override the model")
+    run_p.add_argument("--model", choices=list(MODEL_BUILDERS), help="override the model")
     run_p.add_argument(
         "--extended",
         action="store_true",
@@ -90,10 +91,7 @@ def load_config(args) -> dict:
     if args.model is not None:
         config = merge_config(config, {"model": args.model})
     if args.suite:
-        if "all" in args.suite:
-            suites = list(SUITE_NAMES)
-        else:
-            suites = list(dict.fromkeys(args.suite))
+        suites = list(dict.fromkeys(SUITE_NAMES if "all" in args.suite else args.suite))
         config = merge_config(config, {"suites": suites})
     return config
 

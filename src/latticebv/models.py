@@ -120,13 +120,22 @@ def maxwell2d(lattice: Lattice, metric_flip=False) -> FreeBVModel:
     return FreeBVModel(name, lattice, ranks, q_op, w_op, metric)
 
 
+# each model's builder and the rational model_params it reads; every
+# builder also takes metric_flip
 MODEL_BUILDERS = {
-    "kg": klein_gordon,
-    "maxwell2d": maxwell2d,
+    "kg": (klein_gordon, ("kappa", "mass_sq")),
+    "maxwell2d": (maxwell2d, ()),
 }
 
 
-def build_model(name: str, lattice: Lattice, **params) -> FreeBVModel:
-    if name not in MODEL_BUILDERS:
+def model_entry(name) -> tuple:
+    if not isinstance(name, str) or name not in MODEL_BUILDERS:
         raise ValueError(f"unknown model {name!r}; choose from {sorted(MODEL_BUILDERS)}")
-    return MODEL_BUILDERS[name](lattice, **params)
+    return MODEL_BUILDERS[name]
+
+
+def build_model(name: str, lattice: Lattice, params: dict) -> FreeBVModel:
+    """The named model, given the rationals of ``params`` its entry lists and metric_flip."""
+    builder, reads = model_entry(name)
+    kwargs = {key: Fraction(str(params[key])) for key in reads if key in params}
+    return builder(lattice, metric_flip=params.get("metric_flip", False), **kwargs)

@@ -349,7 +349,8 @@ CATALOG: dict = {
     ),
 }
 
-SUITE_NAMES = ("algebra", "green", "structures", "theorems", "quantization", "comparison")
+# the suites in catalog order: the default run order
+SUITE_NAMES = tuple(dict.fromkeys(info.suite for info in CATALOG.values()))
 
 
 def catalog_for_suite(suite: str) -> list:

@@ -45,7 +45,7 @@ from .lattice import (
     slab,
     validate_ring_size,
 )
-from .models import build_model, klein_gordon
+from .models import MODEL_BUILDERS, build_model, klein_gordon, model_entry
 from .quantize import (
     SymModel,
     dirac_nary,
@@ -59,7 +59,7 @@ from .quantize import (
     sym_power_homotopy_defect,
     tpfa_product,
 )
-from .reporting import CATALOG, SUITE_NAMES, CheckRecord, digest_inputs
+from .reporting import CATALOG, SCHEMA_VERSION, SUITE_NAMES, CheckRecord, digest_inputs
 from .scalars import IH, coeff_text, rational
 from .symalg import (
     PairingOracle,
@@ -85,7 +85,7 @@ from .symalg import (
 # -- config ------------------------------------------------------------------
 
 DEFAULT_CONFIG = {
-    "schema_version": 1,
+    "schema_version": SCHEMA_VERSION,
     "seed": 7,
     "model": "kg",
     "model_params": {"kappa": "1", "mass_sq": "0"},
@@ -141,11 +141,6 @@ DEFAULT_CONFIG = {
 }
 
 
-# the keys model_params may hold: kg reads kappa and mass_sq, and every
-# model reads metric_flip
-MODEL_PARAMS = ("kappa", "mass_sq", "metric_flip")
-
-
 def merge_config(base: dict, override: dict) -> dict:
     out = dict(base)
     for key, val in override.items():
@@ -194,11 +189,14 @@ def validate_config(config: dict) -> None:
     for key in config:
         if key not in DEFAULT_CONFIG:
             raise ValueError(f"unknown config key {key!r}; valid keys: {sorted(DEFAULT_CONFIG)}")
-    for key in ("lattice", "model_params", "windows", "samples", "regions"):
-        if not isinstance(config[key], dict):
-            raise ValueError(f"{key} must be an object, got {config[key]!r}")
+    version = config["schema_version"]
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValueError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
+    param_keys = {"metric_flip"}.union(*(reads for _, reads in MODEL_BUILDERS.values()))
     for section in ("lattice", "model_params", "windows", "samples", "regions"):
-        known = MODEL_PARAMS if section == "model_params" else DEFAULT_CONFIG[section]
+        if not isinstance(config[section], dict):
+            raise ValueError(f"{section} must be an object, got {config[section]!r}")
+        known = param_keys if section == "model_params" else DEFAULT_CONFIG[section]
         for key in config[section]:
             if key not in known:
                 name = f"{section}.{key}"
@@ -211,25 +209,24 @@ def validate_config(config: dict) -> None:
             raise ValueError(f"suites: unknown suite {name!r}; choose from {list(SUITE_NAMES)}")
     if len(set(suites)) != len(suites):
         raise ValueError(f"suites must name each suite once, got {suites!r}")
-    if not isinstance(config["model"], str):
-        raise ValueError(f"model must be a string, got {config['model']!r}")
+    reads = model_entry(config["model"])[1]
     params = config["model_params"]
     flip = params.get("metric_flip", False)
     if type(flip) is not bool:
         raise ValueError(f"model_params.metric_flip must be true or false, got {flip!r}")
-    for key in ("kappa", "mass_sq"):
-        default = DEFAULT_CONFIG["model_params"][key]
+    for key in sorted(params.keys() - {"metric_flip"}):
         try:
-            value = Fraction(str(params.get(key, default)))
+            value = Fraction(str(params[key]))
         except (ValueError, ZeroDivisionError):
             raise ValueError(
                 f'model_params.{key} must be a rational such as "1/2", got {params[key]!r}'
             ) from None
         # every config inherits the defaults, so only a changed value is an error
-        if config["model"] != "kg" and value != Fraction(default):
+        default = DEFAULT_CONFIG["model_params"][key]
+        if key not in reads and value != Fraction(default):
             raise ValueError(
-                f"model_params.{key} is read only by the kg model; "
-                f"{config['model']} needs {default!r}, got {params[key]!r}"
+                f"model_params.{key} is not read by the {config['model']} model, "
+                f"so it must stay {default!r}, got {params[key]!r}"
             )
     _integer("seed", config["seed"])
     _integer("p_max", config["p_max"], 1)
@@ -239,7 +236,9 @@ def validate_config(config: dict) -> None:
     for key, window in config["windows"].items():
         _window(f"windows.{key}", window)
     for key, count in config["samples"].items():
-        _integer(f"samples.{key}", count, 1)
+        # shorter words give checks that cannot fail: a zero double Laplacian
+        # below algebra length 4, and T moves no word of length 1
+        _integer(f"samples.{key}", count, {"algebra_max_len": 4, "max_word_len": 2}.get(key, 1))
     for name, lits in config["regions"].items():
         default = DEFAULT_CONFIG["regions"].get(name)
         if isinstance(default, list) and not (
@@ -269,16 +268,8 @@ class ModelBundle:
     def __init__(self, config: dict, on_record=None):
         self.config = config
         self.on_record = on_record
-        lat = config["lattice"]
-        self.lattice = Lattice(lat["n_sites"], lat.get("slope", 1))
-        params = dict(config.get("model_params", {}))
-        kwargs = {}
-        if config["model"] == "kg":
-            kwargs["kappa"] = Fraction(str(params.get("kappa", "1")))
-            kwargs["mass_sq"] = Fraction(str(params.get("mass_sq", "0")))
-        if params.get("metric_flip"):
-            kwargs["metric_flip"] = True
-        self.model = build_model(config["model"], self.lattice, **kwargs)
+        self.lattice = Lattice(**config["lattice"])
+        self.model = build_model(config["model"], self.lattice, config["model_params"])
         self.sym = SymModel(self.model)
         self.regions = {
             name: [parse_region(self.lattice, lit) for lit in lits]

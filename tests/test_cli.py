@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from latticebv import suites
-from latticebv.cli import check_report_path, main
+from latticebv import models, reporting, suites
+from latticebv.cli import build_parser, check_report_path, main
 from latticebv.quantize import SymModel
 from latticebv.reporting import CATALOG, make_report, render_report, strip_timing
 from latticebv.suites import DEFAULT_CONFIG, SuiteRunner, merge_config, run_suites, validate_config
@@ -223,6 +224,17 @@ def test_run_rejects_bad_config(tmp_path, capsys):
         ({"suites": ["algebra", "algebra"]}, "suites"),
         ({"model": "maxwell2d", "model_params": {"kappa": "2"}}, "model_params.kappa"),
         ({"model": "maxwell2d", "model_params": {"mass_sq": "1"}}, "model_params.mass_sq"),
+        ({"model": "nope"}, "unknown model 'nope'"),
+        ({"model": ["kg"]}, "unknown model ['kg']"),
+        # below these word lengths a check passes on cases where it cannot fail
+        ({"samples": {"algebra_max_len": 3}}, "samples.algebra_max_len"),
+        ({"samples": {"algebra_max_len": 2}}, "samples.algebra_max_len"),
+        ({"samples": {"algebra_max_len": 1}}, "samples.algebra_max_len"),
+        ({"samples": {"max_word_len": 1}}, "samples.max_word_len"),
+        ({"schema_version": "x"}, "schema_version"),
+        ({"schema_version": 2}, "schema_version"),
+        ({"schema_version": True}, "schema_version"),
+        ({"schema_version": 1.0}, "schema_version"),
     ],
 )
 def test_run_rejects_invalid_config_values(tmp_path, capsys, extra, field):
@@ -257,6 +269,29 @@ def test_maxwell2d_accepts_the_kg_defaults_as_any_equal_rational():
     # kappa and mass_sq are compared as rationals, not as strings
     params = {"kappa": "2/2", "mass_sq": "0/5"}
     validate_config(merge_config(DEFAULT_CONFIG, {"model": "maxwell2d", "model_params": params}))
+
+
+def test_the_shortest_words_are_valid():
+    shortest = {"algebra_max_len": 4, "max_word_len": 2}
+    validate_config(merge_config(DEFAULT_CONFIG, {"samples": shortest}))
+
+
+def test_a_model_is_one_registry_entry(monkeypatch):
+    # the entry alone declares the model_params a model reads: validation,
+    # the bundle and the --model choices all follow it
+    monkeypatch.setitem(models.MODEL_BUILDERS, "kg2", (models.klein_gordon, ("kappa",)))
+    config = merge_config(DEFAULT_CONFIG, {"model": "kg2", "model_params": {"kappa": "1/2"}})
+    validate_config(config)
+    with pytest.raises(ValueError, match="model_params.mass_sq is not read by the kg2 model"):
+        validate_config(merge_config(config, {"model_params": {"mass_sq": "1"}}))
+    bundle = suites.ModelBundle(config)
+    expected = models.klein_gordon(bundle.lattice, kappa=Fraction(1, 2))
+    assert bundle.model.q_op.entries == expected.q_op.entries
+    assert build_parser().parse_args(["run", "--model", "kg2"]).model == "kg2"
+
+
+def test_the_suite_table_runs_in_catalog_order():
+    assert tuple(suites.SUITES) == reporting.SUITE_NAMES
 
 
 def test_report_path_check_rejects_a_read_only_file(tmp_path, monkeypatch):
