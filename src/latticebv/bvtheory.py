@@ -241,28 +241,11 @@ class FiberMetric:
         for mat in self.blocks.values():
             if len(mat) != len(mat[0]):
                 return False
-            if _det(mat) == 0:
+            try:
+                _invert(mat)
+            except ValueError:
                 return False
         return True
-
-
-def _det(mat) -> Fraction:
-    m = [[Fraction(c) for c in row] for row in mat]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] / m[col][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
 
 
 def _invert(mat):
@@ -539,20 +522,25 @@ def lambda_pm(model: FreeBVModel, psi: Section, direction: int, t_lo: int, t_hi:
     return model.green(direction).apply(w_psi, t_lo, t_hi)
 
 
+def _lambda_sum(model: FreeBVModel, psi: Section, t_lo: int, t_hi: int, c_plus, c_minus) -> Section:
+    """c_plus L+ psi + c_minus L- psi on the window, with W psi applied once."""
+    out = Section()
+    w_psi = model.w_op.apply(psi, model.lattice)
+    if w_psi:
+        out.add_scaled(model.green(1).apply(w_psi, t_lo, t_hi), c_plus)
+        out.add_scaled(model.green(-1).apply(w_psi, t_lo, t_hi), c_minus)
+    return out
+
+
 def lambda_diff(model: FreeBVModel, psi: Section, t_lo: int, t_hi: int) -> Section:
     """The retarded-minus-advanced map L = L+ - L- on the window."""
-    out = lambda_pm(model, psi, 1, t_lo, t_hi)
-    out.add_scaled(lambda_pm(model, psi, -1, t_lo, t_hi), -1)
-    return out
+    return _lambda_sum(model, psi, t_lo, t_hi, 1, -1)
 
 
 def lambda_dirac(model: FreeBVModel, psi: Section, t_lo: int, t_hi: int) -> Section:
     """L_D = (L+ + L-)/2 on the window."""
     half = Fraction(1, 2)
-    out = Section()
-    out.add_scaled(lambda_pm(model, psi, 1, t_lo, t_hi), half)
-    out.add_scaled(lambda_pm(model, psi, -1, t_lo, t_hi), half)
-    return out
+    return _lambda_sum(model, psi, t_lo, t_hi, half, half)
 
 
 def tau_minus1(model: FreeBVModel, psi1: Section, psi2: Section):
@@ -562,25 +550,22 @@ def tau_minus1(model: FreeBVModel, psi1: Section, psi2: Section):
     return model.int_pairing(signed, psi2)
 
 
-def _pair_window(psi1: Section):
-    return psi1.min_t(), psi1.max_t()
+def _pair_through(lam, model: FreeBVModel, psi1: Section, psi2: Section):
+    """<<psi1, lam psi2>>; the metric is pointwise, so the window where
+    lam psi2 is needed is exactly the time extent of supp psi1."""
+    if not psi1 or not psi2:
+        return 0
+    return model.int_pairing(psi1, lam(model, psi2, psi1.min_t(), psi1.max_t()))
 
 
 def tau_0(model: FreeBVModel, psi1: Section, psi2: Section):
-    """<<psi1, L psi2>>; the metric is pointwise, so the window where L psi2
-    is needed is exactly the time extent of supp psi1."""
-    if not psi1 or not psi2:
-        return 0
-    t_lo, t_hi = _pair_window(psi1)
-    return model.int_pairing(psi1, lambda_diff(model, psi2, t_lo, t_hi))
+    """<<psi1, L psi2>>."""
+    return _pair_through(lambda_diff, model, psi1, psi2)
 
 
 def tau_dirac(model: FreeBVModel, psi1: Section, psi2: Section):
     """<<psi1, L_D psi2>>."""
-    if not psi1 or not psi2:
-        return 0
-    t_lo, t_hi = _pair_window(psi1)
-    return model.int_pairing(psi1, lambda_dirac(model, psi2, t_lo, t_hi))
+    return _pair_through(lambda_dirac, model, psi1, psi2)
 
 
 # -- region samples -------------------------------------------------------

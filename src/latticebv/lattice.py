@@ -9,7 +9,6 @@ most slope*(t' - t).
 
 from __future__ import annotations
 
-import heapq
 from itertools import product
 from typing import NamedTuple, Optional
 
@@ -213,16 +212,16 @@ def find_time_ordering(regions) -> Optional[tuple]:
             if i != j and _meets_future(rs[i], rs[j]):
                 succ[j].append(i)
                 indeg[i] += 1
-    ready = [i for i in range(n) if indeg[i] == 0]
-    heapq.heapify(ready)
+    ready = {i for i in range(n) if indeg[i] == 0}
     order = []
     while ready:
-        i = heapq.heappop(ready)
+        i = min(ready)
+        ready.remove(i)
         order.append(i)
         for k in succ[i]:
             indeg[k] -= 1
             if indeg[k] == 0:
-                heapq.heappush(ready, k)
+                ready.add(k)
     if len(order) != n:
         return None
     return tuple(order)

@@ -19,13 +19,7 @@ from functools import cache
 from itertools import product
 from math import factorial
 
-from .bvtheory import (
-    FreeBVModel,
-    Section,
-    homotopy_eta,
-    quasi_inverse_g,
-    tau_minus1,
-)
+from .bvtheory import FreeBVModel, Section, tau_minus1
 from .lattice import Point, Region, find_time_ordering
 from .scalars import IH, rational
 from .symalg import (
@@ -197,12 +191,18 @@ def q_hbar_tensor(sm: SymModel, te: TensorElement) -> TensorElement:
     return out
 
 
-def _check_supports(regions, elems):
+def _check_supports(regions, elems) -> tuple:
+    """(regions, elems) as lists, after checking that they pair up and that
+    each input is supported in its region."""
+    regions, elems = list(regions), list(elems)
+    if len(regions) != len(elems):
+        raise ValueError("regions/inputs length mismatch")
     for region, elem in zip(regions, elems):
         for w in elem.terms:
             for (deg, t, x, fiber) in w:
                 if not region.contains(Point(t, x)):
                     raise ValueError("input not supported in its region")
+    return regions, elems
 
 
 def _fold_words(te: TensorElement, product) -> SymElement:
@@ -222,11 +222,7 @@ def tpfa_product(sm: SymModel, regions, elems) -> SymElement:
 
     The empty tuple yields the unit.  Raises for non-time-orderable tuples.
     """
-    regions = list(regions)
-    elems = list(elems)
-    if len(regions) != len(elems):
-        raise ValueError("regions/inputs length mismatch")
-    _check_supports(regions, elems)
+    regions, elems = _check_supports(regions, elems)
     if find_time_ordering(regions) is None:
         raise ValueError("tuple is not time-orderable")
     if not elems:
@@ -237,11 +233,7 @@ def tpfa_product(sm: SymModel, regions, elems) -> SymElement:
 def fa_product(sm: SymModel, regions, elems, rho=None) -> SymElement:
     """Time-ordered product of the AQFT: permute into a time-ordered order
     and multiply with the Moyal-Weyl product."""
-    regions = list(regions)
-    elems = list(elems)
-    if len(regions) != len(elems):
-        raise ValueError("regions/inputs length mismatch")
-    _check_supports(regions, elems)
+    regions, elems = _check_supports(regions, elems)
     if rho is None:
         rho = find_time_ordering(regions)
         if rho is None:
@@ -262,24 +254,15 @@ def dirac_nary(sm: SymModel, elems) -> SymElement:
 # -- constructive time-slice data -------------------------------------------
 
 
-def eta_gen_map(sm: SymModel, cutoff):
-    """eta as a generator map (degree -1) on ambient generators; each image
-    is computed once for the life of the map."""
+def gen_map(sm: SymModel, section_map, cutoff):
+    """section_map(model, cutoff, -) as a generator map on ambient
+    generators: homotopy_eta gives eta (degree -1), quasi_inverse_g gives
+    f_* g (degree 0, into the slab, viewed ambiently).  Each image is
+    computed once for the life of the map."""
 
     @cache
     def fn(g):
-        return section_to_elem(homotopy_eta(sm.model, cutoff, gen_to_section(g)))
-
-    return fn
-
-
-def quasi_inverse_gen_map(sm: SymModel, cutoff):
-    """f_* g as a generator map (degree 0): ambient -> sections in the slab,
-    viewed ambiently; each image is computed once for the life of the map."""
-
-    @cache
-    def fn(g):
-        return section_to_elem(quasi_inverse_g(sm.model, cutoff, gen_to_section(g)))
+        return section_to_elem(section_map(sm.model, cutoff, gen_to_section(g)))
 
     return fn
 

@@ -49,13 +49,12 @@ from .models import MODEL_BUILDERS, build_model, klein_gordon, model_entry
 from .quantize import (
     SymModel,
     dirac_nary,
-    eta_gen_map,
     fa_product,
     filtration_defects,
+    gen_map,
     gen_to_section,
     generators_at,
     q_hbar_tensor,
-    quasi_inverse_gen_map,
     sym_power_homotopy_defect,
     tpfa_product,
 )
@@ -611,14 +610,16 @@ def suite_green(bundle: ModelBundle) -> list:
     run.check("witness-p-commutes", check_p_commutes)
 
     def graded_adjoint(op, sign):
-        # <op s1, s2> = sign * (-1)^|s1| <s1, op s2> on the 5x5 delta window
+        # <op s1, s2> = sign * (-1)^|s1| <s1, op s2> on the 5x5 delta window,
+        # one pair per translation class: both sides are translation invariant
         def check():
-            b = delta_basis(model, window_points(-2, 2, range(-2, 3)))
-            ob = [op.apply(s, lattice) for s in b]
-            for s1, o1 in zip(b, ob):
-                sgn = -sign if next(iter(s1.degrees())) % 2 else sign
-                for s2, o2 in zip(b, ob):
-                    yield pair(o1, s2) == sgn * pair(s1, o2) or _fmt_pair(s1, s2)
+            keys = list(model.delta_keys(window_points(-2, 2, range(-2, 3))))
+            delta = {k: Section({k: 1}) for k in keys}
+            image = {k: op.apply(s, lattice) for k, s in delta.items()}
+            for k1, k2 in lattice.class_pairs(keys, keys):
+                sgn = -sign if k1[0] % 2 else sign
+                s1, s2 = delta[k1], delta[k2]
+                yield pair(image[k1], s2) == sgn * pair(s1, image[k2]) or _fmt_pair(s1, s2)
 
         return check
 
@@ -692,27 +693,23 @@ def suite_green(bundle: ModelBundle) -> list:
 
     run.check("green-commutation", check_commutation)
 
+    def green_pairs(stream):
+        # psi1, psi2, G+ psi2, G- psi2, G+ psi1, G- psi1: each solve on the
+        # time extent of the other section
+        for psi1, psi2 in _random_pairs(bundle, stream):
+            g2 = [model.green(d).apply(psi2, psi1.min_t(), psi1.max_t()) for d in (1, -1)]
+            g1 = [model.green(d).apply(psi1, psi2.min_t(), psi2.max_t()) for d in (1, -1)]
+            yield psi1, psi2, *g2, *g1
+
     def check_adjoint():
-        for psi1, psi2 in _random_pairs(bundle, "green-adjoint"):
-            lo1, hi1 = psi1.min_t(), psi1.max_t()
-            lo2, hi2 = psi2.min_t(), psi2.max_t()
-            gp2 = model.green(1).apply(psi2, lo1, hi1)
-            gm2 = model.green(-1).apply(psi2, lo1, hi1)
-            gp1 = model.green(1).apply(psi1, lo2, hi2)
-            gm1 = model.green(-1).apply(psi1, lo2, hi2)
+        for psi1, psi2, gp2, gm2, gp1, gm1 in green_pairs("green-adjoint"):
             yield pair(psi1, gp2) == pair(gm1, psi2) or _fmt_pair(psi1, psi2)
             yield pair(psi1, gm2) == pair(gp1, psi2) or _fmt_pair(psi1, psi2)
 
     run.check("green-adjoint", check_adjoint)
 
     def check_skew():
-        for psi1, psi2 in _random_pairs(bundle, "green-skew"):
-            lo1, hi1 = psi1.min_t(), psi1.max_t()
-            lo2, hi2 = psi2.min_t(), psi2.max_t()
-            gp2 = model.green(1).apply(psi2, lo1, hi1)
-            gm2 = model.green(-1).apply(psi2, lo1, hi1)
-            gp1 = model.green(1).apply(psi1, lo2, hi2)
-            gm1 = model.green(-1).apply(psi1, lo2, hi2)
+        for psi1, psi2, gp2, gm2, gp1, gm1 in green_pairs("green-skew"):
             yield pair(psi1, gp2 - gm2) == -pair(gp1 - gm1, psi2) or _fmt_pair(psi1, psi2)
             gd12 = (gp2 + gm2).scale(Fraction(1, 2))
             gd21 = (gp1 + gm1).scale(Fraction(1, 2))
@@ -784,10 +781,11 @@ def suite_structures(bundle: ModelBundle) -> list:
     model = bundle.model
     sm = bundle.sym
     gens = bundle.gens_window()
+    pairs = list(bundle.lattice.class_pairs(gens, gens))
 
     def check_pair_symmetry(tau, expected_s):
         # tau o gamma = s tau: koszul * tau(g2, g1) = s * tau(g1, g2)
-        for g1, g2 in bundle.lattice.class_pairs(gens, gens):
+        for g1, g2 in pairs:
             base = tau(g1, g2)
             rhs = base if expected_s > 0 else -base
             lhs = tau(g2, g1)
@@ -799,19 +797,14 @@ def suite_structures(bundle: ModelBundle) -> list:
     )
     run.check("pairing-dirac-symmetric", lambda: check_pair_symmetry(sm.tau_d, 1))
 
-    def check_d_tau_d():
-        d_tau = boundary_pairing(sm.tau_d, sm.qgen).evaluate
-        for g1, g2 in bundle.lattice.class_pairs(gens, gens):
-            yield d_tau(g1, g2) == sm.tau_m1(g1, g2) or f"{g1} | {g2}"
+    def check_boundary(tau, rhs):
+        # d(tau) = rhs, one generator pair per translation class
+        d_tau = boundary_pairing(tau, sm.qgen).evaluate
+        for g1, g2 in pairs:
+            yield d_tau(g1, g2) == rhs(g1, g2) or f"{g1} | {g2}"
 
-    run.check("pairing-dirac-trivializes", check_d_tau_d)
-
-    def check_d_tau_0():
-        d_tau = boundary_pairing(sm.tau_0, sm.qgen).evaluate
-        for g1, g2 in bundle.lattice.class_pairs(gens, gens):
-            yield not d_tau(g1, g2) or f"{g1} | {g2}"
-
-    run.check("pairing-unshifted-cochain", check_d_tau_0)
+    run.check("pairing-dirac-trivializes", lambda: check_boundary(sm.tau_d, sm.tau_m1))
+    run.check("pairing-unshifted-cochain", lambda: check_boundary(sm.tau_0, lambda g1, g2: 0))
 
     def check_average():
         for psi1, psi2 in _random_pairs(bundle, "structures-average"):
@@ -1106,8 +1099,8 @@ def suite_quantization(bundle: ModelBundle) -> list:
         region = bundle.regions["slab"]
         cutoff = CutoffData(bundle.config["cutoff_t0"])
         check_cutoff_in_region(bundle.model, cutoff, region)
-        eta_fn = eta_gen_map(sm, cutoff)
-        fg_fn = quasi_inverse_gen_map(sm, cutoff)
+        eta_fn = gen_map(sm, homotopy_eta, cutoff)
+        fg_fn = gen_map(sm, quasi_inverse_g, cutoff)
         ambient = generators_at(sm.model, bundle.homotopy_points())
         slab_gens = [g for g in ambient if region.contains(Point(g[1], g[2]))]
         for p in range(1, bundle.config["p_max"] + 1):

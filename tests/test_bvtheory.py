@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from latticebv.bvtheory import (
+    FiberMetric,
     FreeBVModel,
     GreenSolver,
     NotGreenHyperbolic,
@@ -16,6 +17,7 @@ from latticebv.bvtheory import (
     homotopy_eta,
     homotopy_zeta,
     lambda_diff,
+    lambda_dirac,
     lambda_pm,
     quasi_inverse_g,
     check_cutoff_in_region,
@@ -141,6 +143,13 @@ def test_metric_antisymmetry_and_nondegeneracy():
         assert model.metric.is_nondegenerate()
     assert not klein_gordon(Lattice(21), metric_flip=True).metric.is_graded_antisymmetric()
     assert not maxwell2d(Lattice(21), metric_flip=True).metric.is_graded_antisymmetric()
+
+
+def test_nondegeneracy_fails_on_a_singular_or_non_square_block():
+    invertible = ((0, 1), (1, 0))  # needs a row swap to pivot
+    assert FiberMetric({0: invertible, 1: invertible}).is_nondegenerate()
+    assert not FiberMetric({0: invertible, 1: ((1, 2), (2, 4))}).is_nondegenerate()
+    assert not FiberMetric({0: ((1, 0, 0), (0, 1, 0))}).is_nondegenerate()
 
 
 def _metric_compat_defect(model, phi1, phi2):
@@ -532,6 +541,17 @@ def test_lambda_diff_is_cochain_map():
             term1 = model.q_op.apply(lam, model.lattice).restrict_times(-8, 8)
             term2 = lambda_diff(model, model.q_op.apply(psi, model.lattice), -8, 8)
             assert not (term1 + term2)
+
+
+def test_lambda_diff_and_dirac_match_lambda_pm():
+    # lambda_pm, one direction at a time, is the reference for the two-sided maps
+    half = Fraction(1, 2)
+    for model in (kg21(kappa=half, mass_sq=Fraction(1)), mw21()):
+        for psi in delta_basis(model, window_points(-1, 1, range(-1, 2))):
+            plus = lambda_pm(model, psi, 1, -4, 4)
+            minus = lambda_pm(model, psi, -1, -4, 4)
+            assert lambda_diff(model, psi, -4, 4) == plus - minus
+            assert lambda_dirac(model, psi, -4, 4) == (plus + minus).scale(half)
 
 
 def test_lambda_naturality_under_time_translation():

@@ -161,6 +161,17 @@ def test_find_time_ordering_sorts_future_first():
     assert rho2 == (0, 1)
 
 
+def test_find_time_ordering_places_the_smallest_free_index_first():
+    lattice = Lattice(21)
+    # region 2 lies in the future of region 0; regions 1 and 3 are causally
+    # disjoint from every other region, so only 2 before 0 is forced
+    regions = [causal_hull(lattice, [p]) for p in ((0, 0), (0, 10), (5, 0), (2, 14))]
+    for i, j in ((0, 1), (0, 3), (1, 2), (1, 3), (2, 3)):
+        assert causally_disjoint(regions[i], regions[j])
+    assert not causally_disjoint(regions[0], regions[2])
+    assert find_time_ordering(regions) == (1, 2, 0, 3)
+
+
 def test_find_time_ordering_cyclic_none():
     lattice = Lattice(21)
     a = causal_hull(lattice, [(0, 0), (3, 0)])

@@ -14,13 +14,12 @@ from latticebv.models import klein_gordon, maxwell2d
 from latticebv.quantize import (
     SymModel,
     dirac_nary,
-    eta_gen_map,
     fa_product,
     filtration_defects,
+    gen_map,
     gen_to_section,
     generators_at,
     q_hbar_tensor,
-    quasi_inverse_gen_map,
     sym_power_homotopy,
     sym_power_homotopy_defect,
     tpfa_product,
@@ -554,8 +553,8 @@ def test_sym_power_homotopies_certify_time_slice():
         lattice = sm.model.lattice
         region = slab(lattice, -4, 4)
         cutoff = CutoffData(0)
-        eta_fn = eta_gen_map(sm, cutoff)
-        fg_fn = quasi_inverse_gen_map(sm, cutoff)
+        eta_fn = gen_map(sm, homotopy_eta, cutoff)
+        fg_fn = gen_map(sm, quasi_inverse_g, cutoff)
         ambient_gens = window_gens(sm, -3, 3, range(0, 2))
         slab_gens = [g for g in ambient_gens if region.contains(Point(g[1], g[2]))]
         for p in (1, 2, 3):
@@ -600,8 +599,8 @@ def test_sym_power_homotopy_matches_permutation_sum(model):
         sm = sym_kg(kappa=Fraction(1, 2), mass_sq=Fraction(1))
     rng = random.Random(31)
     cutoff = CutoffData(0)
-    eta_fn = eta_gen_map(sm, cutoff)
-    fg_fn = quasi_inverse_gen_map(sm, cutoff)
+    eta_fn = gen_map(sm, homotopy_eta, cutoff)
+    fg_fn = gen_map(sm, quasi_inverse_g, cutoff)
     gens = window_gens(sm, -3, 3, range(0, 2))
     nonzero = 0
     for p in (1, 2, 3, 4):
@@ -630,8 +629,8 @@ def test_scaled_sym_power_defect_is_p_factorial_times_unscaled(model):
           "kg-massive": lambda: sym_kg(kappa=Fraction(1, 2), mass_sq=Fraction(1))}[model]()
     rng = random.Random(33)
     cutoff = CutoffData(0)
-    eta_fn = eta_gen_map(sm, cutoff)
-    fg_fn = quasi_inverse_gen_map(sm, cutoff)
+    eta_fn = gen_map(sm, homotopy_eta, cutoff)
+    fg_fn = gen_map(sm, quasi_inverse_g, cutoff)
     gens = window_gens(sm, -3, 3, range(0, 2))
     nonzero = 0
     for p in (1, 2, 3, 4):
@@ -688,8 +687,8 @@ def test_sym_layer_accumulates_in_place(monkeypatch):
     assert exp_bider(sm.tau_0, te, IH) != te
     assert sm.moyal_mul(a, b) != mul(a, b)
     cutoff = CutoffData(0)
-    eta_fn = eta_gen_map(sm, cutoff)
-    fg_fn = quasi_inverse_gen_map(sm, cutoff)
+    eta_fn = gen_map(sm, homotopy_eta, cutoff)
+    fg_fn = gen_map(sm, quasi_inverse_g, cutoff)
     word = random_word_of(rng, window_gens(sm, -3, 3, range(0, 2)), 3, min_len=3)
     assert sym_power_homotopy(sm, eta_fn, fg_fn, word)
     assert not sym_power_homotopy_defect(sm, eta_fn, fg_fn, word)
