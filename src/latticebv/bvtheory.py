@@ -371,8 +371,9 @@ class FreeBVModel:
     # -- integration pairing -------------------------------------------
 
     def int_pairing(self, phi: Section, psi: Section):
-        """<<phi, psi>> = sum over points of the fiber metric pairing."""
-        acc = 0
+        """<<phi, psi>> = sum over points of the fiber metric pairing.  The
+        integer terms add as ints, only the others as Fractions."""
+        whole = part = 0
         metric = self.metric
         for (n, t, x, i), v in phi.items():
             m = 1 - n
@@ -385,8 +386,12 @@ class FreeBVModel:
                     continue
                 w = psi.terms.get((m, t, x, j))
                 if w is not None:
-                    acc += v * w * coeff
-        return rational(acc)
+                    term = v * w * coeff
+                    if type(term) is int:
+                        whole += term
+                    else:
+                        part += term
+        return rational(whole + part) if part else whole
 
 
 class GreenSolver:
@@ -496,7 +501,9 @@ class GreenSolver:
         return _section_over(out, den * scale)
 
     def value_at(self, source: Section, degree: int, point: Point, fiber: int):
-        """Single solved value; avoids materializing window sections."""
+        """Single solved value, one kernel lookup per source term.  The
+        reference route: the tests compare it with a direct solve, and the
+        slice tables of ``quantize.SymModel`` with it; no check reads it."""
         shift = self.model.lattice.shift
         acc = 0
         for (n, ts, xs, f), v in source.items():
@@ -546,7 +553,7 @@ def lambda_dirac(model: FreeBVModel, psi: Section, t_lo: int, t_hi: int) -> Sect
 def tau_minus1(model: FreeBVModel, psi1: Section, psi2: Section):
     """(-1)^{|psi1|} <<psi1, psi2>> per homogeneous part; the shifted degree
     of bundle degree n is n - 1, so the parts of even n change sign."""
-    signed = Section({k: v if k[0] % 2 else -v for k, v in psi1.items()})
+    signed = psi1._with_terms({k: v if k[0] % 2 else -v for k, v in psi1.items()})
     return model.int_pairing(signed, psi2)
 
 

@@ -71,38 +71,58 @@ class SymModel:
         self.tau_0 = PairingOracle(0, -1, self._ev_0, name="tau_0", key=key)
         self.tau_d = PairingOracle(0, 1, self._ev_d, name="tau_D", key=key)
         self._lambda_cache: dict = {}
+        self._slices: dict = {}
+        self._deltas: dict = {}
         self._qgen_cache: dict = {}
-        self._w_delta_cache: dict = {}
 
-    # -- pairing evaluators (delta pairs; Green kernels translated) ------
+    # -- pairing evaluators (delta pairs; Green slices translated) --------
     # The pairings are rational, and so are their values in the Sym algebra:
-    # a constant Sym coefficient is a plain rational.
+    # a constant Sym coefficient is a plain rational.  L± commutes with
+    # translations, so <<g1, L± g2>> is read off the slice of L± of the
+    # origin delta at the time offset of the pair: one Green solve per
+    # (degree, fiber, time offset, direction) serves every pair.
 
     def _ev_m1(self, g1, g2):
-        return tau_minus1(self.model, gen_to_section(g1), gen_to_section(g2))
+        return tau_minus1(self.model, self._delta(g1), self._delta(g2))
 
-    def _w_delta(self, g) -> Section:
-        sec = self._w_delta_cache.get(g)
+    def _delta(self, g) -> Section:
+        sec = self._deltas.get(g)
         if sec is None:
-            sec = self.model.w_op.apply(gen_to_section(g), self.model.lattice)
-            self._w_delta_cache[g] = sec
+            sec = self._deltas[g] = gen_to_section(g)
         return sec
 
+    def _lambda_slices(self, n: int, f: int, dt: int) -> tuple:
+        """The terms of the time-dt slices of L+ delta and L- delta, for the
+        bundle-degree-n, fiber-f delta at the origin: W is applied once and
+        each direction solved on [dt, dt]."""
+        slices = self._slices.get((n, f, dt))
+        if slices is None:
+            model = self.model
+            w_delta = model.w_op.apply(Section.delta(n, Point(0, 0), f), model.lattice)
+            slices = self._slices[(n, f, dt)] = tuple(
+                model.green(d).apply(w_delta, dt, dt).terms for d in (1, -1)
+            )
+        return slices
+
     def _lambda_values(self, g1, g2) -> tuple:
-        """(<<g1, L+ g2>>, <<g1, L- g2>>) of two generator deltas."""
+        """(<<g1, L+ g2>>, <<g1, L- g2>>) of two generator deltas: two slice
+        lookups per metric entry, at g1's offset from g2."""
         model = self.model
         n1 = g1[0] + 1
         m = 1 - n1
         mat = model.metric.blocks.get(n1)
         if mat is None or m not in model.ranks:
             return 0, 0
-        point = Point(g1[1], g1[2])
-        w_psi = self._w_delta(g2)
+        n2, t2, x2, f2 = g2
+        dt = g1[1] - t2
+        plus_slice, minus_slice = self._lambda_slices(n2 + 1, f2, dt)
+        dx = model.lattice.shift(g1[2], -x2)
         plus = minus = 0
         for j, coeff in enumerate(mat[g1[3]]):
             if coeff:
-                plus += model.green(1).value_at(w_psi, m, point, j) * coeff
-                minus += model.green(-1).value_at(w_psi, m, point, j) * coeff
+                key = (m, dt, dx, j)
+                plus += plus_slice.get(key, 0) * coeff
+                minus += minus_slice.get(key, 0) * coeff
         return plus, minus
 
     def _lambda_sums(self, g1, g2) -> tuple:
@@ -120,7 +140,7 @@ class SymModel:
 
     def _ev_d(self, g1, g2):
         plus, minus = self._lambda_sums(g1, g2)
-        return rational((plus + minus) * Fraction(1, 2))
+        return rational(Fraction(plus + minus, 2))
 
     # -- differentials ----------------------------------------------------
 

@@ -25,6 +25,7 @@ from .bvtheory import (
     homotopy_eta,
     homotopy_zeta,
     lambda_diff,
+    lambda_dirac,
     lambda_pm,
     check_cutoff_in_region,
     quasi_inverse_g,
@@ -833,13 +834,22 @@ def suite_structures(bundle: ModelBundle) -> list:
 # -- theorems suite -----------------------------------------------------------------
 
 
-def _delta_pairs(model, r1: Region, r2: Region):
-    """The (delta in r1, delta in r2) pairs of the model's sections, the first
-    of each translation class in product order (Lattice.class_pairs): the
-    section-level pairings of two deltas take one value per class."""
+def _delta_pairings(model, r1: Region, r2: Region, *lams):
+    """(psi1, psi2, values) for the (delta in r1, delta in r2) pairs of the
+    model's sections, the first of each translation class in product order
+    (Lattice.class_pairs): the section-level pairings of two deltas take one
+    value per class.  values holds <<psi1, lam psi2>> for each lam of lams
+    (lambda_diff gives tau_0, lambda_dirac tau_D); each lam psi2 is solved
+    once per psi2, over the time range of r1, and read by every psi1."""
     gens1, gens2 = (generators_at(model, sorted(r.points)) for r in (r1, r2))
+    t_lo, t_hi = r1.time_range()
+    solved: dict = {}
     for g1, g2 in model.lattice.class_pairs(gens1, gens2):
-        yield gen_to_section(g1), gen_to_section(g2)
+        psi1, psi2 = gen_to_section(g1), gen_to_section(g2)
+        sols = solved.get(g2)
+        if sols is None:
+            sols = solved[g2] = [lam(model, psi2, t_lo, t_hi) for lam in lams]
+        yield psi1, psi2, [model.int_pairing(psi1, sol) for sol in sols]
 
 
 def suite_theorems(bundle: ModelBundle) -> list:
@@ -850,15 +860,16 @@ def suite_theorems(bundle: ModelBundle) -> list:
     def check_causality():
         r1, r2 = bundle.regions["disjoint_pair"]
         yield causally_disjoint(r1, r2) or "configured pair is not causally disjoint"
-        for psi1, psi2 in _delta_pairs(model, r1, r2):
-            yield not tau_0(model, psi1, psi2) or _fmt_pair(psi1, psi2)
+        for psi1, psi2, (tau,) in _delta_pairings(model, r1, r2, lambda_diff):
+            yield not tau or _fmt_pair(psi1, psi2)
 
     run.check("causality-vanishing", check_causality)
 
     def check_causality_counter():
         r1, r2 = bundle.regions["connected_pair"]
         yield not causally_disjoint(r1, r2) or "configured pair is causally disjoint"
-        yield any(tau_0(model, psi1, psi2) for psi1, psi2 in _delta_pairs(model, r1, r2)) or (
+        pairings = _delta_pairings(model, r1, r2, lambda_diff)
+        yield any(tau for _, _, (tau,) in pairings) or (
             "no nonzero pairing found across causally connected regions"
         )
 
@@ -904,14 +915,16 @@ def suite_theorems(bundle: ModelBundle) -> list:
 
     run.check("cauchy-g-support", check_g_support)
 
-    def half_holds(m, psi1, psi2):
-        return tau_dirac(m, psi1, psi2) == tau_0(m, psi1, psi2) * Fraction(1, 2)
+    def half_pairings(m, r1, r2):
+        # (psi1, psi2, whether tau_D(psi1, psi2) = tau_0(psi1, psi2) / 2)
+        for psi1, psi2, (tau, tau_d) in _delta_pairings(m, r1, r2, lambda_diff, lambda_dirac):
+            yield psi1, psi2, tau_d == tau * Fraction(1, 2)
 
     def check_half():
         later, earlier = bundle.regions["stacked_pair"]
         yield is_time_ordered([later, earlier]) or "configured stacked pair is not time-ordered"
-        for psi1, psi2 in _delta_pairs(model, later, earlier):
-            yield half_holds(model, psi1, psi2) or _fmt_pair(psi1, psi2)
+        for psi1, psi2, holds in half_pairings(model, later, earlier):
+            yield holds or _fmt_pair(psi1, psi2)
 
     run.check("time-ordered-half", check_half)
 
@@ -921,8 +934,7 @@ def suite_theorems(bundle: ModelBundle) -> list:
         aux = klein_gordon(lattice, mass_sq=Fraction(1))
         a, b = (parse_region(lattice, lit) for lit in bundle.config["regions"]["nonordered_pair"])
         yield not is_time_ordered([a, b]) or "configured pair is time-ordered"
-        pairs = _delta_pairs(aux, a, b)
-        yield any(not half_holds(aux, psi1, psi2) for psi1, psi2 in pairs) or (
+        yield any(not holds for _, _, holds in half_pairings(aux, a, b)) or (
             "no violation found for the non-time-ordered pair"
         )
 

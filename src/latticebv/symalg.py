@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from .scalars import Combination, HScalar, sym_coeff, u_coeffs
+from .scalars import Combination, HScalar, rational, sym_coeff, u_coeffs
 
 Word = tuple  # sorted tuple of generators
 
@@ -175,18 +175,26 @@ class PairingOracle:
 def boundary_pairing(tau: PairingOracle, dmap: Callable, name: str = "") -> PairingOracle:
     """The differential of a pairing in the internal hom:
     (d tau)(v, w) = -(-1)^p [ tau(dv, w) + (-1)^{|v|} tau(v, dw) ],
-    where dmap is the complex differential on generators."""
+    where dmap is the complex differential on generators.  tau and dmap are
+    rational; the integer terms add as ints, only the others as Fractions."""
 
     def ev(g1, g2):
-        acc = 0
+        whole = part = 0
         for (h1,), c in dmap(g1).terms.items():
-            acc = acc + tau(h1, g2) * c
+            v = tau(h1, g2) * c
+            if type(v) is int:
+                whole += v
+            else:
+                part += v
         sign1 = -1 if g1[0] % 2 else 1
         for (h2,), c in dmap(g2).terms.items():
-            v = tau(g1, h2) * c
-            acc = acc + (v if sign1 > 0 else -v)
-        outer = -1 if tau.degree % 2 else 1
-        return -acc if outer > 0 else acc
+            v = tau(g1, h2) * c * sign1
+            if type(v) is int:
+                whole += v
+            else:
+                part += v
+        acc = rational(whole + part) if part else whole
+        return -acc if tau.degree % 2 == 0 else acc
 
     return PairingOracle(tau.degree + 1, tau.symmetry, ev, name=name or f"d({tau.name})")
 

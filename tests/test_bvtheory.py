@@ -169,6 +169,36 @@ def _metric_compat_defect(model, phi1, phi2):
     return acc
 
 
+def test_int_pairing_sums_mixed_terms_exactly():
+    # values that mix ints and halves, over every degree and fiber of a few
+    # points: <<phi, psi>> equals the Fraction sum over the metric entries and
+    # is an int whenever that sum is integral, including sums of halves that
+    # cancel to an integer
+    rng = random.Random(23)
+    mixed = (1, -2, 3, Fraction(1, 2), Fraction(-3, 2), Fraction(5, 2))
+    lattice = Lattice(21)
+    points = [Point(0, 0), Point(0, 20), Point(1, 3)]
+    kinds = set()
+    for model in (
+        klein_gordon(lattice, kappa=Fraction(1, 2), mass_sq=Fraction(1)),
+        maxwell2d(lattice),
+        klein_gordon(lattice, metric_flip=True),
+    ):
+        keys = list(model.delta_keys(points))
+        for _ in range(60):
+            phi = Section({k: rng.choice(mixed) for k in keys})
+            psi = Section({k: rng.choice(mixed) for k in keys if rng.random() < 0.8})
+            ref = Fraction(0)
+            for (n, t, x, i), v in phi.items():
+                for j, c in enumerate(model.metric.blocks[n][i] if n in model.metric.blocks else ()):
+                    ref += Fraction(v) * Fraction(psi.terms.get((1 - n, t, x, j), 0)) * Fraction(c)
+            value = model.int_pairing(phi, psi)
+            assert value == ref
+            assert type(value) is (int if ref.denominator == 1 else Fraction), (value, ref)
+            kinds.add(ref.denominator)
+    assert {1, 2} <= kinds
+
+
 def test_metric_compatibility():
     rng = random.Random(1)
     pts = window_points(-2, 2, range(-2, 3))

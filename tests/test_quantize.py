@@ -751,6 +751,44 @@ def test_gen_oracles_match_section_level_pairings():
             assert set(counts.values()) == {1}
 
 
+def _value_at_sums(sm, g1, g2):
+    """(<<g1, L+ g2>>, <<g1, L- g2>>) by the reference route: W applied to
+    the delta of g2, then GreenSolver.value_at at g1 per metric entry."""
+    model = sm.model
+    n1 = g1[0] + 1
+    mat = model.metric.blocks.get(n1)
+    if mat is None or 1 - n1 not in model.ranks:
+        return 0, 0
+    w_psi = model.w_op.apply(gen_to_section(g2), model.lattice)
+    point = Point(g1[1], g1[2])
+    return tuple(
+        sum(model.green(d).value_at(w_psi, 1 - n1, point, j) * c for j, c in enumerate(mat[g1[3]]) if c)
+        for d in (1, -1)
+    )
+
+
+def test_lambda_values_match_value_at_sums():
+    # The slice-table route of SymModel._lambda_values against value_at, on
+    # every translation class of a window that straddles the ring seam of 21
+    # sites, with one slot reaching a time step past the window (the Q images
+    # that the boundary checks pair); kg with kappa 1/2 and m^2 1 gives
+    # Fraction values
+    seam = range(19, 23)
+    for sm in (sym_kg(kappa=Fraction(1, 2), mass_sq=Fraction(1)), sym_mw()):
+        lattice = sm.model.lattice
+        gens, wider = window_gens(sm, -1, 1, seam), window_gens(sm, -2, 2, seam)
+        pairs = [*lattice.class_pairs(wider, gens), *lattice.class_pairs(gens, wider)]
+        values = []
+        for g1, g2 in pairs:
+            value = sm._lambda_values(g1, g2)
+            assert value == _value_at_sums(sm, g1, g2), (g1, g2)
+            values += value
+        assert {abs(g1[1] - g2[1]) for g1, g2 in pairs} == {0, 1, 2, 3}
+        assert any(values)
+        if sm.model.name == "kg":
+            assert any(type(v) is Fraction and v.denominator > 1 for v in values)
+
+
 # the flipped-metric failure-injection config of the benchmark's probe
 FLIPPED_METRIC_PROBE = {
     "model": "kg",
@@ -791,16 +829,42 @@ def test_pairing_and_cut_solves_once_per_translation_class(monkeypatch):
     # Deterministic, no timing: maxwell2d structures and theorems suites on
     # the benchmark's causal windows (3x3 basis window, 3-slice slab).  Each
     # oracle evaluates at most once per translation class, tau_0 and tau_D
-    # share one pair of Green values per class, and eta and g solve a delta
-    # directly at most once per (degree, t - t0, fiber); the number of each is
-    # the same on 21 and on 201 sites
+    # share one pair of Green values per class, read from slices of L± of the
+    # origin delta solved once per (degree, fiber, time offset, direction);
+    # the theorem checks solve L psi2 (and L_D psi2) once per psi2 of their
+    # delta pairs, and eta and g solve a delta directly at most once per
+    # (degree, t - t0, fiber); the number of each is the same on 21 and on
+    # 201 sites
     runs: Counter = Counter()
     sym_init = SymModel.__init__
     lambda_values = SymModel._lambda_values
+    lambda_slices = SymModel._lambda_slices
+    green_apply = bvtheory.GreenSolver.apply
+    slice_keys = []  # the (degree, fiber, dt) of the slice entry being solved
 
     def counted_lambda_values(sm, g1, g2):
         runs[("L", _translation_class(sm.model.lattice, g1, g2))] += 1
         return lambda_values(sm, g1, g2)
+
+    def tracked_lambda_slices(sm, n, f, dt):
+        slice_keys.append((n, f, dt))
+        try:
+            return lambda_slices(sm, n, f, dt)
+        finally:
+            slice_keys.pop()
+
+    def counted_apply(solver, source, t_lo, t_hi):
+        if slice_keys:
+            runs[("slice", *slice_keys[-1], solver.direction)] += 1
+        return green_apply(solver, source, t_lo, t_hi)
+
+    def counted_lambda(lam):
+        def counted(model, psi, t_lo, t_hi):
+            ((key, _),) = psi.items()
+            runs[("solve", model.name, lam.__name__, key, t_lo, t_hi)] += 1
+            return lam(model, psi, t_lo, t_hi)
+
+        return counted
 
     def init(sm, model):
         sym_init(sm, model)
@@ -821,6 +885,10 @@ def test_pairing_and_cut_solves_once_per_translation_class(monkeypatch):
 
     monkeypatch.setattr(SymModel, "__init__", init)
     monkeypatch.setattr(SymModel, "_lambda_values", counted_lambda_values)
+    monkeypatch.setattr(SymModel, "_lambda_slices", tracked_lambda_slices)
+    monkeypatch.setattr(bvtheory.GreenSolver, "apply", counted_apply)
+    monkeypatch.setattr(suites, "lambda_diff", counted_lambda(suites.lambda_diff))
+    monkeypatch.setattr(suites, "lambda_dirac", counted_lambda(suites.lambda_dirac))
     monkeypatch.setattr(bvtheory, "_eta_of_delta", counted_solve("eta", bvtheory._eta_of_delta))
     monkeypatch.setattr(bvtheory, "_g_of_delta", counted_solve("g", bvtheory._g_of_delta))
     totals = []
@@ -841,7 +909,7 @@ def test_pairing_and_cut_solves_once_per_translation_class(monkeypatch):
         assert set(runs.values()) == {1}
         totals.append(Counter(key[0] for key in runs))
     assert totals[0] == totals[1]
-    assert totals[0].keys() == {"tau_m1", "tau_0", "tau_D", "L", "eta", "g"}
+    assert totals[0].keys() == {"tau_m1", "tau_0", "tau_D", "L", "slice", "solve", "eta", "g"}
 
 
 def _class_pair_windows():

@@ -344,6 +344,62 @@ def test_laplacian_boundary_identity():
             assert lhs == laplacian_apply(dt, a)
 
 
+MIXED_VALUES = (1, -2, 3, Fraction(1, 2), Fraction(-3, 2), Fraction(5, 2))
+
+
+def _boundary_reference(tau, d_terms, g1, g2):
+    """(d tau)(g1, g2) summed as Fractions, from the formula of boundary_pairing."""
+    sign = -1 if g1[0] % 2 else 1
+    acc = Fraction(0)
+    for h1, c in d_terms(g1):
+        acc += Fraction(tau(h1, g2)) * c
+    for h2, c in d_terms(g2):
+        acc += sign * Fraction(tau(g1, h2)) * c
+    return -acc if tau.degree % 2 == 0 else acc
+
+
+def _assert_canonical_sum(value, reference):
+    assert value == reference
+    if reference.denominator == 1:
+        assert type(value) is int, (value, reference)
+    else:
+        assert type(value) is Fraction, (value, reference)
+
+
+def test_boundary_pairing_sums_mixed_terms_exactly():
+    # tau values and differential coefficients that mix ints and halves: d(tau)
+    # equals the Fraction sum of its formula and is an int whenever that sum
+    # is integral, including sums of halves that cancel to an integer
+    rng = random.Random(29)
+    gens = [(d, i) for d in (-1, 0, 1, 2) for i in range(3)]
+    d_table = {
+        g: {h: rng.choice(MIXED_VALUES) for h in gens if h[0] == g[0] + 1 and rng.random() < 0.7}
+        for g in gens
+    }
+
+    def dmap(g):
+        return SymElement({(h,): c for h, c in d_table[g].items()})
+
+    kinds = set()
+    for degree in (0, 1):
+        values = {(g, h): rng.choice(MIXED_VALUES) for g in gens for h in gens}
+        tau = PairingOracle(degree, 1, lambda g, h: values[(g, h)])
+        d_tau = boundary_pairing(tau, dmap)
+        for g1, g2 in product(gens, gens):
+            ref = _boundary_reference(tau, lambda g: d_table[g].items(), g1, g2)
+            _assert_canonical_sum(d_tau(g1, g2), ref)
+            kinds.add(ref.denominator)
+    assert {1, 2} <= kinds
+    # the lattice case: tau_D of kg with kappa 1/2 and m^2 1 has Fraction values
+    sm = SymModel(klein_gordon(Lattice(21), kappa=Fraction(1, 2), mass_sq=Fraction(1)))
+    gens = generators_at(sm.model, [Point(t, x) for t in (-1, 0, 1) for x in (-1, 0, 1)])
+    for tau in (sm.tau_d, sm.tau_0):
+        d_tau = boundary_pairing(tau, sm.qgen)
+        for g1, g2 in sm.model.lattice.class_pairs(gens, gens):
+            ref = _boundary_reference(tau, lambda g: [(h, c) for (h,), c in sm.qgen(g).items()], g1, g2)
+            _assert_canonical_sum(d_tau(g1, g2), ref)
+
+
 def test_laplacian_graded_commutation():
     rng = random.Random(12)
     gens, _, tau_even, tau_odd, _ = _pairings()
