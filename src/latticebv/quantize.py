@@ -19,7 +19,7 @@ from functools import cache
 from itertools import product
 from math import factorial
 
-from .bvtheory import FreeBVModel, Section, tau_minus1
+from .bvtheory import FreeBVModel, Section, lambda_pm, tau_minus1
 from .lattice import Point, Region, find_time_ordering
 from .scalars import IH, rational
 from .symalg import (
@@ -93,14 +93,12 @@ class SymModel:
 
     def _lambda_slices(self, n: int, f: int, dt: int) -> tuple:
         """The terms of the time-dt slices of L+ delta and L- delta, for the
-        bundle-degree-n, fiber-f delta at the origin: W is applied once and
-        each direction solved on [dt, dt]."""
+        bundle-degree-n, fiber-f delta at the origin."""
         slices = self._slices.get((n, f, dt))
         if slices is None:
-            model = self.model
-            w_delta = model.w_op.apply(Section.delta(n, Point(0, 0), f), model.lattice)
+            delta = Section.delta(n, Point(0, 0), f)
             slices = self._slices[(n, f, dt)] = tuple(
-                model.green(d).apply(w_delta, dt, dt).terms for d in (1, -1)
+                lambda_pm(self.model, delta, d, dt, dt).terms for d in (1, -1)
             )
         return slices
 

@@ -25,7 +25,6 @@ from .bvtheory import (
     homotopy_eta,
     homotopy_zeta,
     lambda_diff,
-    lambda_dirac,
     lambda_pm,
     check_cutoff_in_region,
     quasi_inverse_g,
@@ -834,42 +833,37 @@ def suite_structures(bundle: ModelBundle) -> list:
 # -- theorems suite -----------------------------------------------------------------
 
 
-def _delta_pairings(model, r1: Region, r2: Region, *lams):
-    """(psi1, psi2, values) for the (delta in r1, delta in r2) pairs of the
-    model's sections, the first of each translation class in product order
-    (Lattice.class_pairs): the section-level pairings of two deltas take one
-    value per class.  values holds <<psi1, lam psi2>> for each lam of lams
-    (lambda_diff gives tau_0, lambda_dirac tau_D); each lam psi2 is solved
-    once per psi2, over the time range of r1, and read by every psi1."""
-    gens1, gens2 = (generators_at(model, sorted(r.points)) for r in (r1, r2))
-    t_lo, t_hi = r1.time_range()
-    solved: dict = {}
-    for g1, g2 in model.lattice.class_pairs(gens1, gens2):
-        psi1, psi2 = gen_to_section(g1), gen_to_section(g2)
-        sols = solved.get(g2)
-        if sols is None:
-            sols = solved[g2] = [lam(model, psi2, t_lo, t_hi) for lam in lams]
-        yield psi1, psi2, [model.int_pairing(psi1, sol) for sol in sols]
+def _delta_pairs(sm: SymModel, r1: Region, r2: Region):
+    """The (delta in r1, delta in r2) generator pairs, the first of each
+    translation class in product order (Lattice.class_pairs): the pairings
+    of two deltas take one value per class, read from sm's class-keyed
+    oracles."""
+    gens1, gens2 = sm.generators_in_region(r1), sm.generators_in_region(r2)
+    return sm.model.lattice.class_pairs(gens1, gens2)
+
+
+def _fmt_gens(g1, g2) -> str:
+    return _fmt_pair(gen_to_section(g1), gen_to_section(g2))
 
 
 def suite_theorems(bundle: ModelBundle) -> list:
     run = SuiteRunner(bundle, "theorems")
     model = bundle.model
+    sm = bundle.sym
     lattice = bundle.lattice
 
     def check_causality():
         r1, r2 = bundle.regions["disjoint_pair"]
         yield causally_disjoint(r1, r2) or "configured pair is not causally disjoint"
-        for psi1, psi2, (tau,) in _delta_pairings(model, r1, r2, lambda_diff):
-            yield not tau or _fmt_pair(psi1, psi2)
+        for g1, g2 in _delta_pairs(sm, r1, r2):
+            yield not sm.tau_0(g1, g2) or _fmt_gens(g1, g2)
 
     run.check("causality-vanishing", check_causality)
 
     def check_causality_counter():
         r1, r2 = bundle.regions["connected_pair"]
         yield not causally_disjoint(r1, r2) or "configured pair is causally disjoint"
-        pairings = _delta_pairings(model, r1, r2, lambda_diff)
-        yield any(tau for _, _, (tau,) in pairings) or (
+        yield any(sm.tau_0(g1, g2) for g1, g2 in _delta_pairs(sm, r1, r2)) or (
             "no nonzero pairing found across causally connected regions"
         )
 
@@ -879,7 +873,6 @@ def suite_theorems(bundle: ModelBundle) -> list:
     cutoff = CutoffData(bundle.config["cutoff_t0"])
 
     def check_eta():
-        check_cutoff_in_region(model, cutoff, region)
         for psi in delta_basis(model, bundle.homotopy_points()):
             term1 = model.q_op.apply(homotopy_eta(model, cutoff, psi), lattice)
             term2 = homotopy_eta(model, cutoff, model.q_op.apply(psi, lattice))
@@ -915,26 +908,25 @@ def suite_theorems(bundle: ModelBundle) -> list:
 
     run.check("cauchy-g-support", check_g_support)
 
-    def half_pairings(m, r1, r2):
-        # (psi1, psi2, whether tau_D(psi1, psi2) = tau_0(psi1, psi2) / 2)
-        for psi1, psi2, (tau, tau_d) in _delta_pairings(m, r1, r2, lambda_diff, lambda_dirac):
-            yield psi1, psi2, tau_d == tau * Fraction(1, 2)
+    def half_holds(m, g1, g2):
+        # tau_D(g1, g2) = tau_0(g1, g2) / 2
+        return m.tau_d(g1, g2) == m.tau_0(g1, g2) * Fraction(1, 2)
 
     def check_half():
         later, earlier = bundle.regions["stacked_pair"]
         yield is_time_ordered([later, earlier]) or "configured stacked pair is not time-ordered"
-        for psi1, psi2, holds in half_pairings(model, later, earlier):
-            yield holds or _fmt_pair(psi1, psi2)
+        for g1, g2 in _delta_pairs(sm, later, earlier):
+            yield half_holds(sm, g1, g2) or _fmt_gens(g1, g2)
 
     run.check("time-ordered-half", check_half)
 
     def check_half_counter():
         # run on a fixed massive scalar model: unit-slope massless kernels are
         # parity-supported and can miss small diamond pairs accidentally
-        aux = klein_gordon(lattice, mass_sq=Fraction(1))
+        aux = SymModel(klein_gordon(lattice, mass_sq=Fraction(1)))
         a, b = (parse_region(lattice, lit) for lit in bundle.config["regions"]["nonordered_pair"])
         yield not is_time_ordered([a, b]) or "configured pair is time-ordered"
-        yield any(not holds for _, _, holds in half_pairings(aux, a, b)) or (
+        yield any(not half_holds(aux, g1, g2) for g1, g2 in _delta_pairs(aux, a, b)) or (
             "no violation found for the non-time-ordered pair"
         )
 
@@ -1110,7 +1102,6 @@ def suite_quantization(bundle: ModelBundle) -> list:
         rng = bundle.rng("quant-timeslice")
         region = bundle.regions["slab"]
         cutoff = CutoffData(bundle.config["cutoff_t0"])
-        check_cutoff_in_region(bundle.model, cutoff, region)
         eta_fn = gen_map(sm, homotopy_eta, cutoff)
         fg_fn = gen_map(sm, quasi_inverse_g, cutoff)
         ambient = generators_at(sm.model, bundle.homotopy_points())

@@ -828,43 +828,43 @@ def test_lattice_pairings_vanish_off_degree(override):
 def test_pairing_and_cut_solves_once_per_translation_class(monkeypatch):
     # Deterministic, no timing: maxwell2d structures and theorems suites on
     # the benchmark's causal windows (3x3 basis window, 3-slice slab).  Each
-    # oracle evaluates at most once per translation class, tau_0 and tau_D
-    # share one pair of Green values per class, read from slices of L± of the
-    # origin delta solved once per (degree, fiber, time offset, direction);
-    # the theorem checks solve L psi2 (and L_D psi2) once per psi2 of their
-    # delta pairs, and eta and g solve a delta directly at most once per
-    # (degree, t - t0, fiber); the number of each is the same on 21 and on
-    # 201 sites
+    # oracle evaluates at most once per translation class of its model, over
+    # both suites together (the theorem checks read the same oracles, the
+    # counterexample's massive kg model its own), tau_0 and tau_D share one
+    # pair of Green values per class, read from slices of L± of the origin
+    # delta solved once per (degree, fiber, time offset, direction), and eta
+    # and g solve a delta directly at most once per (degree, t - t0, fiber);
+    # the theorems suite solves nothing else; the number of each is the same
+    # on 21 and on 201 sites
     runs: Counter = Counter()
+    outside = []  # Green solves of the theorems suite outside slices, eta and g
     sym_init = SymModel.__init__
     lambda_values = SymModel._lambda_values
     lambda_slices = SymModel._lambda_slices
     green_apply = bvtheory.GreenSolver.apply
-    slice_keys = []  # the (degree, fiber, dt) of the slice entry being solved
+    theorems = suites.SUITES["theorems"]
+    stack = []  # the theorems suite, and the slice entry or eta or g solve, being run
+
+    def within(entry, fn, *args):
+        stack.append(entry)
+        try:
+            return fn(*args)
+        finally:
+            stack.pop()
 
     def counted_lambda_values(sm, g1, g2):
-        runs[("L", _translation_class(sm.model.lattice, g1, g2))] += 1
+        runs[("L", sm.model.name, _translation_class(sm.model.lattice, g1, g2))] += 1
         return lambda_values(sm, g1, g2)
 
     def tracked_lambda_slices(sm, n, f, dt):
-        slice_keys.append((n, f, dt))
-        try:
-            return lambda_slices(sm, n, f, dt)
-        finally:
-            slice_keys.pop()
+        return within(("slice", sm.model.name, n, f, dt), lambda_slices, sm, n, f, dt)
 
     def counted_apply(solver, source, t_lo, t_hi):
-        if slice_keys:
-            runs[("slice", *slice_keys[-1], solver.direction)] += 1
+        if stack and stack[-1][0] == "slice":
+            runs[(*stack[-1], solver.direction)] += 1
+        elif stack == [("theorems",)]:
+            outside.append((solver.direction, t_lo, t_hi))
         return green_apply(solver, source, t_lo, t_hi)
-
-    def counted_lambda(lam):
-        def counted(model, psi, t_lo, t_hi):
-            ((key, _),) = psi.items()
-            runs[("solve", model.name, lam.__name__, key, t_lo, t_hi)] += 1
-            return lam(model, psi, t_lo, t_hi)
-
-        return counted
 
     def init(sm, model):
         sym_init(sm, model)
@@ -872,14 +872,16 @@ def test_pairing_and_cut_solves_once_per_translation_class(monkeypatch):
             _count_evaluations(
                 oracle,
                 runs,
-                lambda g1, g2, name=oracle.name: (name, _translation_class(model.lattice, g1, g2)),
+                lambda g1, g2, name=oracle.name: (
+                    name, model.name, _translation_class(model.lattice, g1, g2)
+                ),
             )
 
     def counted_solve(name, solve):
         def counted(model, cutoff, delta):
             ((n, t, _, f),) = delta.data
             runs[(name, n, t - cutoff.t0, f)] += 1
-            return solve(model, cutoff, delta)
+            return within((name,), solve, model, cutoff, delta)
 
         return counted
 
@@ -887,10 +889,9 @@ def test_pairing_and_cut_solves_once_per_translation_class(monkeypatch):
     monkeypatch.setattr(SymModel, "_lambda_values", counted_lambda_values)
     monkeypatch.setattr(SymModel, "_lambda_slices", tracked_lambda_slices)
     monkeypatch.setattr(bvtheory.GreenSolver, "apply", counted_apply)
-    monkeypatch.setattr(suites, "lambda_diff", counted_lambda(suites.lambda_diff))
-    monkeypatch.setattr(suites, "lambda_dirac", counted_lambda(suites.lambda_dirac))
     monkeypatch.setattr(bvtheory, "_eta_of_delta", counted_solve("eta", bvtheory._eta_of_delta))
     monkeypatch.setattr(bvtheory, "_g_of_delta", counted_solve("g", bvtheory._g_of_delta))
+    monkeypatch.setitem(suites.SUITES, "theorems", lambda bundle: within(("theorems",), theorems, bundle))
     totals = []
     for n_sites in (21, 201):
         runs.clear()
@@ -907,9 +908,33 @@ def test_pairing_and_cut_solves_once_per_translation_class(monkeypatch):
         records = run_suites(config)
         assert records and all(rec.passed for rec in records)
         assert set(runs.values()) == {1}
+        assert not outside
+        assert {key[1] for key in runs if key[0] in ("tau_0", "tau_D")} == {"maxwell2d", "kg"}
         totals.append(Counter(key[0] for key in runs))
     assert totals[0] == totals[1]
-    assert totals[0].keys() == {"tau_m1", "tau_0", "tau_D", "L", "slice", "solve", "eta", "g"}
+    assert totals[0].keys() == {"tau_m1", "tau_0", "tau_D", "L", "slice", "eta", "g"}
+
+
+@pytest.mark.parametrize("model", ["kg", "maxwell2d"])
+def test_theorem_check_fails_with_its_delta_pair_witness(monkeypatch, model):
+    # causality-vanishing reads tau_0 from the class-keyed oracle; a value
+    # of 1 on the first class of the disjoint pair fails it, with that
+    # pair of deltas as witness
+    config = merge_config(DEFAULT_CONFIG, {"model": model, "suites": ["theorems"]})
+    bundle = ModelBundle(config)
+    r1, r2 = bundle.regions["disjoint_pair"]
+    sm = bundle.sym
+    g1, g2 = next(bundle.lattice.class_pairs(sm.generators_in_region(r1), sm.generators_in_region(r2)))
+    target = bundle.lattice.class_key(g1, g2)
+    ev_0 = SymModel._ev_0
+
+    def planted(sm, h1, h2):
+        return 1 if sm.model.lattice.class_key(h1, h2) == target else ev_0(sm, h1, h2)
+
+    monkeypatch.setattr(SymModel, "_ev_0", planted)
+    (record,) = [rec for rec in run_suites(config) if rec.identity == "causality-vanishing"]
+    assert not record.passed
+    assert record.witness == suites._fmt_pair(gen_to_section(g1), gen_to_section(g2))
 
 
 def _class_pair_windows():
