@@ -23,14 +23,16 @@ class Lattice:
 
     The lattice owns its translation group, so no other module reduces
     modulo n_sites: :meth:`shift` moves a site along the ring,
-    :meth:`within_slope` is the one cone rule, and :meth:`class_key` and
+    :meth:`within_slope` is the one cone rule (:meth:`in_future_of` applies
+    it to the ring distance of two points), and :meth:`class_key` and
     :meth:`class_pairs` sort generator pairs into translation classes.
 
     A validated, immutable value: equal to and hashed as its
-    (n_sites, slope), and equal to no other type.
+    (n_sites, slope), and equal to no other type.  It holds the ring
+    distance of every offset, so a cone test is one lookup.
     """
 
-    __slots__ = ("n_sites", "slope")
+    __slots__ = ("n_sites", "slope", "_dist")
 
     def __init__(self, n_sites: int, slope: int = 1):
         if n_sites < 1:
@@ -39,6 +41,7 @@ class Lattice:
             raise ValueError("slope must be >= 1")
         object.__setattr__(self, "n_sites", n_sites)
         object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "_dist", tuple(min(d, n_sites - d) for d in range(n_sites)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -67,8 +70,7 @@ class Lattice:
         return Point(t, x % self.n_sites)
 
     def ring_dist(self, x1: int, x2: int) -> int:
-        d = self.shift(x1, -x2)
-        return min(d, self.n_sites - d)
+        return self._dist[(x1 - x2) % self.n_sites]
 
     def within_slope(self, dx: int, dt: int) -> bool:
         """|dx| <= slope * dt: a spatial offset dx reachable in dt >= 0 time
@@ -76,8 +78,8 @@ class Lattice:
         return abs(dx) <= self.slope * dt
 
     def in_future_of(self, base: Point, q: Point) -> bool:
-        """q in J^+(base)."""
-        return self.within_slope(self.ring_dist(q.x, base.x), q.t - base.t)
+        """q in J^+(base): within_slope of their ring distance, inlined."""
+        return self._dist[(q.x - base.x) % self.n_sites] <= self.slope * (q.t - base.t)
 
     def in_past_of(self, base: Point, q: Point) -> bool:
         return self.in_future_of(q, base)

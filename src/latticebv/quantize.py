@@ -74,6 +74,7 @@ class SymModel:
         self._slices: dict = {}
         self._deltas: dict = {}
         self._qgen_cache: dict = {}
+        self._q_moves_cache: dict = {}
 
     # -- pairing evaluators (delta pairs; Green slices translated) --------
     # The pairings are rational, and so are their values in the Sym algebra:
@@ -104,14 +105,19 @@ class SymModel:
 
     def _lambda_values(self, g1, g2) -> tuple:
         """(<<g1, L+ g2>>, <<g1, L- g2>>) of two generator deltas: two slice
-        lookups per metric entry, at g1's offset from g2."""
+        lookups per metric entry, at g1's offset from g2.  L± delta_g2 lives
+        in the one bundle degree |g2| + 1 + deg W, which g1 reads only when
+        1 - (|g1| + 1) is that degree; every other g1 reads (0, 0) without a
+        slice."""
         model = self.model
         n1 = g1[0] + 1
         m = 1 - n1
+        n2, t2, x2, f2 = g2
+        if g1[0] + n2 + 1 + model.w_op.degree_shift:
+            return 0, 0
         mat = model.metric.blocks.get(n1)
         if mat is None or m not in model.ranks:
             return 0, 0
-        n2, t2, x2, f2 = g2
         dt = g1[1] - t2
         plus_slice, minus_slice = self._lambda_slices(n2 + 1, f2, dt)
         dx = model.lattice.shift(g1[2], -x2)
@@ -125,7 +131,10 @@ class SymModel:
 
     def _lambda_sums(self, g1, g2) -> tuple:
         """_lambda_values once per translation class, shared by tau_0 and
-        tau_D."""
+        tau_D; (0, 0) at once, and not kept, for the degrees that
+        _lambda_values reads as (0, 0) before any slice."""
+        if g1[0] + g2[0] + 1 + self.model.w_op.degree_shift:
+            return 0, 0
         key = self.model.lattice.class_key(g1, g2)
         sums = self._lambda_cache.get(key)
         if sums is None:
@@ -138,7 +147,10 @@ class SymModel:
 
     def _ev_d(self, g1, g2):
         plus, minus = self._lambda_sums(g1, g2)
-        return rational(Fraction(plus + minus, 2))
+        total = plus + minus
+        if type(total) is int and not total % 2:
+            return total // 2
+        return rational(Fraction(total, 2))
 
     # -- differentials ----------------------------------------------------
 
@@ -150,6 +162,53 @@ class SymModel:
             out = section_to_elem(img).scale(-1)
             self._qgen_cache[g] = out
         return out
+
+    def _q_moves(self, n: int, f: int) -> list:
+        """(degree, fiber, t, x, coefficient) of each generator of qgen of
+        the degree-n, fiber-f generator at the origin."""
+        moves = self._q_moves_cache.get((n, f))
+        if moves is None:
+            moves = self._q_moves_cache[(n, f)] = [
+                (h[0], h[3], h[1], h[2], c) for (h,), c in self.qgen((n, 0, 0, f)).items()
+            ]
+        return moves
+
+    def boundary_at(self, tau: PairingOracle, key):
+        """(d tau)(g1, g2) of :func:`symalg.boundary_pairing` (tau, qgen), for
+        a generator pair of class key ``key`` (:meth:`Lattice.class_key`).
+
+        Q commutes with translations, so each generator of Q g1 (of Q g2)
+        pairs with g2 (with g1) in the class of key moved by that generator's
+        offset in Q's image of the origin generator; tau is read by the moved
+        keys.  A generator pair of a class, its first generator at the
+        origin, is built only when tau has not seen the class."""
+        n1, f1, n2, f2, dt, dx = key
+        shift = self.model.lattice.shift
+        cached = tau._cache.get  # tau.at's cache, read first to skip the call
+        sign1 = -1 if n1 % 2 else 1
+        whole = part = 0
+        for n, f, t, x, c in self._q_moves(n1, f1):
+            k = (n, f, n2, f2, dt - t, shift(dx, -x))
+            v = cached(k)
+            if v is None:
+                v = tau.at(k, (n, 0, 0, f), (n2, k[4], k[5], f2))
+            v *= c
+            if type(v) is int:
+                whole += v
+            else:
+                part += v
+        for n, f, t, x, c in self._q_moves(n2, f2):
+            k = (n1, f1, n, f, dt + t, shift(dx, x))
+            v = cached(k)
+            if v is None:
+                v = tau.at(k, (n1, 0, 0, f1), (n, k[4], k[5], f))
+            v *= c * sign1
+            if type(v) is int:
+                whole += v
+            else:
+                part += v
+        acc = rational(whole + part) if part else whole
+        return -acc if tau.degree % 2 == 0 else acc
 
     def q_sym(self, a: SymElement) -> SymElement:
         """The symmetric-algebra differential (Leibniz extension of -Q)."""

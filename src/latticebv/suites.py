@@ -526,10 +526,11 @@ def suite_algebra(bundle: ModelBundle) -> list:
                 for _ in range(n):
                     lhs = laplacian_apply(tau_even, lhs)
                 rhs = SymElement()
+                lap_k = TensorElement.of(a2, b2)  # the Laplacian applied k times
                 for k in range(n + 1):
-                    te = TensorElement.of(a2, b2)
-                    for _ in range(k):
-                        te = laplacian_tensor(tau_even, te)
+                    if k:
+                        lap_k = laplacian_tensor(tau_even, lap_k)
+                    te = lap_k
                     for _ in range(n - k):
                         te = bider_tensor(tau_even, te)
                     rhs.add_scaled(tensor_mu(te), comb(n, k))
@@ -781,14 +782,19 @@ def suite_structures(bundle: ModelBundle) -> list:
     model = bundle.model
     sm = bundle.sym
     gens = bundle.gens_window()
-    pairs = list(bundle.lattice.class_pairs(gens, gens))
+    lattice = bundle.lattice
+    # each class pair with its class key and the key of the reversed pair
+    pairs = [
+        (lattice.class_key(g1, g2), lattice.class_key(g2, g1), g1, g2)
+        for g1, g2 in lattice.class_pairs(gens, gens)
+    ]
 
     def check_pair_symmetry(tau, expected_s):
         # tau o gamma = s tau: koszul * tau(g2, g1) = s * tau(g1, g2)
-        for g1, g2 in pairs:
-            base = tau(g1, g2)
+        for key, reverse, g1, g2 in pairs:
+            base = tau.at(key, g1, g2)
             rhs = base if expected_s > 0 else -base
-            lhs = tau(g2, g1)
+            lhs = tau.at(reverse, g2, g1)
             yield (lhs if _koszul(g1[0], g2[0]) > 0 else -lhs) == rhs or f"{g1} | {g2}"
 
     run.check("pairing-shifted-symmetric", lambda: check_pair_symmetry(sm.tau_m1, 1))
@@ -799,12 +805,11 @@ def suite_structures(bundle: ModelBundle) -> list:
 
     def check_boundary(tau, rhs):
         # d(tau) = rhs, one generator pair per translation class
-        d_tau = boundary_pairing(tau, sm.qgen).evaluate
-        for g1, g2 in pairs:
-            yield d_tau(g1, g2) == rhs(g1, g2) or f"{g1} | {g2}"
+        for key, _, g1, g2 in pairs:
+            yield sm.boundary_at(tau, key) == rhs(key, g1, g2) or f"{g1} | {g2}"
 
-    run.check("pairing-dirac-trivializes", lambda: check_boundary(sm.tau_d, sm.tau_m1))
-    run.check("pairing-unshifted-cochain", lambda: check_boundary(sm.tau_0, lambda g1, g2: 0))
+    run.check("pairing-dirac-trivializes", lambda: check_boundary(sm.tau_d, sm.tau_m1.at))
+    run.check("pairing-unshifted-cochain", lambda: check_boundary(sm.tau_0, lambda *_: 0))
 
     def check_average():
         for psi1, psi2 in _random_pairs(bundle, "structures-average"):
@@ -1156,14 +1161,15 @@ def suite_comparison(bundle: ModelBundle) -> list:
             reps = cfg["tuple_reps"] if n else 1
             for _ in range(reps):
                 elems = [SymElement({random_word(rng, pools[i], 2): 1}) for i in range(n)]
-                lhs = sm.time_ordering(tpfa_product(sm, regions, elems))
+                tpfa = tpfa_product(sm, regions, elems)
+                lhs = sm.time_ordering(tpfa)
                 rhs = fa_product(sm, regions, [sm.time_ordering(e) for e in elems])
                 yield lhs == rhs or f"n={n}: " + " | ".join(_fmt_elem(e) for e in elems)
                 if n >= 3:
                     hull, inner, outer = factorize_tuple(regions)
                     inner_prod = tpfa_product(sm, inner, elems[:-1])
                     via = tpfa_product(sm, [hull, regions[-1]], [inner_prod, elems[-1]])
-                    yield via == tpfa_product(sm, regions, elems) or (
+                    yield via == tpfa or (
                         f"factorized route differs at n={n}"
                     )
 

@@ -151,7 +151,8 @@ class PairingOracle:
     Values are cached under key(g1, g2), or under the pair itself when key is
     None.  A key may merge pairs that the pairing cannot tell apart, such as
     the translates of a lattice pair; evaluate runs on the first pair of each
-    key, and every later pair with that key reads its value.
+    key, and every later pair with that key reads its value.  A caller that
+    already holds the key reads through :meth:`at`, which shares the cache.
     """
 
     def __init__(self, degree: int, symmetry: int, evaluate: Callable, name: str = "",
@@ -169,6 +170,14 @@ class PairingOracle:
         if val is None:
             val = self.evaluate(g1, g2)
             self._cache[key] = val
+        return val
+
+    def at(self, key, g1, g2):
+        """tau(g1, g2), given key = key(g1, g2): evaluate runs only if the key
+        is new.  A caller may pass any pair of that key."""
+        val = self._cache.get(key)
+        if val is None:
+            val = self._cache[key] = self.evaluate(g1, g2)
         return val
 
 

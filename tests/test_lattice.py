@@ -316,6 +316,25 @@ def test_lattice_is_a_validated_frozen_value():
     assert not any(lattice.within_slope(d, -1) for d in range(-6, 7))
 
 
+@pytest.mark.parametrize("n_sites, slope", [(1, 1), (2, 1), (5, 1), (6, 2), (21, 3)])
+def test_ring_distance_and_cone_match_their_definitions(n_sites, slope):
+    # the distance table against min(d, n - d) of the reduced offset, and the
+    # cone test against within_slope of that distance, sites unreduced too
+    lattice = Lattice(n_sites, slope)
+    sites = range(-2 * n_sites, 2 * n_sites + 1)
+    for x1 in sites:
+        for x2 in sites:
+            d = (x1 - x2) % n_sites
+            assert lattice.ring_dist(x1, x2) == min(d, n_sites - d)
+    points = [Point(t, x) for t in range(-2, 3) for x in sites]
+    for base in points:
+        for q in points:
+            want = lattice.within_slope(lattice.ring_dist(q.x, base.x), q.t - base.t)
+            assert lattice.in_future_of(base, q) is want
+    # the table is not part of the value
+    assert lattice == Lattice(n_sites, slope) and hash(lattice) == hash((n_sites, slope))
+
+
 def test_lattice_and_regions_survive_copy_and_pickle():
     # copies of a frozen value are equal values of the same type, and a
     # region copied or pickled with its lattice is still the same dict key

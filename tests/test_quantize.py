@@ -789,6 +789,66 @@ def test_lambda_values_match_value_at_sums():
             assert any(type(v) is Fraction and v.denominator > 1 for v in values)
 
 
+def test_boundary_at_matches_boundary_pairing():
+    # SymModel.boundary_at reads d(tau) by class keys moved along Q's image of
+    # the origin generator; symalg.boundary_pairing over a second SymModel of
+    # the same model (its own oracle caches) is the reference, value and int
+    # or Fraction type, on every class pair of a window that straddles the
+    # ring seam of 21 sites; kg with kappa 1/2 and m^2 1 gives Fraction values
+    seam = range(19, 23)
+    for sm in (sym_kg(kappa=Fraction(1, 2), mass_sq=Fraction(1)), sym_mw()):
+        lattice = sm.model.lattice
+        ref = SymModel(sm.model)
+        gens = window_gens(sm, -1, 1, seam)
+        pairs = list(lattice.class_pairs(gens, gens))
+        for tau, ref_tau in ((sm.tau_0, ref.tau_0), (sm.tau_d, ref.tau_d)):
+            d_tau = boundary_pairing(ref_tau, ref.qgen).evaluate
+            values = []
+            for g1, g2 in pairs:
+                got, want = sm.boundary_at(tau, lattice.class_key(g1, g2)), d_tau(g1, g2)
+                assert (got, type(got)) == (want, type(want)), (tau.name, g1, g2)
+                values.append(got)
+            # the moved keys are the class keys that boundary_pairing reads
+            # through tau's key, one cache entry per class
+            assert tau._cache.keys() == ref_tau._cache.keys(), tau.name
+            if tau is sm.tau_d:
+                # d(tau_D) = tau_m1, which is not zero on the window
+                assert any(values)
+            if sm.model.name == "kg":
+                # Fraction terms that sum to an int: boundary_at must narrow
+                # the sum as boundary_pairing does
+                assert any(type(v) is Fraction for v in tau._cache.values())
+        # offsets of both signs, the negative ones reduced across the seam
+        assert {lattice.class_key(g1, g2)[5] for g1, g2 in pairs} >= {1, 20}
+
+
+def test_lambda_values_solve_no_slice_for_a_degree_forbidden_pair(monkeypatch):
+    # L± delta_g2 lives in bundle degree |g2| + 1 + deg W, so a g1 whose dual
+    # degree 1 - (|g1| + 1) is another reads (0, 0) and solves no slice (that
+    # the causal config's slices are the same on 21 and 201 sites is checked
+    # by test_pairing_and_cut_solves_once_per_translation_class)
+    asked = []
+    lambda_slices = SymModel._lambda_slices
+
+    def recorded(sm, n, f, dt):
+        asked.append((n, f, dt))
+        return lambda_slices(sm, n, f, dt)
+
+    monkeypatch.setattr(SymModel, "_lambda_slices", recorded)
+    for sm in (sym_kg(kappa=Fraction(1, 2), mass_sq=Fraction(1)), sym_mw()):
+        lattice, w_shift = sm.model.lattice, sm.model.w_op.degree_shift
+        gens = window_gens(sm, -1, 1, range(-1, 2))
+        allowed = 0
+        for g1, g2 in lattice.class_pairs(gens, gens):
+            del asked[:]
+            value = sm._lambda_values(g1, g2)
+            if -g1[0] != g2[0] + 1 + w_shift:
+                assert value == (0, 0) and not asked, (g1, g2)
+            else:
+                allowed += bool(asked)
+        assert allowed
+
+
 # the flipped-metric failure-injection config of the benchmark's probe
 FLIPPED_METRIC_PROBE = {
     "model": "kg",

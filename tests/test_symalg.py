@@ -366,6 +366,23 @@ def _assert_canonical_sum(value, reference):
         assert type(value) is Fraction, (value, reference)
 
 
+def test_keyed_read_and_call_share_one_evaluation():
+    # at(key, g1, g2) and tau(g1, g2) read one cache under key(g1, g2): each
+    # key is evaluated once, on the first pair that reaches it by either route
+    runs = []
+
+    def evaluate(g1, g2):
+        runs.append((g1, g2))
+        return len(runs)
+
+    tau = PairingOracle(0, 1, evaluate, key=lambda g1, g2: (g1[0], g2[0]))
+    assert tau.at((0, 1), (0, "a"), (1, "b")) == 1
+    assert tau((0, "c"), (1, "d")) == 1
+    assert tau((1, "a"), (0, "b")) == 2
+    assert tau.at((1, 0), (1, "c"), (0, "d")) == 2
+    assert runs == [((0, "a"), (1, "b")), ((1, "a"), (0, "b"))]
+
+
 def test_boundary_pairing_sums_mixed_terms_exactly():
     # tau values and differential coefficients that mix ints and halves: d(tau)
     # equals the Fraction sum of its formula and is an int whenever that sum
