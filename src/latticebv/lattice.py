@@ -100,18 +100,18 @@ class Lattice:
         return g1[0], g1[3], g2[0], g2[3], g2[1] - g1[1], (g2[2] - g1[2]) % self.n_sites
 
     def class_pairs(self, gens1, gens2):
-        """The pairs of product(gens1, gens2) in that order, skipping every
-        pair whose translation class has already appeared.  The pairings, Q
-        and the fiber metric take one value per class, so a check over these
-        pairs quantifies over the generator basis modulo translation: it
-        decides what the check over every pair decides, and its first
-        failing pair is the same."""
+        """(class_key(g1, g2), g1, g2) for the pairs of product(gens1, gens2)
+        in that order, skipping every pair whose translation class has
+        already appeared.  The pairings, Q and the fiber metric take one
+        value per class, so a check over these pairs quantifies over the
+        generator basis modulo translation: it decides what the check over
+        every pair decides, and its first failing pair is the same."""
         seen = set()
         for g1, g2 in product(gens1, gens2):
             key = self.class_key(g1, g2)
             if key not in seen:
                 seen.add(key)
-                yield g1, g2
+                yield key, g1, g2
 
 
 class Region(NamedTuple):

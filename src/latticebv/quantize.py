@@ -70,11 +70,9 @@ class SymModel:
         self.tau_m1 = PairingOracle(1, 1, self._ev_m1, name="tau_m1", key=key)
         self.tau_0 = PairingOracle(0, -1, self._ev_0, name="tau_0", key=key)
         self.tau_d = PairingOracle(0, 1, self._ev_d, name="tau_D", key=key)
-        self._lambda_cache: dict = {}
         self._slices: dict = {}
         self._deltas: dict = {}
         self._qgen_cache: dict = {}
-        self._q_moves_cache: dict = {}
 
     # -- pairing evaluators (delta pairs; Green slices translated) --------
     # The pairings are rational, and so are their values in the Sym algebra:
@@ -129,24 +127,12 @@ class SymModel:
                 minus += minus_slice.get(key, 0) * coeff
         return plus, minus
 
-    def _lambda_sums(self, g1, g2) -> tuple:
-        """_lambda_values once per translation class, shared by tau_0 and
-        tau_D; (0, 0) at once, and not kept, for the degrees that
-        _lambda_values reads as (0, 0) before any slice."""
-        if g1[0] + g2[0] + 1 + self.model.w_op.degree_shift:
-            return 0, 0
-        key = self.model.lattice.class_key(g1, g2)
-        sums = self._lambda_cache.get(key)
-        if sums is None:
-            sums = self._lambda_cache[key] = self._lambda_values(g1, g2)
-        return sums
-
     def _ev_0(self, g1, g2):
-        plus, minus = self._lambda_sums(g1, g2)
+        plus, minus = self._lambda_values(g1, g2)
         return rational(plus - minus)
 
     def _ev_d(self, g1, g2):
-        plus, minus = self._lambda_sums(g1, g2)
+        plus, minus = self._lambda_values(g1, g2)
         total = plus + minus
         if type(total) is int and not total % 2:
             return total // 2
@@ -163,16 +149,6 @@ class SymModel:
             self._qgen_cache[g] = out
         return out
 
-    def _q_moves(self, n: int, f: int) -> list:
-        """(degree, fiber, t, x, coefficient) of each generator of qgen of
-        the degree-n, fiber-f generator at the origin."""
-        moves = self._q_moves_cache.get((n, f))
-        if moves is None:
-            moves = self._q_moves_cache[(n, f)] = [
-                (h[0], h[3], h[1], h[2], c) for (h,), c in self.qgen((n, 0, 0, f)).items()
-            ]
-        return moves
-
     def boundary_at(self, tau: PairingOracle, key):
         """(d tau)(g1, g2) of :func:`symalg.boundary_pairing` (tau, qgen), for
         a generator pair of class key ``key`` (:meth:`Lattice.class_key`).
@@ -187,7 +163,7 @@ class SymModel:
         cached = tau._cache.get  # tau.at's cache, read first to skip the call
         sign1 = -1 if n1 % 2 else 1
         whole = part = 0
-        for n, f, t, x, c in self._q_moves(n1, f1):
+        for ((n, t, x, f),), c in self.qgen((n1, 0, 0, f1)).items():
             k = (n, f, n2, f2, dt - t, shift(dx, -x))
             v = cached(k)
             if v is None:
@@ -197,7 +173,7 @@ class SymModel:
                 whole += v
             else:
                 part += v
-        for n, f, t, x, c in self._q_moves(n2, f2):
+        for ((n, t, x, f),), c in self.qgen((n2, 0, 0, f2)).items():
             k = (n1, f1, n, f, dt + t, shift(dx, x))
             v = cached(k)
             if v is None:

@@ -617,7 +617,7 @@ def suite_green(bundle: ModelBundle) -> list:
             keys = list(model.delta_keys(window_points(-2, 2, range(-2, 3))))
             delta = {k: Section({k: 1}) for k in keys}
             image = {k: op.apply(s, lattice) for k, s in delta.items()}
-            for k1, k2 in lattice.class_pairs(keys, keys):
+            for _, k1, k2 in lattice.class_pairs(keys, keys):
                 sgn = -sign if k1[0] % 2 else sign
                 s1, s2 = delta[k1], delta[k2]
                 yield pair(image[k1], s2) == sgn * pair(s1, image[k2]) or _fmt_pair(s1, s2)
@@ -785,8 +785,8 @@ def suite_structures(bundle: ModelBundle) -> list:
     lattice = bundle.lattice
     # each class pair with its class key and the key of the reversed pair
     pairs = [
-        (lattice.class_key(g1, g2), lattice.class_key(g2, g1), g1, g2)
-        for g1, g2 in lattice.class_pairs(gens, gens)
+        (key, lattice.class_key(g2, g1), g1, g2)
+        for key, g1, g2 in lattice.class_pairs(gens, gens)
     ]
 
     def check_pair_symmetry(tau, expected_s):
@@ -839,10 +839,10 @@ def suite_structures(bundle: ModelBundle) -> list:
 
 
 def _delta_pairs(sm: SymModel, r1: Region, r2: Region):
-    """The (delta in r1, delta in r2) generator pairs, the first of each
-    translation class in product order (Lattice.class_pairs): the pairings
-    of two deltas take one value per class, read from sm's class-keyed
-    oracles."""
+    """(class key, delta in r1, delta in r2) for the generator pairs, the
+    first of each translation class in product order (Lattice.class_pairs):
+    the pairings of two deltas take one value per class, read by key from
+    sm's class-keyed oracles."""
     gens1, gens2 = sm.generators_in_region(r1), sm.generators_in_region(r2)
     return sm.model.lattice.class_pairs(gens1, gens2)
 
@@ -860,15 +860,15 @@ def suite_theorems(bundle: ModelBundle) -> list:
     def check_causality():
         r1, r2 = bundle.regions["disjoint_pair"]
         yield causally_disjoint(r1, r2) or "configured pair is not causally disjoint"
-        for g1, g2 in _delta_pairs(sm, r1, r2):
-            yield not sm.tau_0(g1, g2) or _fmt_gens(g1, g2)
+        for key, g1, g2 in _delta_pairs(sm, r1, r2):
+            yield not sm.tau_0.at(key, g1, g2) or _fmt_gens(g1, g2)
 
     run.check("causality-vanishing", check_causality)
 
     def check_causality_counter():
         r1, r2 = bundle.regions["connected_pair"]
         yield not causally_disjoint(r1, r2) or "configured pair is causally disjoint"
-        yield any(sm.tau_0(g1, g2) for g1, g2 in _delta_pairs(sm, r1, r2)) or (
+        yield any(sm.tau_0.at(*pair) for pair in _delta_pairs(sm, r1, r2)) or (
             "no nonzero pairing found across causally connected regions"
         )
 
@@ -913,15 +913,15 @@ def suite_theorems(bundle: ModelBundle) -> list:
 
     run.check("cauchy-g-support", check_g_support)
 
-    def half_holds(m, g1, g2):
+    def half_holds(m, key, g1, g2):
         # tau_D(g1, g2) = tau_0(g1, g2) / 2
-        return m.tau_d(g1, g2) == m.tau_0(g1, g2) * Fraction(1, 2)
+        return m.tau_d.at(key, g1, g2) == m.tau_0.at(key, g1, g2) * Fraction(1, 2)
 
     def check_half():
         later, earlier = bundle.regions["stacked_pair"]
         yield is_time_ordered([later, earlier]) or "configured stacked pair is not time-ordered"
-        for g1, g2 in _delta_pairs(sm, later, earlier):
-            yield half_holds(sm, g1, g2) or _fmt_gens(g1, g2)
+        for key, g1, g2 in _delta_pairs(sm, later, earlier):
+            yield half_holds(sm, key, g1, g2) or _fmt_gens(g1, g2)
 
     run.check("time-ordered-half", check_half)
 
@@ -931,7 +931,7 @@ def suite_theorems(bundle: ModelBundle) -> list:
         aux = SymModel(klein_gordon(lattice, mass_sq=Fraction(1)))
         a, b = (parse_region(lattice, lit) for lit in bundle.config["regions"]["nonordered_pair"])
         yield not is_time_ordered([a, b]) or "configured pair is time-ordered"
-        yield any(not half_holds(aux, g1, g2) for g1, g2 in _delta_pairs(aux, a, b)) or (
+        yield any(not half_holds(aux, *pair) for pair in _delta_pairs(aux, a, b)) or (
             "no violation found for the non-time-ordered pair"
         )
 
@@ -1037,7 +1037,7 @@ def suite_quantization(bundle: ModelBundle) -> list:
         rng = bundle.rng("quant-einstein")
         r1, r2 = bundle.regions["disjoint_pair"]
         g1s, g2s = sm.generators_in_region(r1), sm.generators_in_region(r2)
-        for g1, g2 in bundle.lattice.class_pairs(g1s, g2s):
+        for _, g1, g2 in bundle.lattice.class_pairs(g1s, g2s):
             yield not commutator(g1, g2) or f"{g1} | {g2}"
         for _ in range(6):
             a = SymElement({random_word(rng, g1s, 3): 1})

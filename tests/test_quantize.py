@@ -779,11 +779,11 @@ def test_lambda_values_match_value_at_sums():
         gens, wider = window_gens(sm, -1, 1, seam), window_gens(sm, -2, 2, seam)
         pairs = [*lattice.class_pairs(wider, gens), *lattice.class_pairs(gens, wider)]
         values = []
-        for g1, g2 in pairs:
+        for _, g1, g2 in pairs:
             value = sm._lambda_values(g1, g2)
             assert value == _value_at_sums(sm, g1, g2), (g1, g2)
             values += value
-        assert {abs(g1[1] - g2[1]) for g1, g2 in pairs} == {0, 1, 2, 3}
+        assert {abs(g1[1] - g2[1]) for _, g1, g2 in pairs} == {0, 1, 2, 3}
         assert any(values)
         if sm.model.name == "kg":
             assert any(type(v) is Fraction and v.denominator > 1 for v in values)
@@ -804,8 +804,8 @@ def test_boundary_at_matches_boundary_pairing():
         for tau, ref_tau in ((sm.tau_0, ref.tau_0), (sm.tau_d, ref.tau_d)):
             d_tau = boundary_pairing(ref_tau, ref.qgen).evaluate
             values = []
-            for g1, g2 in pairs:
-                got, want = sm.boundary_at(tau, lattice.class_key(g1, g2)), d_tau(g1, g2)
+            for key, g1, g2 in pairs:
+                got, want = sm.boundary_at(tau, key), d_tau(g1, g2)
                 assert (got, type(got)) == (want, type(want)), (tau.name, g1, g2)
                 values.append(got)
             # the moved keys are the class keys that boundary_pairing reads
@@ -819,7 +819,7 @@ def test_boundary_at_matches_boundary_pairing():
                 # the sum as boundary_pairing does
                 assert any(type(v) is Fraction for v in tau._cache.values())
         # offsets of both signs, the negative ones reduced across the seam
-        assert {lattice.class_key(g1, g2)[5] for g1, g2 in pairs} >= {1, 20}
+        assert {key[5] for key, _, _ in pairs} >= {1, 20}
 
 
 def test_lambda_values_solve_no_slice_for_a_degree_forbidden_pair(monkeypatch):
@@ -839,7 +839,7 @@ def test_lambda_values_solve_no_slice_for_a_degree_forbidden_pair(monkeypatch):
         lattice, w_shift = sm.model.lattice, sm.model.w_op.degree_shift
         gens = window_gens(sm, -1, 1, range(-1, 2))
         allowed = 0
-        for g1, g2 in lattice.class_pairs(gens, gens):
+        for _, g1, g2 in lattice.class_pairs(gens, gens):
             del asked[:]
             value = sm._lambda_values(g1, g2)
             if -g1[0] != g2[0] + 1 + w_shift:
@@ -875,7 +875,7 @@ def test_lattice_pairings_vanish_off_degree(override):
     sm, gens = bundle.sym, bundle.gens_window()
     for tau in (sm.tau_m1, sm.tau_0, sm.tau_d):
         off = nonzero = 0
-        for g1, g2 in bundle.lattice.class_pairs(gens, gens):
+        for _, g1, g2 in bundle.lattice.class_pairs(gens, gens):
             val = tau(g1, g2)
             if g1[0] + g2[0] + tau.degree != 0:
                 off += 1
@@ -890,12 +890,12 @@ def test_pairing_and_cut_solves_once_per_translation_class(monkeypatch):
     # the benchmark's causal windows (3x3 basis window, 3-slice slab).  Each
     # oracle evaluates at most once per translation class of its model, over
     # both suites together (the theorem checks read the same oracles, the
-    # counterexample's massive kg model its own), tau_0 and tau_D share one
-    # pair of Green values per class, read from slices of L± of the origin
-    # delta solved once per (degree, fiber, time offset, direction), and eta
-    # and g solve a delta directly at most once per (degree, t - t0, fiber);
-    # the theorems suite solves nothing else; the number of each is the same
-    # on 21 and on 201 sites
+    # counterexample's massive kg model its own), each tau_0 and tau_D
+    # evaluation reads its pair of Green values once, from slices of L± of
+    # the origin delta solved once per (degree, fiber, time offset,
+    # direction), and eta and g solve a delta directly at most once per
+    # (degree, t - t0, fiber); the theorems suite solves nothing else; the
+    # number of each is the same on 21 and on 201 sites
     runs: Counter = Counter()
     outside = []  # Green solves of the theorems suite outside slices, eta and g
     sym_init = SymModel.__init__
@@ -903,7 +903,9 @@ def test_pairing_and_cut_solves_once_per_translation_class(monkeypatch):
     lambda_slices = SymModel._lambda_slices
     green_apply = bvtheory.GreenSolver.apply
     theorems = suites.SUITES["theorems"]
-    stack = []  # the theorems suite, and the slice entry or eta or g solve, being run
+    # the theorems suite, the oracle evaluation, and the slice entry or eta
+    # or g solve, being run
+    stack = []
 
     def within(entry, fn, *args):
         stack.append(entry)
@@ -913,7 +915,9 @@ def test_pairing_and_cut_solves_once_per_translation_class(monkeypatch):
             stack.pop()
 
     def counted_lambda_values(sm, g1, g2):
-        runs[("L", sm.model.name, _translation_class(sm.model.lattice, g1, g2))] += 1
+        # keyed by the oracle whose evaluation runs it
+        oracle = stack[-1][0] if stack else None
+        runs[("L", oracle, sm.model.name, _translation_class(sm.model.lattice, g1, g2))] += 1
         return lambda_values(sm, g1, g2)
 
     def tracked_lambda_slices(sm, n, f, dt):
@@ -922,7 +926,7 @@ def test_pairing_and_cut_solves_once_per_translation_class(monkeypatch):
     def counted_apply(solver, source, t_lo, t_hi):
         if stack and stack[-1][0] == "slice":
             runs[(*stack[-1], solver.direction)] += 1
-        elif stack == [("theorems",)]:
+        elif stack[:1] == [("theorems",)] and stack[-1][0] not in ("eta", "g"):
             outside.append((solver.direction, t_lo, t_hi))
         return green_apply(solver, source, t_lo, t_hi)
 
@@ -935,6 +939,9 @@ def test_pairing_and_cut_solves_once_per_translation_class(monkeypatch):
                 lambda g1, g2, name=oracle.name: (
                     name, model.name, _translation_class(model.lattice, g1, g2)
                 ),
+            )
+            oracle.evaluate = lambda g1, g2, name=oracle.name, ev=oracle.evaluate: within(
+                (name,), ev, g1, g2
             )
 
     def counted_solve(name, solve):
@@ -970,6 +977,7 @@ def test_pairing_and_cut_solves_once_per_translation_class(monkeypatch):
         assert set(runs.values()) == {1}
         assert not outside
         assert {key[1] for key in runs if key[0] in ("tau_0", "tau_D")} == {"maxwell2d", "kg"}
+        assert {key[1] for key in runs if key[0] == "L"} == {"tau_0", "tau_D"}
         totals.append(Counter(key[0] for key in runs))
     assert totals[0] == totals[1]
     assert totals[0].keys() == {"tau_m1", "tau_0", "tau_D", "L", "slice", "eta", "g"}
@@ -984,8 +992,9 @@ def test_theorem_check_fails_with_its_delta_pair_witness(monkeypatch, model):
     bundle = ModelBundle(config)
     r1, r2 = bundle.regions["disjoint_pair"]
     sm = bundle.sym
-    g1, g2 = next(bundle.lattice.class_pairs(sm.generators_in_region(r1), sm.generators_in_region(r2)))
-    target = bundle.lattice.class_key(g1, g2)
+    target, g1, g2 = next(
+        bundle.lattice.class_pairs(sm.generators_in_region(r1), sm.generators_in_region(r2))
+    )
     ev_0 = SymModel._ev_0
 
     def planted(sm, h1, h2):
@@ -1012,7 +1021,9 @@ def test_class_pairs_keeps_product_order_one_pair_per_class():
         pairs = list(itertools.product(gens1, gens2))
         lattice = sm.model.lattice
         kept = list(lattice.class_pairs(gens1, gens2))
-        keys = [_translation_class(lattice, g1, g2) for g1, g2 in kept]
+        # each kept pair comes with its own class key
+        assert all(key == lattice.class_key(g1, g2) for key, g1, g2 in kept)
+        keys = [_translation_class(lattice, g1, g2) for _, g1, g2 in kept]
         assert len(set(keys)) == len(keys)
         assert set(keys) == {_translation_class(lattice, g1, g2) for g1, g2 in pairs}
         assert len(kept) < len(pairs)
@@ -1020,7 +1031,7 @@ def test_class_pairs_keeps_product_order_one_pair_per_class():
         first = {}
         for i, (g1, g2) in enumerate(pairs):
             first.setdefault(_translation_class(lattice, g1, g2), i)
-        assert [pairs[i] for i in sorted(first.values())] == kept
+        assert [pairs[i] for i in sorted(first.values())] == [(g1, g2) for _, g1, g2 in kept]
 
 
 def test_class_key_agrees_with_translation_class():

@@ -28,6 +28,15 @@ SMALL_QUANTIZATION_TRACE = {
     "samples": {"timeslice_words": 1, "max_word_len": 3, "word_samples": 2, "random_sections": 1},
 }
 
+# the maxwell2d-causal workload: the structures and theorems checks read the
+# tau_0 and tau_D oracles by class key, through the evaluations the tracer counts
+CAUSAL_TRACE = {
+    "model": "maxwell2d",
+    "suites": ["structures", "theorems"],
+    "windows": {"basis_t": [-1, 1], "basis_x": [-1, 1], "homotopy_t": [-1, 1]},
+    "regions": {"slab": {"kind": "slab", "t": [-1, 1]}},
+}
+
 
 def _traced_layers(config: dict) -> dict:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
@@ -53,3 +62,9 @@ def test_traced_quantization_run_sees_the_pairing_layer():
     # workload; a tau_m1 oracle that paired deltas without tau_minus1 reads 0
     layers = _traced_layers(SMALL_QUANTIZATION_TRACE)
     assert layers["bvtheory.pairing.calls"] > 0
+
+
+def test_traced_causal_run_sees_the_oracle_evaluations():
+    # a keyed read that bypassed the wrapped oracle evaluations reads 0
+    layers = _traced_layers(CAUSAL_TRACE)
+    assert layers["symalg.oracle.calls"] > 0
