@@ -149,43 +149,6 @@ class SymModel:
             self._qgen_cache[g] = out
         return out
 
-    def boundary_at(self, tau: PairingOracle, key):
-        """(d tau)(g1, g2) of :func:`symalg.boundary_pairing` (tau, qgen), for
-        a generator pair of class key ``key`` (:meth:`Lattice.class_key`).
-
-        Q commutes with translations, so each generator of Q g1 (of Q g2)
-        pairs with g2 (with g1) in the class of key moved by that generator's
-        offset in Q's image of the origin generator; tau is read by the moved
-        keys.  A generator pair of a class, its first generator at the
-        origin, is built only when tau has not seen the class."""
-        n1, f1, n2, f2, dt, dx = key
-        shift = self.model.lattice.shift
-        cached = tau._cache.get  # tau.at's cache, read first to skip the call
-        sign1 = -1 if n1 % 2 else 1
-        whole = part = 0
-        for ((n, t, x, f),), c in self.qgen((n1, 0, 0, f1)).items():
-            k = (n, f, n2, f2, dt - t, shift(dx, -x))
-            v = cached(k)
-            if v is None:
-                v = tau.at(k, (n, 0, 0, f), (n2, k[4], k[5], f2))
-            v *= c
-            if type(v) is int:
-                whole += v
-            else:
-                part += v
-        for ((n, t, x, f),), c in self.qgen((n2, 0, 0, f2)).items():
-            k = (n1, f1, n, f, dt + t, shift(dx, x))
-            v = cached(k)
-            if v is None:
-                v = tau.at(k, (n1, 0, 0, f1), (n, k[4], k[5], f))
-            v *= c * sign1
-            if type(v) is int:
-                whole += v
-            else:
-                part += v
-        acc = rational(whole + part) if part else whole
-        return -acc if tau.degree % 2 == 0 else acc
-
     def q_sym(self, a: SymElement) -> SymElement:
         """The symmetric-algebra differential (Leibniz extension of -Q)."""
         return extend_derivation(self.qgen, 1, a)

@@ -789,39 +789,6 @@ def test_lambda_values_match_value_at_sums():
             assert any(type(v) is Fraction and v.denominator > 1 for v in values)
 
 
-def test_boundary_at_matches_boundary_pairing():
-    # SymModel.boundary_at reads d(tau) by class keys moved along Q's image of
-    # the origin generator; symalg.boundary_pairing over a second SymModel of
-    # the same model (its own oracle caches) is the reference, value and int
-    # or Fraction type, on every class pair of a window that straddles the
-    # ring seam of 21 sites; kg with kappa 1/2 and m^2 1 gives Fraction values
-    seam = range(19, 23)
-    for sm in (sym_kg(kappa=Fraction(1, 2), mass_sq=Fraction(1)), sym_mw()):
-        lattice = sm.model.lattice
-        ref = SymModel(sm.model)
-        gens = window_gens(sm, -1, 1, seam)
-        pairs = list(lattice.class_pairs(gens, gens))
-        for tau, ref_tau in ((sm.tau_0, ref.tau_0), (sm.tau_d, ref.tau_d)):
-            d_tau = boundary_pairing(ref_tau, ref.qgen).evaluate
-            values = []
-            for key, g1, g2 in pairs:
-                got, want = sm.boundary_at(tau, key), d_tau(g1, g2)
-                assert (got, type(got)) == (want, type(want)), (tau.name, g1, g2)
-                values.append(got)
-            # the moved keys are the class keys that boundary_pairing reads
-            # through tau's key, one cache entry per class
-            assert tau._cache.keys() == ref_tau._cache.keys(), tau.name
-            if tau is sm.tau_d:
-                # d(tau_D) = tau_m1, which is not zero on the window
-                assert any(values)
-            if sm.model.name == "kg":
-                # Fraction terms that sum to an int: boundary_at must narrow
-                # the sum as boundary_pairing does
-                assert any(type(v) is Fraction for v in tau._cache.values())
-        # offsets of both signs, the negative ones reduced across the seam
-        assert {key[5] for key, _, _ in pairs} >= {1, 20}
-
-
 def test_lambda_values_solve_no_slice_for_a_degree_forbidden_pair(monkeypatch):
     # L± delta_g2 lives in bundle degree |g2| + 1 + deg W, so a g1 whose dual
     # degree 1 - (|g1| + 1) is another reads (0, 0) and solves no slice (that
@@ -1185,6 +1152,11 @@ FORCED_REGIONS = {
 FORCED_REGIONS_MAXWELL = {"model": "maxwell2d", "regions": FORCED_REGIONS["regions"]}
 FORCED_FAILING = {"causality-vanishing", "causality-counterexample", "time-ordered-half",
                   "time-ordered-half-counterexample", "einstein-causality"}
+# tau_m1 of maxwell2d raised by 1 on the first class whose degrees tau_m1
+# forbids, where the d(tau) checks take d(tau_D) as 0 unevaluated:
+# pairing-dirac-trivializes must still read tau_m1 there and fail (the
+# class is its own reverse, of even degree, so tau_m1 stays symmetric)
+PLANTED_FAILING = {"pairing-dirac-trivializes"}
 
 
 @pytest.mark.parametrize(
@@ -1196,6 +1168,7 @@ FORCED_FAILING = {"causality-vanishing", "causality-counterexample", "time-order
         (FLIPPED_METRIC_PROBE, {"pairing-shifted-symmetric", "pairing-dirac-trivializes"}),
         (FORCED_REGIONS, FORCED_FAILING),
         (FORCED_REGIONS_MAXWELL, FORCED_FAILING),
+        ({"model": "maxwell2d"}, PLANTED_FAILING),
     ],
 )
 def test_class_quantified_checks_match_per_pair_reference(monkeypatch, override, failing):
@@ -1203,6 +1176,17 @@ def test_class_quantified_checks_match_per_pair_reference(monkeypatch, override,
         monkeypatch.setattr(suites, "causally_disjoint", lambda r1, r2: True)
         monkeypatch.setattr(suites, "is_time_ordered", lambda regions: True)
     config = merge_config(merge_config(DEFAULT_CONFIG, CAUSAL_WINDOWS), override)
+    if failing is PLANTED_FAILING:
+        bundle = ModelBundle(config)
+        gens = bundle.gens_window()
+        target = next(key for key, g1, g2 in bundle.lattice.class_pairs(gens, gens) if g1[0] + g2[0] + 1)
+        ev_m1 = SymModel._ev_m1
+
+        def planted(sm, h1, h2):
+            value = ev_m1(sm, h1, h2)
+            return value + 1 if sm.model.lattice.class_key(h1, h2) == target else value
+
+        monkeypatch.setattr(SymModel, "_ev_m1", planted)
     records = {rec.identity: rec for rec in run_suites(config)}
     reference = per_pair_reference(ModelBundle(config))
     assert {k for k, v in reference.items() if v is not True} == failing
@@ -1210,6 +1194,41 @@ def test_class_quantified_checks_match_per_pair_reference(monkeypatch, override,
         rec, ref = records[identity], reference[identity]
         assert rec.passed == (ref is True)
         assert rec.witness == (None if ref is True else ref)
+
+
+@pytest.mark.parametrize(
+    "override",
+    [{"model": "maxwell2d"}, {"model": "kg", "model_params": {"kappa": "1/2", "mass_sq": "1"}}],
+)
+def test_boundary_checks_evaluate_d_tau_on_degree_allowed_class_pairs(monkeypatch, override):
+    # d(tau) has degree p + 1: the two d(tau) checks evaluate
+    # symalg.boundary_pairing on the class pairs whose degrees sum to
+    # -(p + 1), in class_pairs order, and on no other pair
+    seen = {}
+    boundary_pairing = suites.boundary_pairing
+
+    def recorded(tau, dmap):
+        d_tau = boundary_pairing(tau, dmap)
+        calls = seen.setdefault(tau.name, [])
+        evaluate = d_tau.evaluate
+
+        def ev(g1, g2):
+            calls.append((g1, g2))
+            return evaluate(g1, g2)
+
+        d_tau.evaluate = ev
+        return d_tau
+
+    monkeypatch.setattr(suites, "boundary_pairing", recorded)
+    config = merge_config(merge_config(DEFAULT_CONFIG, CAUSAL_WINDOWS), {**override, "suites": ["structures"]})
+    records = run_suites(config)
+    assert records and all(rec.passed for rec in records)
+    bundle = ModelBundle(config)
+    gens = bundle.gens_window()
+    pairs = [(g1, g2) for _, g1, g2 in bundle.lattice.class_pairs(gens, gens)]
+    allowed = [(g1, g2) for g1, g2 in pairs if g1[0] + g2[0] + 1 == 0]
+    assert 0 < len(allowed) < len(pairs)
+    assert seen == {"tau_D": allowed, "tau_0": allowed}
 
 
 @pytest.mark.parametrize(
