@@ -3,7 +3,8 @@
 The algebra suite exercises the symmetric-algebra layer away from any
 lattice model: a direct sum of two-term complexes with mixed-parity degrees
 and random (anti-)symmetric pairings of prescribed degree.  Every integer
-draw of the package is one :func:`randbelow` call.
+draw of the package makes the getrandbits calls of ``randrange``: one
+:func:`randbelow` call, or one generator of :func:`random_word`.
 """
 
 from __future__ import annotations
@@ -80,10 +81,23 @@ def random_pairing(gens, degree: int, symmetry: int, seed: int = 0, density: flo
 
 
 def random_word(rng, gens, max_len: int, min_len: int = 1):
-    """A normalized random word (resampling the rare all-odd collisions)."""
+    """A normalized random word (resampling the rare all-odd collisions).
+    Each generator is gens[randbelow(rng, len(gens))], drawn in one loop
+    whose bit count is computed once per word."""
+    n = len(gens)
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
     while True:
         length = min_len + randbelow(rng, max_len - min_len + 1)
-        w, _ = normalize([gens[randbelow(rng, len(gens))] for _ in range(length)])
+        if length and not n:
+            raise ValueError("random_word: no generators to draw from")
+        word = []
+        for _ in range(length):
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            word.append(gens[r])
+        w, _ = normalize(word)
         if w is not None:
             return w
 

@@ -26,13 +26,14 @@ from .symalg import (
     PairingOracle,
     SymElement,
     TensorElement,
-    bider_tensor,
-    exp_bider,
+    bider_apply,
+    deformed_mul,
     exp_laplacian,
     laplacian_apply,
     mul,
     sym_map,
     tensor_mu,
+    word_degree,
     extend_derivation,
 )
 
@@ -51,6 +52,14 @@ def section_to_combo(section: Section) -> dict:
 
 def section_to_elem(section: Section) -> SymElement:
     return SymElement({(g,): c for g, c in section_to_combo(section).items()})
+
+
+def _parity_parts(a: SymElement) -> tuple:
+    """(even, odd): the words of a of even and of odd degree."""
+    parts = ({}, {})
+    for w, c in a.terms.items():
+        parts[word_degree(w) % 2][w] = c
+    return a._with_terms(parts[0]), a._with_terms(parts[1])
 
 
 def generators_at(model: FreeBVModel, points) -> list:
@@ -82,6 +91,9 @@ class SymModel:
     # (degree, fiber, time offset, direction) serves every pair.
 
     def _ev_m1(self, g1, g2):
+        # the metric pairs bundle degrees n and 1 - n: zero off that degree
+        if g1[0] + g2[0] + 1:
+            return 0
         return tau_minus1(self.model, self._delta(g1), self._delta(g2))
 
     def _delta(self, g) -> Section:
@@ -163,23 +175,24 @@ class SymModel:
     # -- multiplications ---------------------------------------------------
 
     def moyal_mul(self, a: SymElement, b: SymElement) -> SymElement:
-        return tensor_mu(exp_bider(self.tau_0, TensorElement.of(a, b), IH_HALF))
+        return deformed_mul(self.tau_0, a, b, IH_HALF)
 
     def dirac_mul(self, a: SymElement, b: SymElement) -> SymElement:
-        return tensor_mu(exp_bider(self.tau_d, TensorElement.of(a, b), IH))
+        return deformed_mul(self.tau_d, a, b, IH)
 
     def poisson_bracket(self, a: SymElement, b: SymElement) -> SymElement:
         """{a, b} = mu(<a, b>_{tau_0})."""
-        return tensor_mu(bider_tensor(self.tau_0, TensorElement.of(a, b)))
+        return tensor_mu(bider_apply(self.tau_0, a, b))
 
     def star_commutator(self, a: SymElement, b: SymElement) -> SymElement:
-        """Graded Moyal commutator [a,b] = a*b - (-1)^{|a||b|} b*a per
-        homogeneous parts."""
+        """Graded Moyal commutator [a,b] = a*b - (-1)^{|a||b|} b*a over homogeneous
+        parts, split by parity: a*b - b_even*a - b_odd*a_even + b_odd*a_odd."""
+        a_even, a_odd = _parity_parts(a)
+        b_even, b_odd = _parity_parts(b)
         out = self.moyal_mul(a, b)
-        for da, pa in a.homogeneous_parts().items():
-            for db, pb in b.homogeneous_parts().items():
-                sign = -1 if (da % 2) and (db % 2) else 1
-                out.add_scaled(self.moyal_mul(pb, pa), -sign)
+        for pb, pa, sign in ((b_even, a, -1), (b_odd, a_even, -1), (b_odd, a_odd, 1)):
+            if pb and pa:
+                out.add_scaled(self.moyal_mul(pb, pa), sign)
         return out
 
     # -- comparison ----------------------------------------------------------

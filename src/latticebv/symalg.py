@@ -47,9 +47,15 @@ def normalize(gens) -> tuple:
     """Sort a raw generator sequence; return (word, sign) or (None, 0) when a
     repeated odd generator forces the word to vanish.  Only odd generators
     anticommute: the sign is (-1)^{# inversions among them}."""
+    if len(gens) < 2:
+        return tuple(gens), 1
     odd = [g for g in gens if g[0] % 2]
     if len(odd) < 2:
         return tuple(sorted(gens)), 1
+    if len(odd) == 2:
+        if odd[0] == odd[1]:
+            return None, 0
+        return tuple(sorted(gens)), -1 if odd[0] > odd[1] else 1
     if len(set(odd)) < len(odd):
         return None, 0
     sign = 1
@@ -73,12 +79,6 @@ class SymElement(Combination):
     @staticmethod
     def of_gen(g, coeff=1) -> "SymElement":
         return SymElement({(g,): coeff})
-
-    def homogeneous_parts(self) -> dict:
-        parts: dict = {}
-        for w, c in self.terms.items():
-            parts.setdefault(word_degree(w), {})[w] = c
-        return {d: self._with_terms(t) for d, t in parts.items()}
 
     def coeff_at_order(self, k: int) -> "SymElement":
         """The u^k coefficient of each word, a rational.  The coefficient of
@@ -273,12 +273,12 @@ def tensor_braiding(te: TensorElement) -> TensorElement:
     return out
 
 
-def _bider_words(tau: PairingOracle, w1: Word, w2: Word) -> TensorElement:
-    """Closed-form biderivation on a pair of normalized words."""
+def _bider_words(tau: PairingOracle, w1: Word, w2: Word, out: TensorElement, c) -> None:
+    """out += c * <w1, w2>_tau, the closed-form biderivation on a pair of
+    normalized words; c is a nonzero Sym coefficient."""
     p = tau.degree
-    out = TensorElement()
     if not w1 or not w2:
-        return out
+        return
     deg2 = [g[0] for g in w2]
     v_after = word_degree(w1)
     v_before = 0
@@ -293,11 +293,11 @@ def _bider_words(tau: PairingOracle, w1: Word, w2: Word) -> TensorElement:
                 if d2 == want:
                     val = tau(g, w2[j])
                     if val:
+                        val *= c
                         exp = (d1 + p) * w_before + d2 * v_after + p * v_before
                         out.add_term((rest1, w2[:j] + w2[j + 1 :]), val if exp % 2 == 0 else -val)
                 w_before += d2
         v_before += d1
-    return out
 
 
 def bider_apply(tau: PairingOracle, a: SymElement, b: SymElement) -> TensorElement:
@@ -305,7 +305,7 @@ def bider_apply(tau: PairingOracle, a: SymElement, b: SymElement) -> TensorEleme
     out = TensorElement()
     for w1, c1 in a.terms.items():
         for w2, c2 in b.terms.items():
-            out.add_scaled(_bider_words(tau, w1, w2), c1 * c2)
+            _bider_words(tau, w1, w2, out, c1 * c2)
     return out
 
 
@@ -313,72 +313,66 @@ def bider_tensor(tau: PairingOracle, te: TensorElement) -> TensorElement:
     """The biderivation as an endomorphism of Sym V (x) Sym V."""
     out = TensorElement()
     for (w1, w2), c in te.terms.items():
-        out.add_scaled(_bider_words(tau, w1, w2), c)
+        _bider_words(tau, w1, w2, out, c)
     return out
 
 
 def bider_recursive(tau: PairingOracle, a: SymElement, b: SymElement) -> TensorElement:
     """Independent oracle: evaluate <a,b>_tau through the defining properties
     only — the generator-pair base case, the second-slot derivation rule, and
-    (anti-)symmetry to shorten the first slot."""
+    (anti-)symmetry to shorten the first slot.  The word-level recursions
+    build plain {key: rational} dicts, which may hold zero sums; the
+    TensorElement that wraps a word pair's result drops them."""
     out = TensorElement()
     for w1, c1 in a.terms.items():
         for w2, c2 in b.terms.items():
-            out.add_scaled(_bider_rec_words(tau, w1, w2), c1 * c2)
+            out.add_scaled(TensorElement(_bider_rec_words(tau, w1, w2)), c1 * c2)
     return out
 
 
-def _module_left(b_word: Word, te: TensorElement) -> TensorElement:
-    """(1 (x) b) * te with Koszul sign past the first slot."""
-    out = TensorElement()
-    bdeg = word_degree(b_word)
-    for (u1, u2), c in te.terms.items():
-        sign = -1 if (bdeg % 2) and (word_degree(u1) % 2) else 1
+def _module_left(out: dict, b_word: Word, terms: dict, sign: int) -> None:
+    """out += sign * (1 (x) b) * terms, with the Koszul sign of b passing the
+    first slot."""
+    bodd = word_degree(b_word) % 2
+    for (u1, u2), c in terms.items():
         w, s2 = normalize(b_word + u2)
-        if w is None:
-            continue
-        cc = c if sign > 0 else -c
-        if s2 < 0:
-            cc = -cc
-        out.add_term((u1, w), cc)
-    return out
+        if w is not None:
+            if bodd and word_degree(u1) % 2:
+                s2 = -s2
+            key = (u1, w)
+            out[key] = out.get(key, 0) + (c if s2 * sign > 0 else -c)
 
 
-def _module_right(te: TensorElement, c_word: Word) -> TensorElement:
-    """te * (1 (x) c); the unit in the first slot passes with no sign."""
-    out = TensorElement()
-    for (u1, u2), c in te.terms.items():
+def _module_right(terms: dict, c_word: Word) -> dict:
+    """terms * (1 (x) c); the unit in the first slot passes with no sign."""
+    out = {}
+    for (u1, u2), c in terms.items():
         w, s2 = normalize(u2 + c_word)
-        if w is None:
-            continue
-        out.add_term((u1, w), c if s2 > 0 else -c)
+        if w is not None:
+            out[(u1, w)] = c if s2 > 0 else -c
     return out
 
 
-def _bider_rec_words(tau: PairingOracle, w1: Word, w2: Word) -> TensorElement:
-    p = tau.degree
-    s = tau.symmetry
+def _bider_rec_words(tau: PairingOracle, w1: Word, w2: Word) -> dict:
     if not w1 or not w2:
-        return TensorElement()
+        return {}
     if len(w1) == 1 and len(w2) == 1:
-        out = TensorElement()
         val = tau(w1[0], w2[0])
-        if val:
-            out.add_term((EMPTY_WORD, EMPTY_WORD), val)
-        return out
+        return {(EMPTY_WORD, EMPTY_WORD): val} if val else {}
     if len(w2) >= 2:
         # <a, b c> = <a,b>(1 (x) c) + (-1)^{(|a|+p)|b|} (1 (x) b) <a,c>
         head, tail = (w2[0],), w2[1:]
         out = _module_right(_bider_rec_words(tau, w1, head), tail)
-        sign = -1 if ((word_degree(w1) + p) % 2) and (head[0][0] % 2) else 1
-        out.add_scaled(_module_left(head, _bider_rec_words(tau, w1, tail)), sign)
+        sign = -1 if ((word_degree(w1) + tau.degree) % 2) and (head[0][0] % 2) else 1
+        _module_left(out, head, _bider_rec_words(tau, w1, tail), sign)
         return out
-    # len(w1) >= 2, len(w2) == 1: flip through (anti-)symmetry
-    flipped = _bider_rec_words(tau, w2, w1)
-    sign = -1 if (word_degree(w1) % 2) and (word_degree(w2) % 2) else 1
-    out = tensor_braiding(flipped)
-    factor = s * sign
-    return out if factor > 0 else out.scale(-1)
+    # len(w1) >= 2, len(w2) == 1: flip, <a, b> = s (-1)^{|a||b|} braiding(<b, a>)
+    factor = -tau.symmetry if (word_degree(w1) % 2) and (word_degree(w2) % 2) else tau.symmetry
+    out = {}
+    for (u1, u2), c in _bider_rec_words(tau, w2, w1).items():
+        sign = -factor if (word_degree(u1) % 2) and (word_degree(u2) % 2) else factor
+        out[(u2, u1)] = c if sign > 0 else -c
+    return out
 
 
 def laplacian_apply(tau: PairingOracle, a: SymElement) -> SymElement:
@@ -419,20 +413,27 @@ def laplacian_recursive(tau: PairingOracle, a: SymElement) -> SymElement:
     p = tau.degree
     out = SymElement()
     for w, c in a.terms.items():
-        out.add_scaled(_laplacian_rec_word(tau, w, p), c)
+        out.add_scaled(SymElement(_laplacian_rec_word(tau, w, p)), c)
     return out
 
 
-def _laplacian_rec_word(tau: PairingOracle, w: Word, p: int) -> SymElement:
+def _laplacian_rec_word(tau: PairingOracle, w: Word, p: int) -> dict:
     if len(w) < 2:
-        return SymElement()
+        return {}
     if len(w) == 2:
         val = tau(w[0], w[1])
-        return SymElement({EMPTY_WORD: val} if val else {})
+        return {EMPTY_WORD: val} if val else {}
     head, tail = (w[0],), w[1:]
+    out: dict = {}
+    for (u1, u2), c in _bider_rec_words(tau, head, tail).items():
+        word, s = normalize(u1 + u2)
+        if word is not None:
+            out[word] = out.get(word, 0) + (c if s > 0 else -c)
     sign = -1 if (p % 2) and (head[0][0] % 2) else 1
-    out = tensor_mu(_bider_rec_words(tau, head, tail))
-    out.add_scaled(mul(SymElement({head: 1}), _laplacian_rec_word(tau, tail, p)), sign)
+    for u, c in _laplacian_rec_word(tau, tail, p).items():
+        word, s = normalize(head + u)
+        if word is not None:
+            out[word] = out.get(word, 0) + (c if s * sign > 0 else -c)
     return out
 
 
@@ -453,8 +454,27 @@ def _exp_series(step, x, prefactor):
 
 def exp_bider(tau: PairingOracle, te: TensorElement, prefactor: HScalar) -> TensorElement:
     """exp(prefactor * <-,->_tau) applied to a tensor element; the series
-    truncates because each application shortens both slots."""
+    truncates because each application shortens both slots.  The reference
+    for :func:`deformed_mul`."""
     return _exp_series(lambda t: bider_tensor(tau, t), te, prefactor)
+
+
+def deformed_mul(tau: PairingOracle, a: SymElement, b: SymElement, prefactor: HScalar) -> SymElement:
+    """mu o exp(prefactor * <-,->_tau)(a (x) b), order by order: order 0 is
+    mul(a, b), order k is mu of <-,->_tau applied k times to a (x) b, scaled
+    once, after mu, by prefactor^k / k!.  No order builds a (x) b or a
+    running total in the tensor square."""
+    out = mul(a, b)
+    term = bider_apply(tau, a, b)
+    scale = prefactor
+    k = 1
+    while term:
+        out.add_scaled(tensor_mu(term), scale)
+        k += 1
+        term = bider_tensor(tau, term)
+        if term:
+            scale = scale * prefactor * Fraction(1, k)
+    return out
 
 
 def exp_laplacian(tau: PairingOracle, a: SymElement, prefactor: HScalar) -> SymElement:

@@ -24,7 +24,7 @@ from latticebv.quantize import (
     sym_power_homotopy_defect,
     tpfa_product,
 )
-from latticebv.scalars import IH, sym_coeff
+from latticebv.scalars import IH, HScalar, sym_coeff, u_coeffs
 from latticebv.suites import DEFAULT_CONFIG, ModelBundle, merge_config, run_suites
 from latticebv.symalg import (
     Combination,
@@ -32,6 +32,7 @@ from latticebv.symalg import (
     TensorElement,
     bider_tensor,
     boundary_pairing,
+    deformed_mul,
     exp_bider,
     mul,
     normalize,
@@ -259,6 +260,42 @@ def test_moyal_commutator_poisson_order():
         assert not defect.coeff_at_order(1)
 
 
+def homogeneous_commutator(sm, a, b):
+    """[a, b] by its definition: a*b minus (-1)^{da db} pb*pa over the
+    degree-da part pa of a and the degree-db part pb of b."""
+    parts_a, parts_b = {}, {}
+    for e, parts in ((a, parts_a), (b, parts_b)):
+        for w, c in e.items():
+            parts.setdefault(word_degree(w), {})[w] = c
+    out = sm.moyal_mul(a, b)
+    for da, pa in parts_a.items():
+        for db, pb in parts_b.items():
+            sign = -1 if da % 2 and db % 2 else 1
+            out = out - sm.moyal_mul(SymElement(pb), SymElement(pa)).scale(sign)
+    return out
+
+
+def test_star_commutator_matches_the_homogeneous_parts_definition():
+    # the parity split of star_commutator against the sum over homogeneous parts,
+    # on elements with parts of several even and several odd degrees
+    rng = random.Random(62)
+    mixed = nonzero = 0
+    for sm in (sym_kg(), sym_kg(kappa=Fraction(1, 2), mass_sq=Fraction(1)), sym_mw()):
+        gens = window_gens(sm, -1, 1, range(-1, 2))
+        for i in range(12):
+            a, b = random_elem(rng, gens, 4, 10), random_elem(rng, gens, 4, 10)
+            if i % 3 == 2:
+                a = a.scale(IH + Fraction(1, 3))
+            got = sm.star_commutator(a, b)
+            want = homogeneous_commutator(sm, a, b)
+            assert got.terms == want.terms
+            assert _coeff_types(got) == _coeff_types(want)
+            degrees = [{word_degree(w) for w in e.terms} for e in (a, b)]
+            mixed += all(len({d for d in ds if d % 2 == r}) >= 2 for ds in degrees for r in (0, 1))
+            nonzero += bool(got)
+    assert mixed >= 5 and nonzero >= 20
+
+
 def test_moyal_naturality_under_time_translation():
     sm = sym_kg()
     gens = window_gens(sm, 0, 1, range(0, 2))
@@ -275,6 +312,52 @@ def test_moyal_naturality_under_time_translation():
         a = random_elem(rng, gens, 2)
         b = random_elem(rng, gens, 2)
         assert shift_elem(sm.moyal_mul(a, b), 3) == sm.moyal_mul(shift_elem(a, 3), shift_elem(b, 3))
+
+
+def _dense_elem(gens):
+    """Every normalized word of length 1 or 2 on gens, with coefficients
+    cycling through 1, -1/2, 2/3."""
+    coeffs = (1, Fraction(-1, 2), Fraction(2, 3))
+    words = {(g,) for g in gens}
+    words.update(normalize([g, h])[0] for g, h in itertools.combinations_with_replacement(gens, 2))
+    words.discard(None)
+    return SymElement({w: coeffs[i % 3] for i, w in enumerate(sorted(words))})
+
+
+def _coeff_types(e):
+    return {w: type(c) for w, c in e.items()}
+
+
+@pytest.mark.parametrize("model", ["kg-massive", "maxwell2d"])
+def test_deformed_mul_matches_the_exp_bider_reference(model):
+    # mu_h and mu_D order by order (symalg.deformed_mul) against
+    # mu o exp(pref <-,->_tau)(a (x) b) built in the tensor square
+    if model == "maxwell2d":
+        sm = sym_mw()
+    else:
+        sm = sym_kg(kappa=Fraction(1, 2), mass_sq=Fraction(1))
+    rng = random.Random(61)
+    gens = window_gens(sm, -1, 1, range(-1, 2))
+    pairs = [(random_elem(rng, gens, 4, 3), random_elem(rng, gens, 4, 3)) for _ in range(12)]
+    # HScalar coefficients: products of products
+    x, y, z, w = (random_elem(rng, gens, 2, 2) + SymElement.of_gen(g) for g in gens[:4])
+    x = x.scale(IH + Fraction(1, 3))
+    pairs.append((sm.moyal_mul(x, y), sm.dirac_mul(z, w)))
+    pairs.append((sm.dirac_mul(sm.moyal_mul(x, y), z), sm.moyal_mul(w, sm.dirac_mul(y, x))))
+    dense = _dense_elem(window_gens(sm, 0, 1, [0] if model == "maxwell2d" else [0, 1]))
+    pairs.append((dense, dense.scale(Fraction(3, 2))))
+    assert any(type(c) is HScalar for a, b in pairs for c in list(a.terms.values()) + list(b.terms.values()))
+    assert len(dense.terms) >= 40
+    orders = Counter()
+    for tau, pref in ((sm.tau_0, IH * Fraction(1, 2)), (sm.tau_d, IH)):
+        for a, b in pairs:
+            got = deformed_mul(tau, a, b, pref)
+            want = tensor_mu(exp_bider(tau, TensorElement.of(a, b), pref))
+            assert got.terms == want.terms
+            assert _coeff_types(got) == _coeff_types(want)
+            orders[max((len(u_coeffs(c)) - 1 for c in got.terms.values()), default=-1)] += 1
+    # some products end at u^1, some reach u^2 or higher
+    assert orders[1] and sum(n for k, n in orders.items() if k >= 2)
 
 
 # -- Einstein causality ---------------------------------------------------------
@@ -837,16 +920,20 @@ FLIPPED_METRIC_PROBE = {
 def test_lattice_pairings_vanish_off_degree(override):
     # the degree rule that the closed-form biderivation and Laplacian rely on
     # when they skip pairs: tau of degree p vanishes on g1, g2 unless
-    # |g1| + |g2| + p = 0, on every class pair of the basis window
+    # |g1| + |g2| + p = 0, on every class pair of the basis window.  The
+    # oracles return 0 off degree without a delta pairing, so the off-degree
+    # pairs are also read through the section-level pairings of the deltas.
     bundle = ModelBundle(merge_config(DEFAULT_CONFIG, override))
     sm, gens = bundle.sym, bundle.gens_window()
-    for tau in (sm.tau_m1, sm.tau_0, sm.tau_d):
+    routes = ((sm.tau_m1, tau_minus1), (sm.tau_0, tau_0), (sm.tau_d, tau_dirac))
+    for tau, section_tau in routes:
         off = nonzero = 0
         for _, g1, g2 in bundle.lattice.class_pairs(gens, gens):
             val = tau(g1, g2)
             if g1[0] + g2[0] + tau.degree != 0:
                 off += 1
                 assert not val, (tau.name, g1, g2)
+                assert not section_tau(sm.model, gen_to_section(g1), gen_to_section(g2)), (tau.name, g1, g2)
             else:
                 nonzero += bool(val)
         assert off and nonzero, tau.name

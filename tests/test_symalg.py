@@ -635,21 +635,6 @@ def test_coefficients_are_stored_canonical():
     assert acc.terms == {w: 2} and type(acc.terms[w]) is int
 
 
-def test_homogeneous_parts_split_by_degree():
-    rng = random.Random(45)
-    gens, _ = abstract_space()
-    for _ in range(30):
-        a = random_element(rng, gens, 4, 4).scale(IH + Fraction(1, 3))
-        parts = a.homogeneous_parts()
-        total = SymElement()
-        for d, part in parts.items():
-            assert type(part) is SymElement and part
-            assert all(word_degree(w) == d for w in part.terms)
-            total.add_scaled(part)
-        assert total == a
-        assert_narrowed(total)
-
-
 def test_add_scaled_cancels_to_empty():
     for cls, a, _ in _accumulation_cases():
         acc = cls(a)
