@@ -87,22 +87,34 @@ def _integer_form(items):
     return den, tuple((k, v.numerator * (den // v.denominator)) for k, v in items)
 
 
-def _section_over(numerators: dict, den: int) -> Section:
-    """The Section {key: n / den} of the integer numerators n, each value
-    narrowed as :func:`rational` narrows it and the zero keys dropped; it
-    takes ownership of numerators."""
-    out = Section.__new__(Section)
-    if den == 1:
-        if 0 in numerators.values():
-            numerators = {k: n for k, n in numerators.items() if n}
-        out.terms = numerators
-    else:
-        out.terms = {
-            k: n // den if n % den == 0 else Fraction(n, den)
-            for k, n in numerators.items()
-            if n
-        }
-    return out
+def _translate_sum(section: Section, parts, shift) -> Section:
+    """The image of section under a map that commutes with x-translation:
+    parts(n, t, f) yields the image of the delta at (n, t, x = 0, f) as parts
+    (d, dt, entries), each entry ((m, y, g), c) the value c / d at (m, t + dt,
+    y, g).  Integer numerators are summed over one denominator, rescaled when
+    a part needs a new one, then narrowed as :func:`rational` narrows them,
+    zero keys dropped: the exact sum, as with ``Fraction`` terms."""
+    den, items = _integer_form(section.items())
+    out: dict = {}
+    scale = 1  # out holds numerators over den * scale
+    for (n, t, x, f), a in items:
+        for d, dt, entries in parts(n, t, f):
+            if scale % d:
+                k = lcm(scale, d) // scale
+                scale *= k
+                for key in out:
+                    out[key] *= k
+            b = a * (scale // d)
+            s = t + dt
+            for (m, y, g), c in entries:
+                key = (m, s, shift(y, x), g)
+                out[key] = out.get(key, 0) + b * c
+    den *= scale
+    if den != 1:
+        out = {k: v // den if v % den == 0 else Fraction(v, den) for k, v in out.items() if v}
+    elif 0 in out.values():
+        out = {k: v for k, v in out.items() if v}
+    return section._with_terms(out)
 
 
 class StencilEntry(NamedTuple):
@@ -121,10 +133,7 @@ class Stencil:
         e.coeff * phi(n, (t + e.dt, x + e.dx), e.fin).
 
     Coefficients are merged per offset and narrowed by :func:`rational`.
-    :meth:`apply` accumulates integer numerators: the coefficients are kept
-    once more as (degree, fin) tables of numerators over one denominator,
-    the input's values go over theirs, and each output value is one
-    rational, so the result is the exact sum, as with ``Fraction`` terms.
+    :meth:`apply` is a :func:`_translate_sum`.
     """
 
     def __init__(self, degree_shift: int, entries: dict):
@@ -142,13 +151,15 @@ class Stencil:
             )
             if cleaned:
                 self.entries[n] = cleaned
-        # (degree, fin) -> [(dt, dx, fout, numerator), ...] over self._den
-        self._den, numerators = _integer_form(
+        # (degree, fin) -> the parts of the image of that delta, one per dt
+        den, numerators = _integer_form(
             tuple(((n, e), e.coeff) for n, es in self.entries.items() for e in es)
         )
-        self._table: dict = {}
+        runs: dict = {}
         for (n, e), c in numerators:
-            self._table.setdefault((n, e.fin), []).append((e.dt, e.dx, e.fout, c))
+            by_dt = runs.setdefault((n, e.fin), {})
+            by_dt.setdefault(-e.dt, []).append(((n + degree_shift, -e.dx, e.fout), c))
+        self._parts = {k: [(den, dt, es) for dt, es in by_dt.items()] for k, by_dt in runs.items()}
 
     def __eq__(self, other):
         return (
@@ -168,16 +179,8 @@ class Stencil:
         return r
 
     def apply(self, section: Section, lattice: Lattice) -> Section:
-        den, items = _integer_form(section.items())
-        out: dict = {}
-        dn = self.degree_shift
-        shift = lattice.shift
-        table = self._table
-        for (n, t, x, fin), a in items:
-            for dt, dx, fout, c in table.get((n, fin), ()):
-                key = (n + dn, t - dt, shift(x, -dx), fout)
-                out[key] = out.get(key, 0) + a * c
-        return _section_over(out, den * self._den)
+        parts = self._parts
+        return _translate_sum(section, lambda n, t, f: parts.get((n, f), ()), lattice.shift)
 
     def compose(self, other: "Stencil") -> "Stencil":
         """self after other."""
@@ -401,10 +404,7 @@ class GreenSolver:
     are unique, so G± of any source is a translate-and-sum of one kernel per
     (degree, fiber): the solution for a unit delta at (t, x) = (0, 0), kept
     as slices {t: {(x, fout): value}} and time-marched on demand.
-    :meth:`apply` sums integer numerators: each slice's values go once over
-    their least common denominator, all of one call's over the least common
-    multiple of those, and each output value is one rational, so the result
-    is the exact sum, as with ``Fraction`` terms.
+    :meth:`apply` is a :func:`_translate_sum`.
     """
 
     def __init__(self, model: FreeBVModel, direction: int):
@@ -413,7 +413,7 @@ class GreenSolver:
         self.model = model
         self.direction = direction
         self._kernels: dict = {}
-        # (degree, fiber) -> {t: the _integer_form of that kernel slice}
+        # (degree, fiber) -> {t: that kernel slice as a _translate_sum part}
         self._slice_forms: dict = {}
 
     def kernel(self, degree: int, fiber: int, t: int) -> dict:
@@ -470,35 +470,22 @@ class GreenSolver:
     def apply(self, source: Section, t_lo: int, t_hi: int) -> Section:
         """The solution of P psi = source with supp(psi) in J^±(supp source),
         evaluated on the time window [t_lo, t_hi]."""
-        shift = self.model.lattice.shift
-        den, items = _integer_form(source.items())
-        out: dict = {}
-        scale = 1  # out holds numerators over den * scale
-        for (n, ts, xs, f), a in items:
-            lo, hi = t_lo - ts, t_hi - ts
+
+        def parts(n, t, f):  # the nonzero kernel slices in the window
+            lo, hi = t_lo - t, t_hi - t
             slices = self.kernel(n, f, hi if self.direction > 0 else lo)
-            forms = self._slice_forms.get((n, f))
-            if forms is None:
-                forms = self._slice_forms[(n, f)] = {}
+            forms = self._slice_forms.setdefault((n, f), {})
             for off in range(lo, hi + 1):
-                form = forms.get(off)
-                if form is None:
+                part = forms.get(off)
+                if part is None:
                     sl = slices.get(off)
                     if not sl:
                         continue
-                    form = forms[off] = _integer_form(sl.items())
-                d, sl_items = form
-                if scale % d:
-                    m = lcm(scale, d) // scale
-                    scale *= m
-                    for key in out:
-                        out[key] *= m
-                b = a * (scale // d)
-                t = ts + off
-                for (x, fout), c in sl_items:
-                    key = (n, t, shift(x, xs), fout)
-                    out[key] = out.get(key, 0) + b * c
-        return _section_over(out, den * scale)
+                    d, entries = _integer_form(tuple(((n, x, g), v) for (x, g), v in sl.items()))
+                    part = forms[off] = (d, off, entries)
+                yield part
+
+        return _translate_sum(source, parts, self.model.lattice.shift)
 
     def value_at(self, source: Section, degree: int, point: Point, fiber: int):
         """Single solved value, one kernel lookup per source term.  The
@@ -592,34 +579,23 @@ def window_points(t_lo: int, t_hi: int, xs) -> list:
 
 
 def _cut_translate_sum(model: FreeBVModel, cutoff: CutoffData, psi: Section, table: dict, solve) -> Section:
-    """A linear map of psi that commutes with x-translation and depends on
-    time only through t - t0: the translate-and-sum of its values on deltas
-    at x = 0, solved by solve(model, cutoff, delta) once per (degree,
-    t - t0, fiber) and kept in table, with times relative to the cut, as
-    integer numerators over one denominator (see GreenSolver.apply)."""
-    shift = model.lattice.shift
+    """A :func:`_translate_sum` of solve(model, cutoff, delta), kept in table
+    by (degree, t - t0, fiber) as runs of one time relative to the delta."""
     t0 = cutoff.t0
-    den, items = _integer_form(psi.items())
-    out: dict = {}
-    scale = 1  # out holds numerators over den * scale
-    for (n, t, xs, f), a in items:
-        sol = table.get((n, t - t0, f))
-        if sol is None:
-            delta = Section.delta(n, Point(t, 0), f)
-            sol = table[(n, t - t0, f)] = _integer_form(
-                tuple(((m, s - t0, x, g), w) for (m, s, x, g), w in solve(model, cutoff, delta).items())
-            )
-        d, sol_items = sol
-        if scale % d:
-            k = lcm(scale, d) // scale
-            scale *= k
-            for key in out:
-                out[key] *= k
-        b = a * (scale // d)
-        for (m, s, x, g), c in sol_items:
-            key = (m, s + t0, shift(x, xs), g)
-            out[key] = out.get(key, 0) + b * c
-    return _section_over(out, den * scale)
+
+    def parts(n, t, f):
+        runs = table.get((n, t - t0, f))
+        if runs is None:
+            runs = []
+            d, items = _integer_form(solve(model, cutoff, Section.delta(n, Point(t, 0), f)).items())
+            for (m, s, y, g), c in items:
+                if not runs or runs[-1][1] != s - t:
+                    runs.append((d, s - t, []))
+                runs[-1][2].append(((m, y, g), c))
+            table[(n, t - t0, f)] = runs
+        return runs
+
+    return _translate_sum(psi, parts, model.lattice.shift)
 
 
 def _g_of_delta(model: FreeBVModel, cutoff: CutoffData, delta: Section) -> Section:

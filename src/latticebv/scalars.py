@@ -2,23 +2,21 @@
 
 Stencils, fiber metrics, sections, Green values and the three pairings are
 rational: they are plain Python numbers, an ``int`` or a ``Fraction`` whose
-denominator is not 1 (see :func:`rational`).  The stencil and Green
-translate-and-sum loops accumulate integer numerators over one common
-denominator and build one rational per output key: the same exact values as
-a sum of ``Fraction`` terms, at a fraction of the cost.  The formal deformation
-parameter h enters the Sym algebra only through i*h (Q_h = Q + i*h*Delta_BV,
-the exponents (i*h/2)<-,-> and i*h*Delta_D), so every Sym coefficient is a
-polynomial in u = i*h over Q.  A constant one is a plain rational too; only a
-coefficient with a u term is an :class:`HScalar`, and arithmetic that cancels
-every power of u returns the rational (:func:`u_poly` builds, and
-:func:`sym_coeff` coerces, a Sym coefficient).  The map u -> i*h into Q(i)[h]
-is an injective ring map, so an identity checked in Q[u] holds in Q(i)[h];
-:func:`h_coeff` and the witness text :func:`coeff_text` report the
-h-coefficients, which lie in Q(i) (:class:`GaussianRational`).  Keeping h
-formal makes order-by-order statements exact: any identity is checked with
-zero tolerance, coefficient by coefficient.  :class:`Combination` is the one
-sparse linear-combination type over either ring: sections over Q, Sym
-elements and tensors over Q[u].
+denominator is not 1 (see :func:`rational`); the translation-invariant maps
+on sections sum integer numerators in ``bvtheory._translate_sum``.  The
+formal deformation parameter h enters the Sym algebra only through i*h
+(Q_h = Q + i*h*Delta_BV, the exponents (i*h/2)<-,-> and i*h*Delta_D), so
+every Sym coefficient is a polynomial in u = i*h over Q.  A constant one is
+a plain rational too; only a coefficient with a u term is an
+:class:`HScalar`, and arithmetic that cancels every power of u returns the
+rational (:func:`u_poly` builds, and :func:`sym_coeff` coerces, a Sym
+coefficient).  The map u -> i*h into Q(i)[h] is an injective ring map, so an
+identity checked in Q[u] holds in Q(i)[h]; :func:`h_coeff` and the witness
+text :func:`coeff_text` report the h-coefficients, which lie in Q(i)
+(:class:`GaussianRational`).  Keeping h formal makes order-by-order
+statements exact: any identity is checked with zero tolerance, coefficient
+by coefficient.  :class:`Combination` is the one sparse linear-combination
+type over either ring: sections over Q, Sym elements and tensors over Q[u].
 """
 
 from __future__ import annotations

@@ -419,7 +419,7 @@ def suite_algebra(bundle: ModelBundle) -> list:
 
     def pairing(degree, symmetry, seed):
         t = random_pairing(gens, degree, symmetry, seed=seed)
-        return PairingOracle(degree, symmetry, lambda g, h: rational(6 * t(g, h)), name=t.name)
+        return PairingOracle(degree, symmetry, lambda g, h: rational(6 * t.evaluate(g, h)), name=t.name)
 
     tau_even = pairing(0, 1, 10)
     tau_odd = pairing(1, 1, 11)

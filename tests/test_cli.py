@@ -360,12 +360,15 @@ def test_list_suites(capsys):
 
 
 def test_every_catalog_id_has_suite_coverage():
-    # every registered identity is produced by a full default run
-    config = merge_config(DEFAULT_CONFIG, SMALL)
-    records = run_suites(config)
-    produced = {r.identity for r in records}
-    assert produced == set(CATALOG)
-    assert_matches_golden(make_report(config, records), "kg-small-all.json")
+    # every registered identity is produced by a full default run, and by
+    # one of massive kg, whose Green values are not integers
+    massive = {"model_params": {"kappa": "1/2", "mass_sq": "1"}}
+    for extra, golden in (({}, "kg-small-all.json"), (massive, "kg-massive-small-all.json")):
+        config = merge_config(merge_config(DEFAULT_CONFIG, SMALL), extra)
+        records = run_suites(config)
+        produced = {r.identity for r in records}
+        assert produced == set(CATALOG)
+        assert_matches_golden(make_report(config, records), golden)
 
 
 def test_run_with_model_flag(tmp_path):
