@@ -62,9 +62,6 @@ class Section(Combination):
     def restrict_times(self, t_lo, t_hi) -> "Section":
         return self._with_terms({k: v for k, v in self.terms.items() if t_lo <= k[1] <= t_hi})
 
-    def multiply_indicator(self, chi_of_t) -> "Section":
-        return self._with_terms({k: v for k, v in self.terms.items() if chi_of_t(k[1])})
-
     def translate_time(self, dt: int) -> "Section":
         return self._with_terms(
             {(d, t + dt, x, f): v for (d, t, x, f), v in self.terms.items()}
@@ -473,7 +470,13 @@ class GreenSolver:
 
         def parts(n, t, f):  # the nonzero kernel slices in the window
             lo, hi = t_lo - t, t_hi - t
-            slices = self.kernel(n, f, hi if self.direction > 0 else lo)
+            data = self.model.solve_data(n)
+            if self.direction > 0:  # the march stores no slice before d_plus
+                lo = max(lo, data.d_plus)
+                slices = self.kernel(n, f, hi)
+            else:  # nor after -d_minus
+                hi = min(hi, -data.d_minus)
+                slices = self.kernel(n, f, lo)
             forms = self._slice_forms.setdefault((n, f), {})
             for off in range(lo, hi + 1):
                 part = forms.get(off)
@@ -599,25 +602,27 @@ def _cut_translate_sum(model: FreeBVModel, cutoff: CutoffData, psi: Section, tab
 
 
 def _g_of_delta(model: FreeBVModel, cutoff: CutoffData, delta: Section) -> Section:
-    """[Q, chi_+] (L delta), restricted to the band where it can be nonzero."""
-    rt = max(model.q_op.time_radius(), 1)
+    """[Q, chi_+] u = Q(chi_+ u) - chi_+ Q(u) for u = L delta.  At time s it
+    reads u at s + dt, |dt| <= r (Q's time radius, at least 1), only across
+    the cut, so it lives on the 2r-slice band and reads u only there: Q of
+    u's upper r slices on the lower r, minus Q of u's lower r on the upper r."""
+    r = max(model.q_op.time_radius(), 1)
     t0 = cutoff.t0
-    band_lo, band_hi = t0 + 1 - rt, t0 + rt
-    lam = lambda_diff(model, delta, band_lo - rt, band_hi + rt)
-    out = model.q_op.apply(lam.multiply_indicator(cutoff.chi_plus), model.lattice)
-    out.add_scaled(model.q_op.apply(lam, model.lattice).multiply_indicator(cutoff.chi_plus), -1)
-    return out.restrict_times(band_lo, band_hi)
+    q, lattice = model.q_op, model.lattice
+    u = lambda_diff(model, delta, t0 + 1 - r, t0 + r)
+    out = q.apply(u.restrict_times(t0 + 1, t0 + r), lattice).restrict_times(t0 + 1 - r, t0)
+    out.add_scaled(q.apply(u.restrict_times(t0 + 1 - r, t0), lattice).restrict_times(t0 + 1, t0 + r), -1)
+    return out
 
 
 def _eta_of_delta(model: FreeBVModel, cutoff: CutoffData, delta: Section) -> Section:
-    """-chi_- L+ delta - chi_+ L- delta on the windows where each is nonzero."""
+    """-chi_- L+ delta - chi_+ L- delta, each solved on its window on one side
+    of the cut (L+ delta starts at t - r_W, L- delta ends at t + r_W)."""
     rt = model.w_op.time_radius()
     t, t0 = delta.min_t(), cutoff.t0
-    plus_part = lambda_pm(model, delta, 1, t - rt, t0).multiply_indicator(cutoff.chi_minus)
-    minus_part = lambda_pm(model, delta, -1, t0 + 1, t + rt).multiply_indicator(cutoff.chi_plus)
     out = Section()
-    out.add_scaled(plus_part, -1)
-    out.add_scaled(minus_part, -1)
+    out.add_scaled(lambda_pm(model, delta, 1, t - rt, t0), -1)
+    out.add_scaled(lambda_pm(model, delta, -1, t0 + 1, t + rt), -1)
     return out
 
 
@@ -625,8 +630,8 @@ def quasi_inverse_g(model: FreeBVModel, cutoff: CutoffData, psi: Section) -> Sec
     """g(psi) = [Q, chi_+] (L psi): compactly supported near the cut, equal to
     the identity in cohomology for the inclusion of the surrounding slab.
 
-    [Q, chi_+] vanishes wherever chi_+ is constant across the stencil depth,
-    so the result is confined to the band of width 2*radius around the cut.
+    g is the band term of the commutator: it lives on, and reads L psi only
+    on, the 2r slices around the cut, r being Q's time radius (at least 1).
     g is linear and commutes with x-translation, so it is a translate-and-sum
     of one delta solution per (degree, t - t0, fiber).
     """
@@ -635,7 +640,8 @@ def quasi_inverse_g(model: FreeBVModel, cutoff: CutoffData, psi: Section) -> Sec
 
 def homotopy_eta(model: FreeBVModel, cutoff: CutoffData, psi: Section) -> Section:
     """eta(psi) = -chi_- L+ psi - chi_+ L- psi (compact: the cutoffs clip the
-    retarded/advanced tails); a translate-and-sum of one delta solution per
+    retarded/advanced tails, each solved only on its one-sided window
+    below or above the cut); a translate-and-sum of one delta solution per
     (degree, t - t0, fiber), as for g."""
     return _cut_translate_sum(model, cutoff, psi, model._eta_deltas, _eta_of_delta)
 

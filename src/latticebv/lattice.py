@@ -252,20 +252,11 @@ def factorize_tuple(regions):
 
 
 class CutoffData(NamedTuple):
-    """Partition of unity {chi_+, chi_-} subordinate to the two-sided cover
-    around a cut time: chi_+ = [t >= t0+1], chi_- = [t <= t0].
-
-    The slices Sigma_- = {t = t0-1} and Sigma_+ = {t = t0+1} satisfy
-    supp chi_+ in I^+(Sigma_-) and supp chi_- in I^-(Sigma_+).
-    """
+    """The cut at t0 and its partition of unity, as two windows: chi_+ is 1
+    on t >= t0+1 and chi_- on t <= t0.  With Sigma_± = {t = t0±1}, supp chi_+
+    lies in I^+(Sigma_-) and supp chi_- in I^-(Sigma_+)."""
 
     t0: int
-
-    def chi_plus(self, t: int) -> int:
-        return 1 if t >= self.t0 + 1 else 0
-
-    def chi_minus(self, t: int) -> int:
-        return 1 - self.chi_plus(t)
 
 
 def validate_ring_size(lattice: Lattice, regions) -> None:

@@ -835,19 +835,26 @@ def test_zeta_requires_slab_support():
         homotopy_zeta(model, cutoff, region, outside)
 
 
+def _where(section, keep):
+    """The terms of section at the times t with keep(t): a cutoff function
+    chi_± applied as a mask."""
+    return Section({k: v for k, v in section.items() if keep(k[1])})
+
+
 def reference_g(model, cutoff, psi):
-    """g(psi) = [Q, chi_+] (L psi) of a whole source in one Green solve: the
+    """g(psi) = Q(chi_+ L psi) - chi_+ Q(L psi) of a whole source in one Green
+    solve on a window r slices wider than the band on each side: the
     independent route for the translate-and-sum of delta solutions."""
     if not psi:
         return Section()
     rt = max(model.q_op.time_radius(), 1)
     t0 = cutoff.t0
     band_lo, band_hi = t0 + 1 - rt, t0 + rt
+    chi_plus = lambda t: t >= t0 + 1
     lam = lambda_diff(model, psi, band_lo - rt, band_hi + rt)
-    clipped = lam.multiply_indicator(cutoff.chi_plus)
-    out = model.q_op.apply(clipped, model.lattice) - model.q_op.apply(
-        lam, model.lattice
-    ).multiply_indicator(cutoff.chi_plus)
+    out = model.q_op.apply(_where(lam, chi_plus), model.lattice) - _where(
+        model.q_op.apply(lam, model.lattice), chi_plus
+    )
     return out.restrict_times(band_lo, band_hi)
 
 
@@ -858,13 +865,25 @@ def reference_eta(model, cutoff, psi):
         return Section()
     rt = model.w_op.time_radius()
     t0 = cutoff.t0
-    plus_part = lambda_pm(model, psi, 1, psi.min_t() - rt, t0).multiply_indicator(
-        cutoff.chi_minus
-    )
-    minus_part = lambda_pm(model, psi, -1, t0 + 1, psi.max_t() + rt).multiply_indicator(
-        cutoff.chi_plus
-    )
+    plus_part = _where(lambda_pm(model, psi, 1, psi.min_t() - rt, t0), lambda t: t <= t0)
+    minus_part = _where(lambda_pm(model, psi, -1, t0 + 1, psi.max_t() + rt), lambda t: t >= t0 + 1)
     return (plus_part + minus_part).scale(-1)
+
+
+def two_step_kg(lattice, kappa=Fraction(1, 2), mass_sq=Fraction(1)):
+    """kg with time radius 2: P phi = phi(t+2) + phi(t-2) - 2 phi - kappa
+    Delta_x phi + m2 phi, W = id and kg's metric; d_plus = d_minus = 2."""
+    p_spec = [
+        StencilEntry(2, 0, 0, 0, 1),
+        StencilEntry(-2, 0, 0, 0, 1),
+        StencilEntry(0, 0, 0, 0, -2 + 2 * kappa + mass_sq),
+        StencilEntry(0, 1, 0, 0, -kappa),
+        StencilEntry(0, -1, 0, 0, -kappa),
+    ]
+    q_op = Stencil(1, {0: p_spec})
+    w_op = Stencil(-1, {1: [StencilEntry(0, 0, 0, 0, 1)]})
+    metric = FiberMetric({1: ((1,),), 0: ((-1,),)})
+    return FreeBVModel("kg-two-step", lattice, {0: 1, 1: 1}, q_op, w_op, metric)
 
 
 @pytest.mark.parametrize("n_sites", [5, 9, 21])
@@ -872,12 +891,14 @@ def test_cut_maps_match_direct_solve(n_sites):
     # eta and g (translate-and-sum of one delta solution per (degree, t - t0,
     # fiber)) against the direct solve of 4-point sources with mixed degrees,
     # fibers and non-integer rationals at times t0 - 3 .. t0 + 3; two cuts
-    # share each model's delta solutions, which are stored relative to the cut
+    # share each model's delta solutions, which are stored relative to the cut.
+    # The two-step kg has time radius 2, so g's band is two slices each side
     rng = random.Random(300 + n_sites)
     lattice = Lattice(n_sites)
     for model in (
         klein_gordon(lattice, kappa=Fraction(1, 2), mass_sq=Fraction(1)),
         maxwell2d(lattice),
+        two_step_kg(lattice),
     ):
         degrees = model.degrees()
         nonzero = set()
@@ -899,6 +920,14 @@ def test_cut_maps_match_direct_solve(n_sites):
         assert nonzero == {"eta", "g"}
         assert not homotopy_eta(model, cutoff, Section())
         assert not quasi_inverse_g(model, cutoff, Section())
+    # the loop's last model, the two-step kg: radius 2, d± = 2 in every degree
+    # (it passes green-triangular), and -(Q eta + eta Q) = id - g on its deltas
+    assert model.name == "kg-two-step" and model.q_op.time_radius() == 2
+    for n in model.degrees():
+        assert model.solve_data(n)[:2] == (2, 2)
+    cutoff = CutoffData(0)
+    for psi in delta_basis(model, window_points(-4, 4, range(0, 2))):
+        assert not _eta_boundary_defect(model, cutoff, psi)
 
 
 def test_cutoff_outside_region_rejected():

@@ -6,7 +6,6 @@ import pytest
 
 from latticebv import lattice as lattice_module
 from latticebv.lattice import (
-    CutoffData,
     Lattice,
     Point,
     Region,
@@ -268,13 +267,6 @@ def test_slab_is_the_hull_of_its_two_slices(n_sites):
             seeds = lattice.slice_points(t_lo) + lattice.slice_points(t_hi)
             s, hull = slab(lattice, t_lo, t_hi), causal_hull(lattice, seeds)
             assert s == hull
-
-
-def test_cutoff_partition():
-    cut = CutoffData(0)
-    for t in range(-4, 5):
-        assert cut.chi_plus(t) + cut.chi_minus(t) == 1
-    assert cut.chi_plus(1) == 1 and cut.chi_plus(0) == 0
 
 
 def test_validate_ring_size():
